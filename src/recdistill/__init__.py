@@ -14,7 +14,7 @@ from .errors import (
     RectificationError,
     SegmentationError,
 )
-from .schedule import DiffusionSchedule, LossWeight, build_schedule, loss_weight, perturb
+from .schedule import DiffusionSchedule, build_schedule, loss_weight, perturb
 from .worldmodel import PoseLabeledMixture, Renderer
 from .rectify import Rectifier, TargetMarginal
 
@@ -27,7 +27,6 @@ __all__ = [
     "RectificationError",
     "SegmentationError",
     "DiffusionSchedule",
-    "LossWeight",
     "build_schedule",
     "loss_weight",
     "perturb",

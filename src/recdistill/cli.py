@@ -10,6 +10,10 @@ Subcommands:
 Every subcommand is a pure function of (config, seed): outputs are
 byte-identical across repeated runs.  RECDISTILL_THREADS caps the
 classification thread pool.
+
+Exit codes: 0 success; 2 invalid configuration or input; 3 a run that
+diverged or produced a non-finite value.  Failures print one `error:` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from . import classifier as C
 from . import distill as D
 from . import rectify, worldmodel
 from .config import parse_config
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError, NumericError
 from .metrics import categorical_entropy, gaussian_frechet, marginal_tv
 from .oracle import grid_integrate
 from .schedule import build_schedule
@@ -318,6 +322,9 @@ def main(argv=None) -> int:
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (DivergenceError, NumericError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

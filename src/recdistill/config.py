@@ -20,7 +20,7 @@ _KNOWN_KEYS = {
     "schedule": {"num_steps", "beta_min", "beta_max"},
     "rectifier": {"target", "posterior_source", "marginal_source", "epsilon_floor", "fd_step"},
     "distill": {
-        "method", "eta1", "eta2", "iters", "particles", "dim", "init_scale",
+        "method", "eta1", "iters", "particles", "dim", "init_scale",
         "bnf_n_i", "grad_norm_align", "control_category", "omega_kind",
         "n_t", "n_ema", "snapshot_every", "pose_probs", "renderer", "renderer_angles",
     },
@@ -98,7 +98,7 @@ def _parse_distill(section, k: int) -> dict:
         "init_scale": float(section.get("init_scale", "1.0")),
     }
     for key, cast in [
-        ("eta1", float), ("eta2", float), ("iters", int), ("bnf_n_i", int),
+        ("eta1", float), ("iters", int), ("bnf_n_i", int),
         ("n_t", int), ("n_ema", int), ("snapshot_every", int),
     ]:
         if key in section:
@@ -128,7 +128,11 @@ def _parse_demo(section) -> dict:
 def parse_config(path) -> RunSpec:
     """Read and validate a run configuration file."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        detail = " ".join(str(exc).split())     # configparser messages span lines
+        raise ConfigurationError(f"malformed config file {path}: {detail}") from exc
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
     for name in parser.sections():

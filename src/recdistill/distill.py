@@ -1,18 +1,18 @@
 """Score-distillation engine over the analytic mixture prior.
 
-Implements plain score distillation (SDS), variational score distillation
-with an exact particle-mixture variational score (VSD), the
-marginal-rectified variant (USD) whose gradient is the VSD gradient plus a
-log-rectifier correction, and a single-category control mode (CTRL).
-Supporting pieces: a back-and-forth timestep scheduler and gradient-norm
-alignment of the correction term.
+Plain score distillation (SDS), variational score distillation with an
+exact particle-mixture variational score (VSD), the marginal-rectified
+variant (USD) and a single-category control mode (CTRL) are one gradient
+rule, `gradient`, with different inputs.  Supporting pieces: a
+back-and-forth timestep scheduler and gradient-norm alignment of the
+correction term.
 """
 
 from __future__ import annotations
 
 import csv
 import pathlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import worldmodel
 from .errors import ConfigurationError, DivergenceError
 from .estimator import IntervalEma, ema_lookup, ema_update, tweedie_x0
 from .metrics import categorical_entropy
-from .rectify import Rectifier, TargetMarginal, grad_log_r
+from .rectify import Rectifier, grad_log_r
 from .schedule import DiffusionSchedule, loss_weight
 from .worldmodel import PoseLabeledMixture, Renderer, render, render_jacobian
 
@@ -53,16 +53,10 @@ class ParticleSet:
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Hyperparameters of one distillation run.
-
-    eta2 is the learning rate of a fitted variational score network; the
-    analytic particle-mixture score needs no fitting, so it is accepted for
-    interface completeness but unused.
-    """
+    """Hyperparameters of one distillation run."""
 
     method: str
     eta1: float = 0.03
-    eta2: float = 0.0
     iters: int = 4000
     bnf_n_i: int = 2
     grad_norm_align: bool = True
@@ -77,26 +71,19 @@ class DistillConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.eta1 <= 0 or self.eta2 < 0:
-            raise ConfigurationError("learning rates must be positive (eta2 may be 0)")
+        if not (np.isfinite(self.eta1) and self.eta1 > 0):
+            raise ConfigurationError(f"eta1 must be a finite positive learning rate, got {self.eta1}")
+        if self.iters < 1 or self.snapshot_every < 1:
+            raise ConfigurationError(
+                f"iters and snapshot_every must be at least 1, got {self.iters} and {self.snapshot_every}"
+            )
         if (self.control_category is not None) != (self.method == "ctrl"):
             raise ConfigurationError("control_category must be set exactly when method='ctrl'")
         if self.method == "usd" and self.rectifier is None:
             raise ConfigurationError("method 'usd' needs a rectifier configuration")
 
 
-@dataclass(frozen=True)
-class VariationalScore:
-    """Selects how the variational noise prediction is computed."""
-
-    mode: str = "analytic-particle-mixture"
-
-    def __post_init__(self):
-        if self.mode not in ("analytic-particle-mixture", "single-particle-exact"):
-            raise ConfigurationError(f"unknown variational score mode {self.mode!r}")
-
-
-def variational_eps(vs: VariationalScore, ps: ParticleSet, schedule: DiffusionSchedule,
+def variational_eps(particles: np.ndarray, renderer: Renderer, schedule: DiffusionSchedule,
                     t: int, c: int, xt) -> np.ndarray:
     """Noise prediction of the particle-induced distribution at step t.
 
@@ -107,10 +94,7 @@ def variational_eps(vs: VariationalScore, ps: ParticleSet, schedule: DiffusionSc
     """
     xt = np.asarray(xt, dtype=float)
     a, s = schedule.alpha[t], schedule.sigma[t]
-    rendered = np.stack([render(ps.renderer, th, c) for th in ps.particles])
-    if vs.mode == "single-particle-exact" and ps.num_particles != 1:
-        raise ConfigurationError("single-particle-exact mode needs exactly one particle")
-    diffs = xt[None, :] - a * rendered                       # (n, d)
+    diffs = xt[None, :] - a * render(renderer, particles, c)     # (n, d)
     log_w = -0.5 * np.sum(diffs**2, axis=1) / s**2
     log_w -= log_w.max()
     w = np.exp(log_w)
@@ -161,7 +145,7 @@ def grad_norm_align(primary_grad, secondary_grad) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-iteration draws and gradient rules
+# Per-iteration draws and the gradient rule
 # ---------------------------------------------------------------------------
 
 
@@ -175,9 +159,9 @@ class _Draws:
     xt: np.ndarray         # (n, d)
 
 
-def _draw(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
+def _draw(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, schedule: DiffusionSchedule,
           cfg: DistillConfig, iteration: int, rng: np.random.Generator) -> _Draws:
-    n, d = ps.particles.shape
+    n, d = particles.shape
     lo, hi = bnf_interval(iteration, cfg.iters, cfg.bnf_n_i, schedule.num_steps)
     t = rng.integers(lo, hi + 1, size=n)
     probs = cfg.pose_probs
@@ -187,43 +171,9 @@ def _draw(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
     eps = rng.standard_normal((n, d))
     xt = np.empty((n, d))
     for i in range(n):
-        x0 = render(ps.renderer, ps.particles[i], int(pose[i]))
+        x0 = render(renderer, particles[i], int(pose[i]))
         xt[i] = schedule.alpha[t[i]] * x0 + schedule.sigma[t[i]] * eps[i]
     return _Draws(t=t, pose=pose, eps=eps, xt=xt)
-
-
-def _vsd_gradients(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
-                   cfg: DistillConfig, draws: _Draws, use_variational: bool) -> np.ndarray:
-    """Stacked per-particle gradients of the SDS/VSD objective."""
-    omega = loss_weight(schedule, cfg.omega_kind)
-    vs = VariationalScore()
-    out = np.empty_like(ps.particles)
-    for i in range(ps.num_particles):
-        t, c = int(draws.t[i]), int(draws.pose[i])
-        eps_pre = worldmodel.eps_pretrain(m, schedule, t, draws.xt[i])
-        if use_variational:
-            eps_ref = variational_eps(vs, ps, schedule, t, c, draws.xt[i])
-        else:
-            eps_ref = draws.eps[i]
-        jac = render_jacobian(ps.renderer, ps.particles[i], c)
-        out[i] = omega(t) * (jac.T @ (eps_pre - eps_ref))
-    return out
-
-
-def sds_step(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
-             cfg: DistillConfig, draws: _Draws) -> np.ndarray:
-    """Plain score-distillation gradient: omega * (eps_pretrain - eps) through the renderer."""
-    if cfg.method != "sds":
-        raise ConfigurationError("sds_step needs method='sds'")
-    return _vsd_gradients(ps, m, schedule, cfg, draws, use_variational=False)
-
-
-def vsd_step(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
-             cfg: DistillConfig, draws: _Draws) -> np.ndarray:
-    """Variational gradient: the drawn noise is replaced by the particle-mixture prediction."""
-    if cfg.method not in ("vsd", "usd"):
-        raise ConfigurationError("vsd_step needs method 'vsd' (or as the base of 'usd')")
-    return _vsd_gradients(ps, m, schedule, cfg, draws, use_variational=True)
 
 
 def _posterior_fn(source: str, m: PoseLabeledMixture, schedule: DiffusionSchedule):
@@ -258,67 +208,58 @@ def _marginal_at(rect: Rectifier, m: PoseLabeledMixture, state: IntervalEma,
     return fixed
 
 
-def usd_step(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
-             state: IntervalEma, cfg: DistillConfig, draws: _Draws,
-             fixed_marginal: np.ndarray | None = None) -> np.ndarray:
-    """VSD gradient minus the rectifier correction omega * sigma * J^T grad log r.
-
-    Subtracting the term in a descent update ascends log r, steering the
-    particle distribution's category marginal toward the rectifier target.
-    """
-    if cfg.method != "usd":
-        raise ConfigurationError("usd_step needs method='usd'")
-    rect = cfg.rectifier
-    base = _vsd_gradients(ps, m, schedule, cfg, draws, use_variational=True)
-    omega = loss_weight(schedule, cfg.omega_kind)
-    context = m if rect.posterior_source == "exact-mixture" else _posterior_fn(rect.posterior_source, m, schedule)
-    out = np.empty_like(base)
-    for i in range(ps.num_particles):
-        t, c = int(draws.t[i]), int(draws.pose[i])
-        marginal = _marginal_at(rect, m, state, t, fixed_marginal)
-        g_r = grad_log_r(rect, context, schedule, t, draws.xt[i], marginal)
-        jac = render_jacobian(ps.renderer, ps.particles[i], c)
-        correction = omega(t) * schedule.sigma[t] * (jac.T @ g_r)
-        if cfg.grad_norm_align:
-            correction = grad_norm_align(base[i], correction)
-        out[i] = base[i] - correction
-    return out
-
-
 def _control_grad_log_posterior(m: PoseLabeledMixture, schedule: DiffusionSchedule,
                                 t: int, xt, category: int) -> np.ndarray:
-    """grad_x log p(category | x_t): submixture score minus full-mixture score."""
-    keep = m.category_of == category
-    sub = PoseLabeledMixture(
-        weights=m.weights[keep] / np.sum(m.weights[keep]),
-        means=m.means[keep],
-        covs=m.covs[keep],
-        category_of=np.zeros(int(keep.sum()), dtype=int),
-        num_categories=1,
-    )
-    return worldmodel.score(sub, schedule, t, xt) - worldmodel.score(m, schedule, t, xt)
+    """grad_x log p(category | x_t): reweighting by 1 on the category and 0 elsewhere."""
+    log_w = np.where(np.arange(m.num_categories) == category, 0.0, -np.inf)
+    return worldmodel.grad_log_reweight(m, schedule, t, xt, log_w)
 
 
-def ctrl_step(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
-              cfg: DistillConfig, draws: _Draws) -> np.ndarray:
-    """VSD gradient minus a single-category posterior ascent term.
+def _grad_log_r_fn(cfg: DistillConfig, m: PoseLabeledMixture, schedule: DiffusionSchedule,
+                   state: IntervalEma | None, fixed_marginal: np.ndarray | None):
+    """(t, x) -> grad log r for the method, or None where r = 1 (SDS, VSD).
 
-    The rectifier collapses to the chosen category's posterior, so the
-    correction drives every particle into that category's basin.
+    USD reweights by w = f / p_t; CTRL by a one-hot w on the commanded
+    category, which makes log r the log posterior of that category.
     """
-    if cfg.method != "ctrl":
-        raise ConfigurationError("ctrl_step needs method='ctrl'")
-    base = _vsd_gradients(ps, m, schedule, cfg, draws, use_variational=True)
+    if cfg.method == "ctrl":
+        return lambda t, x: _control_grad_log_posterior(m, schedule, t, x, cfg.control_category)
+    if cfg.method != "usd":
+        return None
+    rect = cfg.rectifier
+    context = m if rect.posterior_source == "exact-mixture" else _posterior_fn(rect.posterior_source, m, schedule)
+    return lambda t, x: grad_log_r(rect, context, schedule, t, x, _marginal_at(rect, m, state, t, fixed_marginal))
+
+
+def gradient(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, schedule: DiffusionSchedule,
+             cfg: DistillConfig, draws: _Draws, state: IntervalEma | None = None,
+             fixed_marginal: np.ndarray | None = None) -> np.ndarray:
+    """Per-particle distillation gradient, the one rule behind every method:
+
+        omega(t) J^T (eps_pre - eps_ref) - align(omega(t) sigma_t J^T grad log r)
+
+    J is the render Jacobian at the drawn pose, eps_pre the prior's noise
+    prediction, and align rescales the correction to the first term's norm
+    when cfg.grad_norm_align is set.  Only two inputs depend on the method:
+    eps_ref is the drawn noise for SDS and the particle-mixture prediction
+    otherwise; r is 1 for SDS and VSD, the rectifier for USD (which reads
+    the EMA `state` or `fixed_marginal`), and the commanded category's
+    posterior for CTRL.  Subtracting the correction in a descent update
+    ascends log r.
+    """
     omega = loss_weight(schedule, cfg.omega_kind)
-    out = np.empty_like(base)
-    for i in range(ps.num_particles):
-        t, c = int(draws.t[i]), int(draws.pose[i])
-        g_r = _control_grad_log_posterior(m, schedule, t, draws.xt[i], cfg.control_category)
-        jac = render_jacobian(ps.renderer, ps.particles[i], c)
-        correction = omega(t) * schedule.sigma[t] * (jac.T @ g_r)
-        if cfg.grad_norm_align:
-            correction = grad_norm_align(base[i], correction)
-        out[i] = base[i] - correction
+    grad_log_r_at = _grad_log_r_fn(cfg, m, schedule, state, fixed_marginal)
+    out = np.empty_like(particles)
+    for i, (t, c) in enumerate(zip(draws.t.tolist(), draws.pose.tolist())):
+        x = draws.xt[i]
+        eps_ref = draws.eps[i] if cfg.method == "sds" else variational_eps(particles, renderer, schedule, t, c, x)
+        jac = render_jacobian(renderer, particles[i], c)
+        out[i] = omega[t] * (jac.T @ (worldmodel.eps_pretrain(m, schedule, t, x) - eps_ref))
+        if grad_log_r_at is not None:
+            correction = omega[t] * schedule.sigma[t] * (jac.T @ grad_log_r_at(t, x))
+            if cfg.grad_norm_align:
+                correction = grad_norm_align(out[i], correction)
+            out[i] -= correction
     return out
 
 
@@ -339,19 +280,14 @@ class RunReport:
     metrics: tuple                                # ((iter, split vector, entropy), ...)
 
 
-def particle_split(ps_particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture) -> np.ndarray:
-    """Fraction of particles whose rendered clean point lands in each category."""
-    counts = np.zeros(m.num_categories)
-    for th in np.atleast_2d(ps_particles):
-        post = worldmodel.category_posterior(m, None, 0, render(renderer, th, 0))
-        counts[int(np.argmax(post))] += 1
-    return counts / counts.sum()
+def particle_split(rows: np.ndarray) -> np.ndarray:
+    """Fraction of particles whose clean-posterior row (of an (n, K) array) peaks at each category."""
+    return np.bincount(np.argmax(rows, axis=1), minlength=rows.shape[1]) / rows.shape[0]
 
 
 def _metrics_row(iteration: int, particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture):
-    rows = [worldmodel.category_posterior(m, None, 0, render(renderer, th, 0)) for th in particles]
-    report = categorical_entropy(rows)
-    return (iteration, particle_split(particles, renderer, m), report.entropy)
+    rows = worldmodel.category_posterior(m, None, 0, render(renderer, particles, 0))
+    return (iteration, particle_split(rows), categorical_entropy(rows).entropy)
 
 
 def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
@@ -377,23 +313,15 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
             fixed_marginal = np.mean(rows, axis=0)
     snapshots, ema_trace, metrics = [], [], []
     for it in range(cfg.iters):
-        current = ParticleSet(particles=particles, renderer=ps.renderer, seed=ps.seed)
-        draws = _draw(current, m, schedule, cfg, it, rng)
-        if cfg.method == "sds":
-            grads = sds_step(current, m, schedule, cfg, draws)
-        elif cfg.method == "vsd":
-            grads = vsd_step(current, m, schedule, cfg, draws)
-        elif cfg.method == "usd":
-            grads = usd_step(current, m, schedule, state, cfg, draws, fixed_marginal)
-        else:
-            grads = ctrl_step(current, m, schedule, cfg, draws)
+        draws = _draw(particles, ps.renderer, m, schedule, cfg, it, rng)
+        grads = gradient(particles, ps.renderer, m, schedule, cfg, draws, state, fixed_marginal)
         particles = particles - cfg.eta1 * grads
         if np.any(np.abs(particles) > 1e6) or not np.all(np.isfinite(particles)):
             raise DivergenceError(
                 f"particle parameters diverged at iteration {it} (method {cfg.method!r})"
             )
         if cfg.method == "usd":
-            j = it % current.num_particles
+            j = it % ps.num_particles
             observed = posterior(int(draws.t[j]), draws.xt[j])
             ema_update(state, int(draws.t[j]), observed)
         if it % cfg.snapshot_every == 0 or it == cfg.iters - 1:

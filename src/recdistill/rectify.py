@@ -93,8 +93,6 @@ def rectified_noisy_density(m: PoseLabeledMixture, schedule, t: int, target: Tar
     The mixture's category marginal is preserved by the forward process, so
     the same weights apply at every step.
     """
-    if t == 0:
-        return rectified_density(m, target, xt)
     w = weight_function(target, m.category_weights())
     posterior = worldmodel.category_posterior(m, schedule, t, xt)
     return worldmodel.noisy_density(m, schedule, t, xt) * np.sum(w * posterior, axis=-1)
@@ -107,30 +105,21 @@ def r_value(rect: Rectifier, posterior, marginal) -> float:
     return float(np.sum(w * posterior, axis=-1))
 
 
-def _reweighted_mixture(m: PoseLabeledMixture, w: np.ndarray) -> PoseLabeledMixture:
-    new_w = m.weights * w[m.category_of]
-    return PoseLabeledMixture(
-        weights=new_w / np.sum(new_w),
-        means=m.means,
-        covs=m.covs,
-        category_of=m.category_of,
-        num_categories=m.num_categories,
-    )
-
-
 def grad_log_r(rect: Rectifier, context, schedule, t: int, xt, marginal) -> np.ndarray:
     """Gradient of log r with respect to the noisy point.
 
     With the exact mixture posterior this is analytic: the score of the
-    category-reweighted mixture minus the score of the original mixture.
-    Classifier-backed posteriors fall back to central finite differences of
-    log r; the classifier is piecewise-smooth but has no cheap Jacobian.
+    category-reweighted mixture minus the score of the original mixture,
+    taken from one pass over the components.  Classifier-backed posteriors
+    fall back to central finite differences of log r; the classifier is
+    piecewise-smooth but has no cheap Jacobian.
     """
     xt = np.asarray(xt, dtype=float)
     if isinstance(context, PoseLabeledMixture):
         w = weight_function(rect.target, marginal, rect.epsilon_floor)
-        reweighted = _reweighted_mixture(context, w)
-        out = worldmodel.score(reweighted, schedule, t, xt) - worldmodel.score(context, schedule, t, xt)
+        with np.errstate(divide="ignore"):      # a zero target weight is log 0 = -inf
+            log_w = np.log(w)
+        out = worldmodel.grad_log_reweight(context, schedule, t, xt, log_w)
     else:
         # context: callable (t, x) -> posterior probability vector
         def log_r(x):

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-OMEGA_KINDS = ("constant-one", "sigma-squared")
-
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
@@ -44,23 +42,6 @@ class DiffusionSchedule:
             )
 
 
-@dataclass(frozen=True)
-class LossWeight:
-    """Per-step weighting omega(t); ``values[t]`` is defined for t in [1, T]."""
-
-    kind: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in OMEGA_KINDS:
-            raise ConfigurationError(f"unknown weighting kind {self.kind!r}")
-        if np.any(self.values[1:] <= 0):
-            raise ConfigurationError("omega(t) must be positive for t in [1, T]")
-
-    def __call__(self, t):
-        return self.values[t]
-
-
 def build_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> DiffusionSchedule:
     """Build a linear-beta variance-preserving schedule with T steps."""
     if T < 2:
@@ -76,15 +57,20 @@ def build_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> Di
     return DiffusionSchedule(num_steps=T, alpha=alpha, sigma=sigma)
 
 
-def loss_weight(schedule: DiffusionSchedule, kind: str = "sigma-squared") -> LossWeight:
-    """Weighting function over steps; either constant one or sigma_t**2."""
+def loss_weight(schedule: DiffusionSchedule, kind: str = "sigma-squared") -> np.ndarray:
+    """Weighting omega(t) over steps, indexed by t: constant one or sigma_t**2.
+
+    Entries for t in [1, T] are positive; index 0 (clean data) is unused.
+    """
     if kind == "constant-one":
         values = np.ones(schedule.num_steps + 1)
     elif kind == "sigma-squared":
         values = schedule.sigma**2
     else:
         raise ConfigurationError(f"unknown weighting kind {kind!r}")
-    return LossWeight(kind=kind, values=values)
+    if np.any(values[1:] <= 0):
+        raise ConfigurationError("omega(t) must be positive for t in [1, T]")
+    return values
 
 
 def perturb(x0, t: int, eps, schedule: DiffusionSchedule):

@@ -93,37 +93,32 @@ class PoseLabeledMixture:
         return schedule.alpha[t] * x0 + schedule.sigma[t] * eps
 
 
-def _noisy_params(m: PoseLabeledMixture, schedule: DiffusionSchedule, t: int):
-    a, s = schedule.alpha[t], schedule.sigma[t]
-    means = a * m.means
-    covs = a * a * m.covs + s * s * np.eye(m.dim)[None, :, :]
-    return means, covs
+def _components(m: PoseLabeledMixture, schedule, t: int, xt):
+    """One pass over the components at step t; t = 0 is the clean mixture.
+
+    Returns the logits log(pi_k) + log N(xt; mean_k(t), cov_k(t)), shape
+    (..., n_comp), and each component's Gaussian score
+    -cov_k(t)^-1 (xt - mean_k(t)), shape (..., n_comp, d).  The logits need
+    the same solve as the scores, so the scores cost nothing extra;
+    density, score, posterior and the reweighting gradient all derive from
+    this pass.
+    """
+    xt = np.asarray(xt, dtype=float)
+    if xt.shape[-1] != m.dim:
+        raise ValueError(f"point dimension {xt.shape[-1]} != mixture dimension {m.dim}")
+    a, s = (1.0, 0.0) if t == 0 else (schedule.alpha[t], schedule.sigma[t])
+    covs = a * a * m.covs + s * s * np.eye(m.dim)
+    diff = xt[..., None, :] - a * m.means                            # (..., n_comp, d)
+    sol = np.linalg.solve(covs, diff[..., None])[..., 0]
+    logdet = np.linalg.slogdet(covs)[1]
+    logits = np.log(m.weights) - 0.5 * (np.sum(diff * sol, axis=-1) + m.dim * np.log(2.0 * np.pi) + logdet)
+    return logits, -sol
 
 
-def _component_log_densities(m: PoseLabeledMixture, schedule, t: int, x: np.ndarray) -> np.ndarray:
-    """log(pi_k) + log N(x; mean_k(t), cov_k(t)) for every component; (..., n_comp)."""
-    means, covs = _noisy_params(m, schedule, t)
-    x = np.asarray(x, dtype=float)
-    d = m.dim
-    out = np.empty(x.shape[:-1] + (m.num_components,))
-    for k in range(m.num_components):
-        chol = np.linalg.cholesky(covs[k])
-        diff = x - means[k]
-        z = np.linalg.solve(chol, diff[..., None])[..., 0] if d > 1 else diff / chol[0, 0]
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[..., k] = (
-            np.log(m.weights[k])
-            - 0.5 * np.sum(z * z, axis=-1)
-            - 0.5 * (d * np.log(2.0 * np.pi) + logdet)
-        )
-    return out
-
-
-def _check_dim(m: PoseLabeledMixture, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != m.dim:
-        raise ValueError(f"point dimension {x.shape[-1]} != mixture dimension {m.dim}")
-    return x
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Normalised exp over the last axis; entries of -inf get zero weight."""
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def density(m: PoseLabeledMixture, x) -> np.ndarray:
@@ -133,36 +128,14 @@ def density(m: PoseLabeledMixture, x) -> np.ndarray:
 
 def noisy_density(m: PoseLabeledMixture, schedule, t: int, xt) -> np.ndarray:
     """Time-t marginal density; reduces to `density` exactly at t=0."""
-    xt = _check_dim(m, xt)
-    if t == 0:
-        schedule = _CLEAN
-    log_comp = _component_log_densities(m, schedule, t, xt)
-    return np.exp(_logsumexp(log_comp, axis=-1))
-
-
-class _CleanSchedule:
-    """Stand-in schedule so t=0 reuses the noisy code path bit-for-bit."""
-
-    alpha = {0: 1.0}
-    sigma = {0: 0.0}
-
-
-_CLEAN = _CleanSchedule()
+    logits, _ = _components(m, schedule, t, xt)
+    return np.exp(_logsumexp(logits, axis=-1))
 
 
 def score(m: PoseLabeledMixture, schedule, t: int, xt) -> np.ndarray:
     """Gradient of log p_t at xt: responsibility-weighted Gaussian scores."""
-    xt = _check_dim(m, xt)
-    if t == 0:
-        schedule = _CLEAN
-    means, covs = _noisy_params(m, schedule, t)
-    log_comp = _component_log_densities(m, schedule, t, xt)
-    resp = np.exp(log_comp - _logsumexp(log_comp, axis=-1)[..., None])
-    out = np.zeros_like(xt)
-    for k in range(m.num_components):
-        grad_k = -np.linalg.solve(covs[k], (xt - means[k])[..., None])[..., 0]
-        out += resp[..., k, None] * grad_k
-    return out
+    logits, scores = _components(m, schedule, t, xt)
+    return np.sum(_softmax(logits)[..., None] * scores, axis=-2)
 
 
 def eps_pretrain(m: PoseLabeledMixture, schedule: DiffusionSchedule, t: int, xt) -> np.ndarray:
@@ -171,16 +144,23 @@ def eps_pretrain(m: PoseLabeledMixture, schedule: DiffusionSchedule, t: int, xt)
 
 
 def category_posterior(m: PoseLabeledMixture, schedule, t: int, xt) -> np.ndarray:
-    """p(category | xt) at step t: normalised per-category responsibility sums."""
-    xt = _check_dim(m, xt)
-    if t == 0:
-        schedule = _CLEAN
-    log_comp = _component_log_densities(m, schedule, t, xt)
-    resp = np.exp(log_comp - _logsumexp(log_comp, axis=-1)[..., None])
-    out = np.zeros(xt.shape[:-1] + (m.num_categories,))
-    for k in range(m.num_components):
-        out[..., m.category_of[k]] += resp[..., k]
-    return out / np.sum(out, axis=-1, keepdims=True)
+    """p(category | xt) at step t: per-category sums of the responsibilities."""
+    logits, _ = _components(m, schedule, t, xt)
+    return _softmax(logits) @ (m.category_of[:, None] == np.arange(m.num_categories))
+
+
+def grad_log_reweight(m: PoseLabeledMixture, schedule, t: int, xt, log_w) -> np.ndarray:
+    """Gradient of log sum_c w(c) p_t(c | xt) for per-category log weights log_w.
+
+    Reweighting component k by w(category_k) leaves the component scores
+    unchanged and only shifts the logits, so the gradient is the
+    reweighted-mixture score minus this mixture's score:
+    sum_k (softmax(l + log_w[cat_k]) - softmax(l))_k * g_k.  log_w may hold
+    -inf for categories that get zero weight (at least one must stay finite).
+    """
+    logits, scores = _components(m, schedule, t, xt)
+    shift = _softmax(logits + log_w[m.category_of]) - _softmax(logits)
+    return np.sum(shift[..., None] * scores, axis=-2)
 
 
 def category_marginal(m: PoseLabeledMixture, schedule: DiffusionSchedule, t: int, n_samples: int, seed: int) -> np.ndarray:

@@ -98,13 +98,13 @@ def test_acceptance_3_gradient_decomposition_and_fd_check(schedule):
     rng = np.random.default_rng(13)
     worst_decomp = 0.0
     for it in range(25):
-        draws = D._draw(ps, m, schedule, cfg_u, it, rng)
-        u = D.usd_step(ps, m, schedule, state, cfg_u, draws)
-        v = D.vsd_step(ps, m, schedule, cfg_v, draws)
+        draws = D._draw(ps.particles, ps.renderer, m, schedule, cfg_u, it, rng)
+        u = D.gradient(ps.particles, ps.renderer, m, schedule, cfg_u, draws, state)
+        v = D.gradient(ps.particles, ps.renderer, m, schedule, cfg_v, draws)
         for i in range(ps.num_particles):
             t = int(draws.t[i])
             g_r = grad_log_r(rect, m, schedule, t, draws.xt[i], m.category_weights())
-            expected = -omega(t) * schedule.sigma[t] * g_r
+            expected = -omega[t] * schedule.sigma[t] * g_r
             scale = max(np.max(np.abs(expected)), 1.0)
             worst_decomp = max(worst_decomp, float(np.max(np.abs((u[i] - v[i]) - expected)) / scale))
 

@@ -66,6 +66,13 @@ class TestDistillCommand:
             cli.main(["distill", "--config", cfg, "--seed", "7", "--out-dir", str(tmp_path / sub)])
         assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
 
+    def test_divergence_exits_3(self, tmp_path, capsys):
+        text = SMALL_USD.replace("eta1 = 0.03", "eta1 = 1e9\nomega_kind = constant-one")
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and "diverged" in err
+
     def test_seed_changes_output(self, tmp_path):
         cfg = _cfg(tmp_path, SMALL_USD)
         cli.main(["distill", "--config", cfg, "--seed", "1", "--out-dir", str(tmp_path / "a")])
@@ -73,7 +80,32 @@ class TestDistillCommand:
         assert (tmp_path / "a" / "particles.csv").read_bytes() != (tmp_path / "b" / "particles.csv").read_bytes()
 
 
+def _single_error_line(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize("old, new", [
+        ("iters = 60", "iters = 0"),
+        ("snapshot_every = 20", "snapshot_every = 0"),
+        ("eta1 = 0.03", "eta1 = nan"),
+    ])
+    def test_invalid_distill_value_rejected_at_parse_time(self, tmp_path, capsys, old, new):
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD.replace(old, new)),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and new.split()[0] in err
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_key_is_a_config_error(self, tmp_path, capsys):
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD + "iters = 10\n"),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and "iters" in err
+
     def test_unknown_key_names_it(self, tmp_path, capsys):
         rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD + "learning_rate = 1\n"),
                        "--out-dir", str(tmp_path / "out")])

@@ -40,26 +40,32 @@ def _particles(values, seed=0):
     return D.ParticleSet(particles=np.asarray(values, dtype=float), renderer=Renderer(), seed=seed)
 
 
+def _draw(ps, m, schedule, cfg, iteration, rng):
+    return D._draw(ps.particles, ps.renderer, m, schedule, cfg, iteration, rng)
+
+
+def _gradient(ps, m, schedule, cfg, draws, state=None):
+    """The one gradient rule with the inputs cfg.method selects."""
+    return D.gradient(ps.particles, ps.renderer, m, schedule, cfg, draws, state)
+
+
 class TestVariationalEps:
     def test_single_particle_recovers_noise(self, schedule):
-        vs = D.VariationalScore()
         ps = _particles([[1.5]])
         t, eps = 300, np.array([0.7])
         xt = schedule.alpha[t] * 1.5 + schedule.sigma[t] * eps
-        got = D.variational_eps(vs, ps, schedule, t, 0, xt)
+        got = D.variational_eps(ps.particles, ps.renderer, schedule, t, 0, xt)
         assert got == pytest.approx(eps, rel=1e-12)
 
     def test_symmetric_pair_points_along_input(self, schedule):
-        vs = D.VariationalScore()
         ps = _particles([[1.0, 0.0], [-1.0, 0.0]])
         t = 400
         xt = np.array([0.0, 0.8])
-        got = D.variational_eps(vs, ps, schedule, t, 0, xt)
+        got = D.variational_eps(ps.particles, ps.renderer, schedule, t, 0, xt)
         # symmetry cancels the component along the particle axis
         assert abs(got[0]) < 1e-12 and got[1] != 0.0
 
     def test_matches_finite_difference_of_log_mixture(self, schedule):
-        vs = D.VariationalScore()
         ps = _particles([[0.5, -0.2], [1.3, 0.9], [-0.7, 0.1]])
         t = 350
         a, s = schedule.alpha[t], schedule.sigma[t]
@@ -70,7 +76,7 @@ class TestVariationalEps:
             return float(scipy.special.logsumexp(comps) - np.log(len(comps)))
 
         fd = finite_difference_grad(log_q, xt, 1e-5)
-        got = D.variational_eps(vs, ps, schedule, t, 0, xt)
+        got = D.variational_eps(ps.particles, ps.renderer, schedule, t, 0, xt)
         assert np.max(np.abs(got - (-s * fd))) / np.max(np.abs(got)) < 1e-5
 
 
@@ -124,9 +130,8 @@ def _mean_gradient(method, m, schedule, theta, n_draws, seed, **cfg_kwargs):
     rng = np.random.default_rng(seed)
     grads = []
     for it in range(n_draws):
-        draws = D._draw(ps, m, schedule, cfg, it, rng)
-        step = D.sds_step if method == "sds" else D.vsd_step
-        grads.append(step(ps, m, schedule, cfg, draws)[0])
+        draws = _draw(ps, m, schedule, cfg, it, rng)
+        grads.append(_gradient(ps, m, schedule, cfg, draws)[0])
     return np.array(grads)
 
 
@@ -168,9 +173,9 @@ class TestVsdStep:
         cfg_v = D.DistillConfig(method="vsd", iters=100)
         rng = np.random.default_rng(5)
         for it in range(20):
-            draws = D._draw(ps, narrow_biased, schedule, cfg_s, it, rng)
-            a = D.sds_step(ps, narrow_biased, schedule, cfg_s, draws)
-            b = D.vsd_step(ps, narrow_biased, schedule, cfg_v, draws)
+            draws = _draw(ps, narrow_biased, schedule, cfg_s, it, rng)
+            a = _gradient(ps, narrow_biased, schedule, cfg_s, draws)
+            b = _gradient(ps, narrow_biased, schedule, cfg_v, draws)
             assert np.allclose(a, b, atol=1e-10)
 
     def test_no_drift_when_particles_match_prior(self, schedule):
@@ -187,8 +192,8 @@ class TestVsdStep:
         round_means = []
         for it in range(50):
             ps = _particles(m.sample(16, rng))
-            draws = D._draw(ps, m, schedule, cfg, it, rng)
-            round_means.append(D.vsd_step(ps, m, schedule, cfg, draws).mean())
+            draws = _draw(ps, m, schedule, cfg, it, rng)
+            round_means.append(_gradient(ps, m, schedule, cfg, draws).mean())
         round_means = np.array(round_means)
         se = round_means.std(ddof=1) / np.sqrt(len(round_means))
         assert abs(round_means.mean()) < 3 * se
@@ -205,9 +210,9 @@ class TestUsdStep:
         state = IntervalEma.create(1000, 10, 2)
         rng = np.random.default_rng(9)
         for it in range(20):
-            draws = D._draw(ps, narrow_balanced, schedule, cfg_u, it, rng)
-            u = D.usd_step(ps, narrow_balanced, schedule, state, cfg_u, draws)
-            v = D.vsd_step(ps, narrow_balanced, schedule, cfg_v, draws)
+            draws = _draw(ps, narrow_balanced, schedule, cfg_u, it, rng)
+            u = _gradient(ps, narrow_balanced, schedule, cfg_u, draws, state)
+            v = _gradient(ps, narrow_balanced, schedule, cfg_v, draws)
             assert np.array_equal(u, v)
 
     def test_decomposition_identity(self, schedule, narrow_biased):
@@ -222,14 +227,14 @@ class TestUsdStep:
         from recdistill.rectify import grad_log_r
 
         for it in range(20):
-            draws = D._draw(ps, narrow_biased, schedule, cfg, it, rng)
-            u = D.usd_step(ps, narrow_biased, schedule, state, cfg, draws)
-            v = D.vsd_step(ps, narrow_biased, schedule, cfg_v, draws)
+            draws = _draw(ps, narrow_biased, schedule, cfg, it, rng)
+            u = _gradient(ps, narrow_biased, schedule, cfg, draws, state)
+            v = _gradient(ps, narrow_biased, schedule, cfg_v, draws)
             for i in range(2):
                 t = int(draws.t[i])
                 g_r = grad_log_r(rect, narrow_biased, schedule, t, draws.xt[i],
                                  narrow_biased.category_weights())
-                expected = -omega(t) * schedule.sigma[t] * g_r
+                expected = -omega[t] * schedule.sigma[t] * g_r
                 diff = u[i] - v[i]
                 assert np.max(np.abs(diff - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
 
@@ -267,8 +272,8 @@ class TestCtrlStep:
         t = np.array([30])
         draws = D._Draws(t=t, pose=np.array([0]), eps=np.array([[0.05]]),
                          xt=np.array([[schedule.alpha[30] * 2.0 + schedule.sigma[30] * 0.05]]))
-        c = D.ctrl_step(ps, narrow_balanced, schedule, cfg, draws)
-        v = D.vsd_step(ps, narrow_balanced, schedule, cfg_v, draws)
+        c = _gradient(ps, narrow_balanced, schedule, cfg, draws)
+        v = _gradient(ps, narrow_balanced, schedule, cfg_v, draws)
         assert np.max(np.abs(c - v)) < 1e-6
 
     def test_commanded_basin_wins(self, schedule, narrow_balanced):

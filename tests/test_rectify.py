@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recdistill import rectify, worldmodel
+from recdistill import distill, rectify, worldmodel
 from recdistill.errors import RectificationError
 from recdistill.oracle import finite_difference_grad, grid_integrate
 from recdistill.rectify import Rectifier, TargetMarginal, grad_log_r, r_value, weight_function
@@ -174,6 +174,41 @@ class TestGradLogR:
         got = grad_log_r(rect, posterior, schedule, 500, xt, marginal)
         want = grad_log_r(rect, mixed_2d, schedule, 500, xt, marginal)
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-4
+
+
+class TestOnePassCorrection:
+    """The responsibility-difference gradients against explicitly rebuilt mixtures."""
+
+    @staticmethod
+    def _close(got, ref):
+        return np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), k=st.integers(2, 4),
+           t_kind=st.sampled_from(["zero", "one", "random"]))
+    def test_matches_rebuilt_mixture_scores(self, schedule, seed, dim, k, t_kind):
+        rng = np.random.default_rng(seed)
+        m = random_mixture(rng, dim, k)
+        t = {"zero": 0, "one": 1, "random": int(rng.integers(1, 1001))}[t_kind]
+        xt = rng.uniform(-4.0, 4.0, size=dim)
+        base = worldmodel.score(m, schedule, t, xt)
+
+        rect = Rectifier(target=TargetMarginal(rng.dirichlet(np.ones(k))))
+        marginal = rng.dirichlet(np.ones(k))
+        w = weight_function(rect.target, marginal, rect.epsilon_floor)
+        new_w = m.weights * w[m.category_of]
+        reweighted = PoseLabeledMixture(weights=new_w / new_w.sum(), means=m.means, covs=m.covs,
+                                        category_of=m.category_of, num_categories=k)
+        assert self._close(grad_log_r(rect, m, schedule, t, xt, marginal),
+                           worldmodel.score(reweighted, schedule, t, xt) - base)
+
+        category = int(rng.integers(k))
+        keep = m.category_of == category
+        sub = PoseLabeledMixture(weights=m.weights[keep] / m.weights[keep].sum(), means=m.means[keep],
+                                 covs=m.covs[keep], category_of=np.zeros(int(keep.sum()), dtype=int),
+                                 num_categories=1)
+        assert self._close(distill._control_grad_log_posterior(m, schedule, t, xt, category),
+                           worldmodel.score(sub, schedule, t, xt) - base)
 
 
 class TestRandomizedMarginalConstraint:

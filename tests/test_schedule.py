@@ -73,11 +73,11 @@ class TestLossWeight:
     def test_both_kinds_positive(self, schedule):
         for kind in ("constant-one", "sigma-squared"):
             w = loss_weight(schedule, kind)
-            assert np.all(w.values[1:] > 0)
+            assert np.all(w[1:] > 0)
 
     def test_values(self, schedule):
-        assert loss_weight(schedule, "constant-one")(700) == 1.0
-        assert loss_weight(schedule, "sigma-squared")(700) == schedule.sigma[700] ** 2
+        assert loss_weight(schedule, "constant-one")[700] == 1.0
+        assert loss_weight(schedule, "sigma-squared")[700] == schedule.sigma[700] ** 2
 
     def test_unknown_kind_rejected(self, schedule):
         with pytest.raises(ConfigurationError):
