@@ -11,7 +11,6 @@ from .errors import (
     ConfigurationError,
     DivergenceError,
     NumericError,
-    RectificationError,
     SegmentationError,
 )
 from .schedule import DiffusionSchedule, build_schedule, loss_weight, perturb
@@ -24,7 +23,6 @@ __all__ = [
     "ConfigurationError",
     "DivergenceError",
     "NumericError",
-    "RectificationError",
     "SegmentationError",
     "DiffusionSchedule",
     "build_schedule",

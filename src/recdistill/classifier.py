@@ -403,5 +403,9 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"not a binary PGM file: {path}")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     pos += 1
-    data = np.frombuffer(raw[pos : pos + w * h], dtype=np.uint8).reshape(h, w)
+    dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")   # 16-bit samples are big-endian
+    size = w * h * dtype.itemsize
+    if len(raw) - pos < size:
+        raise ValueError(f"truncated PGM pixel data in {path}: {len(raw) - pos} of {size} bytes")
+    data = np.frombuffer(raw[pos : pos + size], dtype=dtype).reshape(h, w)
     return data.astype(float) / maxval

@@ -8,8 +8,8 @@ Subcommands:
   glyphs        generate a labelled glyph corpus as PGM files
 
 Every subcommand is a pure function of (config, seed): outputs are
-byte-identical across repeated runs.  RECDISTILL_THREADS caps the
-classification thread pool.
+byte-identical across repeated runs.  RECDISTILL_THREADS sets the
+classification thread pool size, clamped to the CPU count.
 
 Exit codes: 0 success; 2 invalid configuration or input; 3 a run that
 diverged or produced a non-finite value.  Failures print one `error:` line
@@ -122,8 +122,15 @@ def cmd_distill(args) -> int:
 
 
 def _thread_count() -> int:
-    cap = os.environ.get("RECDISTILL_THREADS", "")
-    return max(1, int(cap)) if cap else min(8, os.cpu_count() or 1)
+    """Classification pool size: RECDISTILL_THREADS clamped to [1, cpu count], else up to 8."""
+    cpus = os.cpu_count() or 1
+    cap = os.environ.get("RECDISTILL_THREADS", "").strip()
+    if not cap:
+        return min(8, cpus)
+    try:
+        return min(max(1, int(cap)), cpus)
+    except ValueError:
+        raise ConfigurationError(f"RECDISTILL_THREADS must be an integer, got {cap!r}") from None
 
 
 def _classify_mode(args) -> str:

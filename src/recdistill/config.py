@@ -71,7 +71,10 @@ def _parse_mixture(section) -> PoseLabeledMixture:
 def _parse_target(text: str, k: int) -> TargetMarginal:
     if text.strip() == "uniform":
         return TargetMarginal.uniform(k)
-    return TargetMarginal(_floats(text))
+    probs = _floats(text)
+    if probs.size != k:
+        raise ConfigurationError(f"[rectifier] target has {probs.size} probabilities, the mixture has {k} categories")
+    return TargetMarginal(probs)
 
 
 def _parse_rectifier(section, k: int) -> Rectifier:
@@ -90,11 +93,11 @@ def _parse_rectifier(section, k: int) -> Rectifier:
         raise ConfigurationError(f"[rectifier] {exc}") from exc
 
 
-def _parse_distill(section, k: int) -> dict:
+def _parse_distill(section, k: int, dim: int) -> dict:
     out = {
         "method": section.get("method", "usd").strip(),
         "particles": int(section.get("particles", "16")),
-        "dim": int(section.get("dim", "1")),
+        "dim": int(section.get("dim", str(dim))),
         "init_scale": float(section.get("init_scale", "1.0")),
     }
     for key, cast in [
@@ -107,21 +110,36 @@ def _parse_distill(section, k: int) -> dict:
         out["grad_norm_align"] = section.getboolean("grad_norm_align")
     if "control_category" in section and section["control_category"].strip():
         out["control_category"] = int(section["control_category"])
+        if not 0 <= out["control_category"] < k:
+            raise ConfigurationError(f"[distill] control_category {out['control_category']} outside [0, {k})")
     if "omega_kind" in section:
         out["omega_kind"] = section["omega_kind"].strip()
     if "pose_probs" in section and section["pose_probs"].strip() != "uniform":
-        out["pose_probs"] = _floats(section["pose_probs"])
+        probs = _floats(section["pose_probs"])
+        if probs.size != k or np.any(probs < 0) or abs(np.sum(probs) - 1.0) > 1e-9:
+            raise ConfigurationError(f"[distill] pose_probs must be {k} non-negative probabilities summing to 1")
+        out["pose_probs"] = probs
     angles = tuple(_floats(section.get("renderer_angles", "")))
     out["renderer"] = Renderer(kind=section.get("renderer", "identity").strip(), angles=angles)
+    if out["renderer"].kind == "rotation" and len(angles) != k:
+        raise ConfigurationError(f"[distill] renderer_angles has {len(angles)} angles, need one per category ({k})")
+    if out["dim"] != dim:
+        raise ConfigurationError(f"[distill] dim = {out['dim']} does not match the mixture dimension {dim}")
+    if out["renderer"].kind == "rotation" and dim != 2:
+        raise ConfigurationError(f"[distill] renderer = rotation needs a 2D mixture, got dimension {dim}")
     return out
 
 
-def _parse_demo(section) -> dict:
+def _parse_demo(section, num_steps: int) -> dict:
+    times = [int(tok) for tok in section.get("times", "50 300 700").split()]
+    bad = [t for t in times if not 0 <= t <= num_steps]
+    if bad:
+        raise ConfigurationError(f"[demo] times {bad} outside [0, {num_steps}]")
     return {
         "grid_lo": float(section.get("grid_lo", "-8.0")),
         "grid_hi": float(section.get("grid_hi", "8.0")),
         "grid_points": int(section.get("grid_points", "801")),
-        "times": [int(tok) for tok in section.get("times", "50 300 700").split()],
+        "times": times,
     }
 
 
@@ -145,14 +163,15 @@ def parse_config(path) -> RunSpec:
         raise ConfigurationError("config needs a [mixture] section with a 'components' key")
     mixture = _parse_mixture(parser["mixture"])
     sched = parser["schedule"] if "schedule" in parser else {}
+    num_steps = int(sched.get("num_steps", "1000"))
     rectifier = None
     if "rectifier" in parser:
         rectifier = _parse_rectifier(parser["rectifier"], mixture.num_categories)
-    distill = _parse_distill(parser["distill"] if "distill" in parser else {}, mixture.num_categories)
-    demo = _parse_demo(parser["demo"] if "demo" in parser else {})
+    distill = _parse_distill(parser["distill"] if "distill" in parser else {}, mixture.num_categories, mixture.dim)
+    demo = _parse_demo(parser["demo"] if "demo" in parser else {}, num_steps)
     return RunSpec(
         mixture=mixture,
-        num_steps=int(sched.get("num_steps", "1000")),
+        num_steps=num_steps,
         beta_min=float(sched.get("beta_min", "1e-4")),
         beta_max=float(sched.get("beta_max", "0.02")),
         rectifier=rectifier,

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import worldmodel
+from . import rectify, worldmodel
 from .errors import ConfigurationError, DivergenceError
-from .estimator import IntervalEma, ema_lookup, ema_update, tweedie_x0
+from .estimator import IntervalEma, ema_lookup, ema_update
 from .metrics import categorical_entropy
 from .rectify import Rectifier, grad_log_r
 from .schedule import DiffusionSchedule, loss_weight
@@ -84,22 +84,24 @@ class DistillConfig:
 
 
 def variational_eps(particles: np.ndarray, renderer: Renderer, schedule: DiffusionSchedule,
-                    t: int, c: int, xt) -> np.ndarray:
+                    t, c, xt) -> np.ndarray:
     """Noise prediction of the particle-induced distribution at step t.
 
     The particles at pose c induce the mixture (1/n) sum_i
     N(alpha_t * g(theta_i, c), sigma_t^2 I); this returns
     -sigma_t * grad log of that mixture, the exact population minimizer of
-    the usual noise-regression objective.
+    the usual noise-regression objective.  t and c are one step and pose
+    with xt of shape (d,), or one per draw with xt of shape (m, d); every
+    draw is evaluated against all particles at once.
     """
     xt = np.asarray(xt, dtype=float)
-    a, s = schedule.alpha[t], schedule.sigma[t]
-    diffs = xt[None, :] - a * render(renderer, particles, c)     # (n, d)
-    log_w = -0.5 * np.sum(diffs**2, axis=1) / s**2
-    log_w -= log_w.max()
+    a, s = schedule.alpha[t][..., None, None], schedule.sigma[t][..., None]
+    diffs = xt[..., None, :] - a * render(renderer, particles, np.asarray(c)[..., None])   # (..., n, d)
+    log_w = -0.5 * np.sum(diffs**2, axis=-1) / s**2
+    log_w -= log_w.max(axis=-1, keepdims=True)
     w = np.exp(log_w)
-    w /= w.sum()
-    return (w @ diffs) / s
+    w /= w.sum(axis=-1, keepdims=True)
+    return np.sum(w[..., None] * diffs, axis=-2) / s
 
 
 def bnf_interval(iteration: int, total_iters: int, n_i: int, num_steps: int) -> tuple[int, int]:
@@ -130,7 +132,7 @@ def bnf_interval(iteration: int, total_iters: int, n_i: int, num_steps: int) -> 
 
 
 def grad_norm_align(primary_grad, secondary_grad) -> np.ndarray:
-    """Rescale the secondary gradient to the primary's L2 norm.
+    """Rescale each secondary gradient (last axis) to its primary's L2 norm.
 
     Keeps the secondary's direction; a zero secondary stays zero.
     """
@@ -138,10 +140,9 @@ def grad_norm_align(primary_grad, secondary_grad) -> np.ndarray:
     secondary = np.asarray(secondary_grad, dtype=float)
     if not np.all(np.isfinite(primary)):
         raise ValueError("primary gradient must be finite")
-    norm_s = np.linalg.norm(secondary)
-    if norm_s == 0.0:
-        return np.zeros_like(secondary)
-    return secondary * (np.linalg.norm(primary) / norm_s)
+    norm_s = np.linalg.norm(secondary, axis=-1, keepdims=True)
+    norm_p = np.linalg.norm(primary, axis=-1, keepdims=True)
+    return secondary * np.divide(norm_p, norm_s, out=np.zeros_like(norm_s), where=norm_s > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,98 +170,56 @@ def _draw(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, sche
         probs = np.full(m.num_categories, 1.0 / m.num_categories)
     pose = rng.choice(m.num_categories, size=n, p=probs)
     eps = rng.standard_normal((n, d))
-    xt = np.empty((n, d))
-    for i in range(n):
-        x0 = render(renderer, particles[i], int(pose[i]))
-        xt[i] = schedule.alpha[t[i]] * x0 + schedule.sigma[t[i]] * eps[i]
+    xt = schedule.alpha[t][:, None] * render(renderer, particles, pose) + schedule.sigma[t][:, None] * eps
     return _Draws(t=t, pose=pose, eps=eps, xt=xt)
 
 
-def _posterior_fn(source: str, m: PoseLabeledMixture, schedule: DiffusionSchedule):
-    """Category-posterior evaluator for the chosen source.
-
-    'exact-mixture' uses the true time-t posterior.  The degraded variants
-    mimic classifying images instead: 'classifier-on-tweedie' applies the
-    clean posterior to the denoised point, 'classifier-direct' applies the
-    clean posterior to the noisy point as-is.
-    """
-    if source == "exact-mixture":
-        return lambda t, x: worldmodel.category_posterior(m, schedule, t, x)
-    if source == "classifier-on-tweedie":
-        def tweedie_posterior(t, x):
-            if t == 0:
-                return worldmodel.category_posterior(m, None, 0, x)
-            x0 = tweedie_x0(schedule, t, x, worldmodel.eps_pretrain(m, schedule, t, x))
-            return worldmodel.category_posterior(m, None, 0, x0)
-
-        return tweedie_posterior
-    if source == "classifier-direct":
-        return lambda t, x: worldmodel.category_posterior(m, None, 0, x)
-    raise ConfigurationError(f"unknown posterior source {source!r}")
-
-
-def _marginal_at(rect: Rectifier, m: PoseLabeledMixture, state: IntervalEma,
-                 t: int, fixed: np.ndarray | None) -> np.ndarray:
-    if rect.marginal_source == "ema":
-        return ema_lookup(state, t)
-    if rect.marginal_source == "exact-mc":
-        return m.category_weights()
-    return fixed
-
-
 def _control_grad_log_posterior(m: PoseLabeledMixture, schedule: DiffusionSchedule,
-                                t: int, xt, category: int) -> np.ndarray:
+                                t, xt, category: int) -> np.ndarray:
     """grad_x log p(category | x_t): reweighting by 1 on the category and 0 elsewhere."""
     log_w = np.where(np.arange(m.num_categories) == category, 0.0, -np.inf)
     return worldmodel.grad_log_reweight(m, schedule, t, xt, log_w)
 
 
-def _grad_log_r_fn(cfg: DistillConfig, m: PoseLabeledMixture, schedule: DiffusionSchedule,
-                   state: IntervalEma | None, fixed_marginal: np.ndarray | None):
-    """(t, x) -> grad log r for the method, or None where r = 1 (SDS, VSD).
-
-    USD reweights by w = f / p_t; CTRL by a one-hot w on the commanded
-    category, which makes log r the log posterior of that category.
-    """
-    if cfg.method == "ctrl":
-        return lambda t, x: _control_grad_log_posterior(m, schedule, t, x, cfg.control_category)
-    if cfg.method != "usd":
-        return None
-    rect = cfg.rectifier
-    context = m if rect.posterior_source == "exact-mixture" else _posterior_fn(rect.posterior_source, m, schedule)
-    return lambda t, x: grad_log_r(rect, context, schedule, t, x, _marginal_at(rect, m, state, t, fixed_marginal))
-
-
 def gradient(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, schedule: DiffusionSchedule,
              cfg: DistillConfig, draws: _Draws, state: IntervalEma | None = None,
              fixed_marginal: np.ndarray | None = None) -> np.ndarray:
-    """Per-particle distillation gradient, the one rule behind every method:
+    """Distillation gradient of every particle, the one rule behind every method:
 
         omega(t) J^T (eps_pre - eps_ref) - align(omega(t) sigma_t J^T grad log r)
 
-    J is the render Jacobian at the drawn pose, eps_pre the prior's noise
-    prediction, and align rescales the correction to the first term's norm
-    when cfg.grad_norm_align is set.  Only two inputs depend on the method:
+    evaluated for all particles at once.  J is the render Jacobian at the
+    drawn pose, eps_pre the prior's noise prediction, and align rescales
+    each particle's correction to its first term's norm when
+    cfg.grad_norm_align is set.  Only two inputs depend on the method:
     eps_ref is the drawn noise for SDS and the particle-mixture prediction
     otherwise; r is 1 for SDS and VSD, the rectifier for USD (which reads
-    the EMA `state` or `fixed_marginal`), and the commanded category's
-    posterior for CTRL.  Subtracting the correction in a descent update
-    ascends log r.
+    the EMA `state`, the mixture's category weights or `fixed_marginal`,
+    as its marginal source says), and the commanded category's posterior
+    for CTRL.  Subtracting the correction in a descent update ascends log r.
     """
-    omega = loss_weight(schedule, cfg.omega_kind)
-    grad_log_r_at = _grad_log_r_fn(cfg, m, schedule, state, fixed_marginal)
-    out = np.empty_like(particles)
-    for i, (t, c) in enumerate(zip(draws.t.tolist(), draws.pose.tolist())):
-        x = draws.xt[i]
-        eps_ref = draws.eps[i] if cfg.method == "sds" else variational_eps(particles, renderer, schedule, t, c, x)
-        jac = render_jacobian(renderer, particles[i], c)
-        out[i] = omega[t] * (jac.T @ (worldmodel.eps_pretrain(m, schedule, t, x) - eps_ref))
-        if grad_log_r_at is not None:
-            correction = omega[t] * schedule.sigma[t] * (jac.T @ grad_log_r_at(t, x))
-            if cfg.grad_norm_align:
-                correction = grad_norm_align(out[i], correction)
-            out[i] -= correction
-    return out
+    t, pose, xt = draws.t, draws.pose, draws.xt
+    omega = loss_weight(schedule, cfg.omega_kind)[t][:, None]
+    eps_ref = draws.eps if cfg.method == "sds" else variational_eps(particles, renderer, schedule, t, pose, xt)
+    jac = render_jacobian(renderer, particles, pose)
+    out = omega * np.einsum("nji,nj->ni", jac, worldmodel.eps_pretrain(m, schedule, t, xt) - eps_ref)
+    if cfg.method == "ctrl":
+        g = _control_grad_log_posterior(m, schedule, t, xt, cfg.control_category)
+    elif cfg.method == "usd":
+        rect = cfg.rectifier
+        if rect.marginal_source == "ema":
+            marginal = ema_lookup(state, t)
+        elif rect.marginal_source == "exact-mc":
+            marginal = m.category_weights()
+        else:
+            marginal = fixed_marginal
+        g = grad_log_r(rect, m, schedule, t, xt, marginal)
+    else:
+        return out
+    correction = omega * schedule.sigma[t][:, None] * np.einsum("nji,nj->ni", jac, g)
+    if cfg.grad_norm_align:
+        correction = grad_norm_align(out, correction)
+    return out - correction
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +262,12 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
     particles = ps.particles.copy()
     state = IntervalEma.create(schedule.num_steps, cfg.n_t, m.num_categories, cfg.n_ema)
     rect = cfg.rectifier
-    posterior = None
     fixed_marginal = None
-    if cfg.method == "usd":
-        posterior = _posterior_fn(rect.posterior_source, m, schedule)
-        if rect.marginal_source == "fixed-presampled":
-            # one-shot estimate from the initial particles, never updated
-            rows = [posterior(0, render(ps.renderer, th, 0)) for th in particles]
-            fixed_marginal = np.mean(rows, axis=0)
+    if cfg.method == "usd" and rect.marginal_source == "fixed-presampled":
+        # one-shot estimate from the initial particles, never updated; at
+        # t = 0 every posterior source is the clean posterior
+        rows = worldmodel.category_posterior(m, None, 0, render(ps.renderer, particles, 0))
+        fixed_marginal = np.mean(rows, axis=0)
     snapshots, ema_trace, metrics = [], [], []
     for it in range(cfg.iters):
         draws = _draw(particles, ps.renderer, m, schedule, cfg, it, rng)
@@ -322,7 +279,7 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
             )
         if cfg.method == "usd":
             j = it % ps.num_particles
-            observed = posterior(int(draws.t[j]), draws.xt[j])
+            observed = rectify.posterior(rect, m, schedule, draws.t[j], draws.xt[j])
             ema_update(state, int(draws.t[j]), observed)
         if it % cfg.snapshot_every == 0 or it == cfg.iters - 1:
             snapshots.append((it, particles.copy()))

@@ -5,10 +5,6 @@ class ConfigurationError(ValueError):
     """Invalid configuration value or malformed config file."""
 
 
-class RectificationError(ValueError):
-    """A category marginal is too small to be divided by."""
-
-
 class SegmentationError(RuntimeError):
     """Foreground segmentation failed (degenerate feature grid)."""
 

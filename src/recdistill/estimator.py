@@ -17,16 +17,20 @@ from .errors import NumericError
 from .schedule import DiffusionSchedule
 
 
-def tweedie_x0(schedule: DiffusionSchedule, t: int, xt, eps_pred) -> np.ndarray:
-    """Posterior-mean denoising estimate (xt - sigma_t * eps) / alpha_t."""
-    if t < 1:
+def tweedie_x0(schedule: DiffusionSchedule, t, xt, eps_pred) -> np.ndarray:
+    """Posterior-mean denoising estimate (xt - sigma_t * eps) / alpha_t.
+
+    t is one step, or one step per row of xt (shape (n,) against (n, d)).
+    """
+    t = np.asarray(t)
+    if np.any(t < 1):
         raise ValueError("tweedie_x0 needs t >= 1")
-    a = schedule.alpha[t]
-    if a < 1e-300:
+    a = schedule.alpha[t][..., None]
+    if np.any(a < 1e-300):
         raise NumericError(f"alpha underflow at t={t}")
     xt = np.asarray(xt, dtype=float)
     eps_pred = np.asarray(eps_pred, dtype=float)
-    out = (xt - schedule.sigma[t] * eps_pred) / a
+    out = (xt - schedule.sigma[t][..., None] * eps_pred) / a
     if not np.all(np.isfinite(out)):
         raise NumericError(f"non-finite clean estimate at t={t}")
     return out
@@ -68,8 +72,9 @@ class IntervalEma:
         values = np.full((n_t, num_categories), 1.0 / num_categories)
         return cls(num_steps=num_steps, n_t=n_t, values=values, alpha_ema=alpha_from_n_ema(n_ema))
 
-    def interval_of(self, t: int) -> int:
-        return min(t // self.n_s, self.n_t - 1)
+    def interval_of(self, t):
+        """Interval index of step t (or of each step in an array of steps)."""
+        return np.minimum(np.asarray(t) // self.n_s, self.n_t - 1)
 
     def snapshot(self) -> np.ndarray:
         return self.values.copy()
@@ -87,6 +92,7 @@ def ema_update(state: IntervalEma, t: int, observed) -> IntervalEma:
     return state
 
 
-def ema_lookup(state: IntervalEma, t: int) -> np.ndarray:
-    """Current estimate for the interval containing t (index clamped)."""
+def ema_lookup(state: IntervalEma, t) -> np.ndarray:
+    """Current estimate for the interval containing t (index clamped); one
+    row per step when t is an array."""
     return state.values[state.interval_of(t)].copy()

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import worldmodel
-from .errors import RectificationError
-from .oracle import finite_difference_grad
+from .errors import NumericError
+from .estimator import tweedie_x0
 from .worldmodel import PoseLabeledMixture
 
 POSTERIOR_SOURCES = ("exact-mixture", "classifier-on-tweedie", "classifier-direct")
@@ -64,20 +64,14 @@ class Rectifier:
             raise ValueError(f"epsilon_floor must lie in (0, 1/{k})")
 
 
-def weight_function(target: TargetMarginal, marginal, epsilon_floor: float = 1e-4, apply_floor: bool = True) -> np.ndarray:
-    """Per-category weights f(c) / p(c), with optional probability flooring."""
+def weight_function(target: TargetMarginal, marginal, epsilon_floor: float = 1e-4) -> np.ndarray:
+    """Per-category weights f(c) / max(p(c), epsilon_floor); one row per
+    marginal row when marginal is (n, K)."""
     p = np.asarray(marginal, dtype=float)
     f = target.probs
-    if p.shape != f.shape:
-        raise ValueError(f"marginal length {p.size} != target length {f.size}")
-    if apply_floor:
-        p = np.maximum(p, epsilon_floor)
-    elif np.any(p < epsilon_floor):
-        bad = int(np.argmin(p))
-        raise RectificationError(
-            f"category {bad} marginal {p[bad]:.3e} below floor {epsilon_floor:.1e} with flooring disabled"
-        )
-    return f / p
+    if p.shape[-1:] != f.shape:
+        raise ValueError(f"marginal length {p.shape[-1]} != target length {f.size}")
+    return f / np.maximum(p, epsilon_floor)
 
 
 def rectified_density(m: PoseLabeledMixture, target: TargetMarginal, x) -> np.ndarray:
@@ -105,30 +99,54 @@ def r_value(rect: Rectifier, posterior, marginal) -> float:
     return float(np.sum(w * posterior, axis=-1))
 
 
-def grad_log_r(rect: Rectifier, context, schedule, t: int, xt, marginal) -> np.ndarray:
-    """Gradient of log r with respect to the noisy point.
+def posterior(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
+    """Category posterior p_t(c | xt) from the rectifier's posterior source.
 
-    With the exact mixture posterior this is analytic: the score of the
-    category-reweighted mixture minus the score of the original mixture,
-    taken from one pass over the components.  Classifier-backed posteriors
-    fall back to central finite differences of log r; the classifier is
-    piecewise-smooth but has no cheap Jacobian.
+    'exact-mixture' is the true time-t posterior.  The degraded sources
+    mimic classifying images instead: 'classifier-on-tweedie' applies the
+    clean posterior to the Tweedie-denoised point (t >= 1),
+    'classifier-direct' applies it to the noisy point as-is.
+    """
+    if rect.posterior_source == "exact-mixture":
+        return worldmodel.category_posterior(m, schedule, t, xt)
+    if rect.posterior_source == "classifier-on-tweedie":
+        xt = tweedie_x0(schedule, t, xt, worldmodel.eps_pretrain(m, schedule, t, xt))
+    return worldmodel.category_posterior(m, None, 0, xt)
+
+
+def grad_log_r(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal) -> np.ndarray:
+    """Gradient of log r with respect to the noisy point(s).
+
+    t, xt and marginal are one step, point (d,) and marginal (K,), or one
+    of each per row.  With the exact mixture posterior this is analytic:
+    the score of the category-reweighted mixture minus the score of the
+    original mixture, taken from one pass over the components.  The
+    classifier-backed sources have no cheap Jacobian and take central
+    differences of log r, all rows at once, one axis at a time.  A
+    difference within a few ulps of log r's magnitude is rounding noise
+    from a flat log r (a saturated posterior) and counts as zero, so that
+    gradient-norm alignment cannot scale it up.
     """
     xt = np.asarray(xt, dtype=float)
-    if isinstance(context, PoseLabeledMixture):
-        w = weight_function(rect.target, marginal, rect.epsilon_floor)
+    w = weight_function(rect.target, marginal, rect.epsilon_floor)
+    if rect.posterior_source == "exact-mixture":
         with np.errstate(divide="ignore"):      # a zero target weight is log 0 = -inf
             log_w = np.log(w)
-        out = worldmodel.grad_log_reweight(context, schedule, t, xt, log_w)
+        out = worldmodel.grad_log_reweight(m, schedule, t, xt, log_w)
     else:
-        # context: callable (t, x) -> posterior probability vector
         def log_r(x):
-            return np.log(r_value(rect, context(t, x), marginal))
+            return np.log(np.sum(w * posterior(rect, m, schedule, t, x), axis=-1))
 
-        h = rect.fd_step * (1.0 + float(np.linalg.norm(xt)))
-        out = finite_difference_grad(log_r, xt, h)
+        h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
+        out = np.empty_like(xt)
+        for j in range(xt.shape[-1]):
+            step = np.zeros_like(xt)
+            step[..., j] = h
+            fp, fm = log_r(xt + step), log_r(xt - step)
+            if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+                raise NumericError(f"non-finite log r near xt={xt} along axis {j} at t={t}")
+            rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(fp) + np.abs(fm))
+            out[..., j] = np.where(np.abs(fp - fm) <= rounding, 0.0, fp - fm) / (2.0 * h)
     if not np.all(np.isfinite(out)):
-        from .errors import NumericError
-
         raise NumericError(f"non-finite grad log r at t={t}, xt={xt}")
     return out

@@ -93,11 +93,12 @@ class PoseLabeledMixture:
         return schedule.alpha[t] * x0 + schedule.sigma[t] * eps
 
 
-def _components(m: PoseLabeledMixture, schedule, t: int, xt):
-    """One pass over the components at step t; t = 0 is the clean mixture.
+def _components(m: PoseLabeledMixture, schedule, t, xt):
+    """One pass over the components; t = 0 (or no schedule) is the clean mixture.
 
-    Returns the logits log(pi_k) + log N(xt; mean_k(t), cov_k(t)), shape
-    (..., n_comp), and each component's Gaussian score
+    t is one step, or one step per point: shape (n,) with xt of shape
+    (n, d).  Returns the logits log(pi_k) + log N(xt; mean_k(t), cov_k(t)),
+    shape (..., n_comp), and each component's Gaussian score
     -cov_k(t)^-1 (xt - mean_k(t)), shape (..., n_comp, d).  The logits need
     the same solve as the scores, so the scores cost nothing extra;
     density, score, posterior and the reweighting gradient all derive from
@@ -106,9 +107,13 @@ def _components(m: PoseLabeledMixture, schedule, t: int, xt):
     xt = np.asarray(xt, dtype=float)
     if xt.shape[-1] != m.dim:
         raise ValueError(f"point dimension {xt.shape[-1]} != mixture dimension {m.dim}")
-    a, s = (1.0, 0.0) if t == 0 else (schedule.alpha[t], schedule.sigma[t])
-    covs = a * a * m.covs + s * s * np.eye(m.dim)
-    diff = xt[..., None, :] - a * m.means                            # (..., n_comp, d)
+    t = np.asarray(t)
+    if schedule is None and np.any(t != 0):
+        raise ValueError("a noisy step needs a schedule")
+    a, s = (np.ones(t.shape), np.zeros(t.shape)) if schedule is None else (schedule.alpha[t], schedule.sigma[t])
+    a, s = a[..., None, None], s[..., None, None]
+    covs = a[..., None] ** 2 * m.covs + s[..., None] ** 2 * np.eye(m.dim)   # (..., n_comp, d, d)
+    diff = xt[..., None, :] - a * m.means                                     # (..., n_comp, d)
     sol = np.linalg.solve(covs, diff[..., None])[..., 0]
     logdet = np.linalg.slogdet(covs)[1]
     logits = np.log(m.weights) - 0.5 * (np.sum(diff * sol, axis=-1) + m.dim * np.log(2.0 * np.pi) + logdet)
@@ -126,40 +131,52 @@ def density(m: PoseLabeledMixture, x) -> np.ndarray:
     return noisy_density(m, None, 0, x)
 
 
-def noisy_density(m: PoseLabeledMixture, schedule, t: int, xt) -> np.ndarray:
+def noisy_density(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
     """Time-t marginal density; reduces to `density` exactly at t=0."""
     logits, _ = _components(m, schedule, t, xt)
     return np.exp(_logsumexp(logits, axis=-1))
 
 
-def score(m: PoseLabeledMixture, schedule, t: int, xt) -> np.ndarray:
-    """Gradient of log p_t at xt: responsibility-weighted Gaussian scores."""
+def score(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
+    """Gradient of log p_t at xt: responsibility-weighted Gaussian scores.
+
+    Like every evaluator here, it takes one step t with points (..., d), or
+    steps of shape (n,) with points of shape (n, d).
+    """
     logits, scores = _components(m, schedule, t, xt)
     return np.sum(_softmax(logits)[..., None] * scores, axis=-2)
 
 
-def eps_pretrain(m: PoseLabeledMixture, schedule: DiffusionSchedule, t: int, xt) -> np.ndarray:
+def eps_pretrain(m: PoseLabeledMixture, schedule: DiffusionSchedule, t, xt) -> np.ndarray:
     """Exact noise prediction: -sigma_t times the score."""
-    return -schedule.sigma[t] * score(m, schedule, t, xt)
+    return -schedule.sigma[t][..., None] * score(m, schedule, t, xt)
 
 
-def category_posterior(m: PoseLabeledMixture, schedule, t: int, xt) -> np.ndarray:
-    """p(category | xt) at step t: per-category sums of the responsibilities."""
+def category_posterior(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
+    """p(category | xt) at step t: per-category sums of the responsibilities.
+
+    The sums run along the last axis rather than through a matrix product,
+    whose BLAS kernel (and so its rounding) changes with the batch shape:
+    a row of a batch must equal the call for that row alone, since central
+    differences of log r divide that rounding by the step.
+    """
     logits, _ = _components(m, schedule, t, xt)
-    return _softmax(logits) @ (m.category_of[:, None] == np.arange(m.num_categories))
+    members = m.category_of == np.arange(m.num_categories)[:, None]        # (K, n_comp)
+    return np.sum(_softmax(logits)[..., None, :] * members, axis=-1)
 
 
-def grad_log_reweight(m: PoseLabeledMixture, schedule, t: int, xt, log_w) -> np.ndarray:
+def grad_log_reweight(m: PoseLabeledMixture, schedule, t, xt, log_w) -> np.ndarray:
     """Gradient of log sum_c w(c) p_t(c | xt) for per-category log weights log_w.
 
     Reweighting component k by w(category_k) leaves the component scores
     unchanged and only shifts the logits, so the gradient is the
     reweighted-mixture score minus this mixture's score:
-    sum_k (softmax(l + log_w[cat_k]) - softmax(l))_k * g_k.  log_w may hold
-    -inf for categories that get zero weight (at least one must stay finite).
+    sum_k (softmax(l + log_w[cat_k]) - softmax(l))_k * g_k.  log_w is (K,)
+    or one row per point, and may hold -inf for categories that get zero
+    weight (at least one must stay finite).
     """
     logits, scores = _components(m, schedule, t, xt)
-    shift = _softmax(logits + log_w[m.category_of]) - _softmax(logits)
+    shift = _softmax(logits + log_w[..., m.category_of]) - _softmax(logits)
     return np.sum(shift[..., None] * scores, axis=-2)
 
 
@@ -187,28 +204,28 @@ class Renderer:
             raise ConfigurationError(f"unknown renderer kind {self.kind!r}")
 
 
-def _rotation_matrix(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-def render(r: Renderer, theta, c: int) -> np.ndarray:
-    """Render parameters at pose c; rotation renderers preserve the norm."""
+def render(r: Renderer, theta, c) -> np.ndarray:
+    """Render parameters (..., d) at poses c, one pose or one per parameter
+    vector (broadcast against theta's leading axes); rotations preserve the norm."""
     theta = np.asarray(theta, dtype=float)
     if r.kind == "identity":
         return theta.copy()
-    if not 0 <= c < len(r.angles):
-        raise ValueError(f"pose {c} outside configured categories [0, {len(r.angles)})")
-    if theta.shape[-1] != 2:
-        raise ValueError("rotation renderer needs 2D parameters")
-    return theta @ _rotation_matrix(r.angles[c]).T
+    return np.einsum("...ij,...j->...i", render_jacobian(r, theta, c), theta)
 
 
-def render_jacobian(r: Renderer, theta, c: int) -> np.ndarray:
-    """d(render)/d(theta): identity matrix or the pose's rotation matrix."""
+def render_jacobian(r: Renderer, theta, c) -> np.ndarray:
+    """d(render)/d(theta), shape (..., d, d): the identity or each pose's rotation matrix."""
     theta = np.asarray(theta, dtype=float)
+    d = theta.shape[-1]
     if r.kind == "identity":
-        return np.eye(theta.shape[-1])
-    if not 0 <= c < len(r.angles):
-        raise ValueError(f"pose {c} outside configured categories [0, {len(r.angles)})")
-    return _rotation_matrix(r.angles[c])
+        return np.broadcast_to(np.eye(d), theta.shape + (d,))
+    c = np.asarray(c)
+    bad = (c < 0) | (c >= len(r.angles))
+    if np.any(bad):
+        raise ValueError(f"pose {c[bad].flat[0]} outside configured categories [0, {len(r.angles)})")
+    if d != 2:
+        raise ValueError("rotation renderer needs 2D parameters")
+    angle = np.asarray(r.angles)[c]
+    cos, sin = np.cos(angle), np.sin(angle)
+    rot = np.stack([cos, -sin, sin, cos], axis=-1).reshape(angle.shape + (2, 2))
+    return np.broadcast_to(rot, np.broadcast_shapes(angle.shape, theta.shape[:-1]) + (2, 2))

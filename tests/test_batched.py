@@ -1,0 +1,191 @@
+"""The batched evaluators against per-row scalar calls.
+
+Every mixture evaluator, the renderer, the variational noise prediction and
+the rectifier correction accept one step per row (t of shape (n,), points of
+shape (n, d)); each row must agree with the call for that row alone.  The
+gradient rule is checked against a per-particle loop written here.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_mixture
+from recdistill import distill as D
+from recdistill import rectify, worldmodel
+from recdistill.estimator import IntervalEma, ema_lookup
+from recdistill.oracle import finite_difference_grad
+from recdistill.rectify import POSTERIOR_SOURCES, Rectifier, TargetMarginal
+from recdistill.schedule import loss_weight
+from recdistill.worldmodel import PoseLabeledMixture, Renderer
+
+
+def _close(got, ref, tol=1e-12):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.shape == ref.shape and np.max(np.abs(got - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
+
+
+def _rows(fn, *args):
+    return np.array([fn(*row) for row in zip(*args)])
+
+
+def _instance(seed, dim, k, n, with_zero):
+    rng = np.random.default_rng(seed)
+    m = random_mixture(rng, dim, k)
+    t = rng.integers(1, 1001, size=n)
+    if with_zero:
+        t[rng.integers(n)] = 0
+    x = rng.uniform(-4.0, 4.0, size=(n, dim))
+    return rng, m, t, x
+
+
+instances = dict(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), k=st.integers(2, 4),
+                 n=st.integers(1, 6), with_zero=st.booleans())
+
+
+class TestBatchedMixture:
+    @settings(max_examples=60, deadline=None)
+    @given(**instances)
+    def test_rows_match_scalar_calls(self, schedule, seed, dim, k, n, with_zero):
+        rng, m, t, x = _instance(seed, dim, k, n, with_zero)
+        for fn in (worldmodel.score, worldmodel.eps_pretrain, worldmodel.category_posterior):
+            assert _close(fn(m, schedule, t, x), _rows(lambda ti, xi: fn(m, schedule, int(ti), xi), t, x))
+        log_w = np.log(rng.dirichlet(np.ones(k), size=n))
+        assert _close(worldmodel.grad_log_reweight(m, schedule, t, x, log_w),
+                      _rows(lambda ti, xi, li: worldmodel.grad_log_reweight(m, schedule, int(ti), xi, li),
+                            t, x, log_w))
+
+    @settings(max_examples=30, deadline=None)
+    @given(**instances)
+    def test_score_matches_finite_differences(self, schedule, seed, dim, k, n, with_zero):
+        _, m, t, x = _instance(seed, dim, k, n, with_zero)
+        got = worldmodel.score(m, schedule, t, x)
+        for i in range(n):
+            fd = finite_difference_grad(
+                lambda v: np.log(worldmodel.noisy_density(m, schedule, int(t[i]), v)), x[i], 1e-5)
+            assert np.max(np.abs(fd - got[i])) <= 1e-5 * max(1.0, np.max(np.abs(got[i])))
+
+
+class TestBatchedRendering:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), k=st.integers(2, 4),
+           n=st.integers(1, 6), draws=st.integers(1, 5))
+    def test_render_and_variational_eps(self, schedule, seed, dim, k, n, draws):
+        rng = np.random.default_rng(seed)
+        renderer = Renderer("rotation", tuple(rng.uniform(0, 2 * np.pi, k))) if dim == 2 else Renderer()
+        particles = rng.standard_normal((n, dim))
+        pose = rng.integers(k, size=n)
+        assert _close(worldmodel.render(renderer, particles, pose),
+                      _rows(lambda th, c: worldmodel.render(renderer, th, int(c)), particles, pose))
+        assert _close(worldmodel.render_jacobian(renderer, particles, pose),
+                      _rows(lambda th, c: worldmodel.render_jacobian(renderer, th, int(c)), particles, pose))
+        t = rng.integers(1, 1001, size=draws)
+        c = rng.integers(k, size=draws)
+        xt = rng.uniform(-3.0, 3.0, size=(draws, dim))
+        assert _close(D.variational_eps(particles, renderer, schedule, t, c, xt),
+                      _rows(lambda ti, ci, xi: D.variational_eps(particles, renderer, schedule, int(ti), int(ci), xi),
+                            t, c, xt))
+
+
+class TestBatchedCorrection:
+    @settings(max_examples=60, deadline=None)
+    @given(source=st.sampled_from(POSTERIOR_SOURCES), **instances)
+    def test_grad_log_r_rows(self, schedule, source, seed, dim, k, n, with_zero):
+        rng, m, t, x = _instance(seed, dim, k, n, with_zero and source != "classifier-on-tweedie")
+        rect = Rectifier(target=TargetMarginal(rng.dirichlet(np.ones(k))), posterior_source=source)
+        marginal = rng.dirichlet(np.ones(k), size=n)
+        assert _close(rectify.grad_log_r(rect, m, schedule, t, x, marginal),
+                      _rows(lambda ti, xi, mi: rectify.grad_log_r(rect, m, schedule, int(ti), xi, mi),
+                            t, x, marginal))
+        assert _close(rectify.posterior(rect, m, schedule, t, x),
+                      _rows(lambda ti, xi: rectify.posterior(rect, m, schedule, int(ti), xi), t, x))
+
+
+def _reference_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed):
+    """The gradient rule one particle at a time, from scalar calls."""
+    omega = loss_weight(schedule, cfg.omega_kind)
+    out = np.empty_like(particles)
+    for i in range(len(particles)):
+        t, c, x = int(draws.t[i]), int(draws.pose[i]), draws.xt[i]
+        jac = worldmodel.render_jacobian(renderer, particles[i], c)
+        eps_ref = draws.eps[i] if cfg.method == "sds" else D.variational_eps(particles, renderer, schedule, t, c, x)
+        out[i] = omega[t] * (jac.T @ (worldmodel.eps_pretrain(m, schedule, t, x) - eps_ref))
+        if cfg.method in ("sds", "vsd"):
+            continue
+        if cfg.method == "ctrl":
+            g = D._control_grad_log_posterior(m, schedule, t, x, cfg.control_category)
+        else:
+            rect = cfg.rectifier
+            marginal = {"ema": ema_lookup(state, t), "exact-mc": m.category_weights(),
+                        "fixed-presampled": fixed}[rect.marginal_source]
+            g = rectify.grad_log_r(rect, m, schedule, t, x, marginal)
+        correction = omega[t] * schedule.sigma[t] * (jac.T @ g)
+        if cfg.grad_norm_align:
+            correction = D.grad_norm_align(out[i], correction)
+        out[i] -= correction
+    return out
+
+
+class TestBatchedGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), k=st.integers(2, 4),
+           n=st.integers(1, 6), method=st.sampled_from(D.METHODS),
+           source=st.sampled_from(POSTERIOR_SOURCES),
+           marginal_source=st.sampled_from(rectify.MARGINAL_SOURCES), align=st.booleans())
+    def test_matches_per_particle_loop(self, schedule, seed, dim, k, n, method, source, marginal_source, align):
+        rng = np.random.default_rng(seed)
+        m = random_mixture(rng, dim, k)
+        renderer = Renderer("rotation", tuple(rng.uniform(0, 2 * np.pi, k))) if dim == 2 else Renderer()
+        kwargs = dict(method=method, iters=10, grad_norm_align=align)
+        if method == "ctrl":
+            kwargs["control_category"] = int(rng.integers(k))
+        if method == "usd":
+            kwargs["rectifier"] = Rectifier(target=TargetMarginal.uniform(k), posterior_source=source,
+                                            marginal_source=marginal_source)
+        cfg = D.DistillConfig(**kwargs)
+        particles = 2.0 * rng.standard_normal((n, dim))
+        state = IntervalEma.create(1000, 10, k)
+        state.values[:] = rng.dirichlet(np.ones(k), size=10)
+        fixed = rng.dirichlet(np.ones(k))
+        draws = D._draw(particles, renderer, m, schedule, cfg, int(rng.integers(10)), rng)
+        assert _close(D.gradient(particles, renderer, m, schedule, cfg, draws, state, fixed),
+                      _reference_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed))
+
+
+class TestSaturatedFiniteDifferences:
+    """Where the clean posterior is saturated, log r is flat up to rounding."""
+
+    @staticmethod
+    def _setup(schedule):
+        # two components in category 0 make the posterior's sum round to
+        # 1 or to 1 - 1 ulp depending on the point
+        m = PoseLabeledMixture(
+            weights=np.array([0.4, 0.4, 0.2]), means=np.array([[2.0, 0.6], [2.0, -0.6], [-2.0, 0.0]]),
+            covs=np.stack([np.eye(2) * 0.05] * 3), category_of=np.array([0, 0, 1]), num_categories=2,
+        )
+        rect = Rectifier(target=TargetMarginal.uniform(2), posterior_source="classifier-direct",
+                         marginal_source="fixed-presampled")
+        return m, rect, np.array([1.5, -0.5]), np.array([0.8, 0.2])
+
+    def test_rounding_noise_is_zero(self, schedule):
+        m, rect, x, marginal = self._setup(schedule)
+        w = rectify.weight_function(rect.target, marginal, rect.epsilon_floor)
+        h = rect.fd_step * (1.0 + np.linalg.norm(x))
+        step = np.array([0.0, h])
+        log_r = [np.log(np.sum(w * worldmodel.category_posterior(m, None, 0, v))) for v in (x + step, x - step)]
+        assert log_r[0] != log_r[1] and abs(log_r[0] - log_r[1]) < 1e-15   # the noise is there
+        assert np.array_equal(rectify.grad_log_r(rect, m, schedule, 300, x, marginal), np.zeros(2))
+
+    def test_aligned_usd_equals_vsd(self, schedule):
+        m, rect, x, marginal = self._setup(schedule)
+        t = 300
+        particles = np.array([[1.5, -0.5], [-1.8, 0.2]])
+        eps = (x - schedule.alpha[t] * particles[0]) / schedule.sigma[t]
+        draws = D._Draws(t=np.array([t, t]), pose=np.array([0, 0]), eps=np.array([eps, [0.3, -0.1]]),
+                         xt=np.array([x, [0.05, 0.0]]))
+        usd = D.DistillConfig(method="usd", iters=10, rectifier=rect)
+        vsd = D.DistillConfig(method="vsd", iters=10)
+        u = D.gradient(particles, Renderer(), m, schedule, usd, draws, fixed_marginal=marginal)
+        v = D.gradient(particles, Renderer(), m, schedule, vsd, draws)
+        assert np.array_equal(u[0], v[0])
+        assert not np.array_equal(u[1], v[1])     # the unsaturated particle is corrected

@@ -287,3 +287,18 @@ class TestPgmRoundtrip:
         back = C.read_pgm(path)
         assert back.shape == (64, 64)
         assert np.max(np.abs(back - img.pixels)) < 1.0 / 255.0
+
+    def test_sixteen_bit_is_big_endian(self, tmp_path):
+        pixels = np.array([[0, 256, 65535], [1, 4095, 32768]], dtype=">u2")
+        path = tmp_path / "deep.pgm"
+        path.write_bytes(b"P5\n3 2\n65535\n" + pixels.tobytes())
+        back = C.read_pgm(path)
+        assert back.max() == 1.0
+        assert np.array_equal(back, pixels.astype(float) / 65535.0)
+
+    def test_truncated_pixel_data_names_the_file(self, tmp_path):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(b"P5\n16 16\n255\n" + bytes(100))
+        with pytest.raises(ValueError, match="truncated.*short.pgm") as info:
+            C.read_pgm(path)
+        assert "\n" not in str(info.value)

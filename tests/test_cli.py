@@ -90,6 +90,13 @@ class TestConfigErrors:
         ("iters = 60", "iters = 0"),
         ("snapshot_every = 20", "snapshot_every = 0"),
         ("eta1 = 0.03", "eta1 = nan"),
+        ("target = uniform", "target = 0.2 0.3 0.5"),
+        ("dim = 1", "pose_probs = 0.5 0.25 0.25\ndim = 1"),
+        ("method = usd", "control_category = 5\nmethod = ctrl"),
+        ("dim = 1", "renderer_angles = 0.0\nrenderer = rotation\ndim = 1"),
+        ("dim = 1", "dim = 2"),
+        ("[rectifier]", "[demo]\ntimes = 5000\n\n[rectifier]"),
+        ("[rectifier]", "[demo]\ntimes = -3\n\n[rectifier]"),
     ])
     def test_invalid_distill_value_rejected_at_parse_time(self, tmp_path, capsys, old, new):
         rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD.replace(old, new)),
@@ -130,6 +137,20 @@ class TestConfigErrors:
                        "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "p(c) > 0" in capsys.readouterr().err
+
+
+class TestThreadCount:
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("RECDISTILL_THREADS", "100000")
+        assert cli._thread_count() == 2
+        monkeypatch.setenv("RECDISTILL_THREADS", "0")
+        assert cli._thread_count() == 1
+
+    def test_non_integer_is_a_config_error(self, monkeypatch):
+        monkeypatch.setenv("RECDISTILL_THREADS", "four")
+        with pytest.raises(cli.ConfigurationError, match="RECDISTILL_THREADS"):
+            cli._thread_count()
 
 
 class TestRectifyDemo:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recdistill import distill, rectify, worldmodel
-from recdistill.errors import RectificationError
 from recdistill.oracle import finite_difference_grad, grid_integrate
 from recdistill.rectify import Rectifier, TargetMarginal, grad_log_r, r_value, weight_function
 from recdistill.worldmodel import PoseLabeledMixture
@@ -39,10 +38,6 @@ class TestWeightFunction:
         p = np.array(raw) / np.sum(raw)
         w = weight_function(TargetMarginal.uniform(p.size), p)
         assert abs(np.sum(w * p) - 1.0) < 1e-10
-
-    def test_floor_disabled_names_category(self):
-        with pytest.raises(RectificationError, match="category 1"):
-            weight_function(TargetMarginal.uniform(2), np.array([1.0 - 1e-6, 1e-6]), apply_floor=False)
 
     def test_flooring_keeps_weights_finite(self):
         w = weight_function(TargetMarginal.uniform(2), np.array([1.0, 0.0]))
@@ -164,15 +159,16 @@ class TestGradLogR:
             assert np.max(np.abs(fd - exact)) / max(np.max(np.abs(exact)), 1e-12) < 1e-5
 
     def test_callable_posterior_path(self, mixed_2d, schedule):
-        # a posterior given as a black-box callable falls back to finite
-        # differences and agrees with the analytic mixture route
-        rect = Rectifier(target=TargetMarginal.uniform(2), posterior_source="classifier-on-tweedie",
+        # the classifier-direct source (the clean posterior applied to the
+        # noisy point) takes finite differences, which agree with the
+        # analytic reweighting gradient of the clean mixture
+        rect = Rectifier(target=TargetMarginal.uniform(2), posterior_source="classifier-direct",
                          fd_step=1e-5)
         marginal = np.array([0.6, 0.4])
-        posterior = lambda t, x: worldmodel.category_posterior(mixed_2d, schedule, t, x)
         xt = np.array([0.8, -0.4])
-        got = grad_log_r(rect, posterior, schedule, 500, xt, marginal)
-        want = grad_log_r(rect, mixed_2d, schedule, 500, xt, marginal)
+        got = grad_log_r(rect, mixed_2d, schedule, 500, xt, marginal)
+        log_w = np.log(weight_function(rect.target, marginal, rect.epsilon_floor))
+        want = worldmodel.grad_log_reweight(mixed_2d, None, 0, xt, log_w)
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-4
 
 
