@@ -7,6 +7,10 @@ a synthetic glyph corpus, and a score-distillation engine (SDS / VSD / USD
 / CTRL) with supporting estimators, metrics, and brute-force oracles.
 """
 
+# numpy >= 2 imports numpy.random on first use; `distill` and `glyphs` draw
+# from it, so load it with the package rather than inside their first run
+import numpy.random  # noqa: F401
+
 from .errors import (
     ConfigurationError,
     DivergenceError,

@@ -41,16 +41,16 @@ class GlyphImage:
 
 @dataclass(frozen=True)
 class FeatureMap:
-    cls: np.ndarray                    # (NUM_FEATURES,)
-    patches: np.ndarray                # (GRID_SIZE, GRID_SIZE, NUM_FEATURES)
+    cls: np.ndarray                    # (N, NUM_FEATURES)
+    patches: np.ndarray                # (N, GRID_SIZE, GRID_SIZE, NUM_FEATURES)
 
 
 @dataclass(frozen=True)
 class Template:
     category: str
-    features: FeatureMap
-    mask: np.ndarray                   # (GRID_SIZE, GRID_SIZE) bool
-    coord: np.ndarray                  # (GRID_SIZE, GRID_SIZE), NaN off-foreground
+    features: FeatureMap               # one-row stack
+    mask: np.ndarray                   # (1, GRID_SIZE, GRID_SIZE) bool
+    coord: np.ndarray                  # (1, GRID_SIZE, GRID_SIZE), NaN off-foreground
 
 
 @dataclass(frozen=True)
@@ -176,146 +176,182 @@ def template_images() -> dict[str, GlyphImage]:
 
 # ---------------------------------------------------------------------------
 # Features, segmentation, coordinates
+#
+# Every function below takes a stack of images (or of their features) with
+# the image index first; a single image is a one-row stack.  Each row's
+# result depends on that row alone, bitwise, whatever stack it sits in.
 # ---------------------------------------------------------------------------
 
-def extract_features(img: GlyphImage) -> FeatureMap:
-    """Per-patch descriptors plus an intensity-weighted global descriptor.
+def extract_features(pixels: np.ndarray) -> FeatureMap:
+    """Per-patch descriptors plus an intensity-weighted global descriptor
+    for an (N, 64, 64) stack.
 
     Channels: mean intensity, horizontal gradient energy, vertical gradient
     energy, variance.  All four are invariant to mirroring a patch, so the
     patch grid of a mirrored image is the column-reversed grid.
     """
-    px = img.pixels
-    if px.shape != (IMG_SIZE, IMG_SIZE):
-        raise ValueError(f"expected {IMG_SIZE}x{IMG_SIZE} image, got {px.shape}")
-    blocks = px.reshape(GRID_SIZE, PATCH, GRID_SIZE, PATCH).transpose(0, 2, 1, 3)
-    mean = blocks.mean(axis=(2, 3))
-    hgrad = np.abs(np.diff(blocks, axis=3)).mean(axis=(2, 3))
-    vgrad = np.abs(np.diff(blocks, axis=2)).mean(axis=(2, 3))
-    var = blocks.var(axis=(2, 3))
+    px = np.asarray(pixels, dtype=float)
+    if px.ndim != 3 or px.shape[1:] != (IMG_SIZE, IMG_SIZE):
+        raise ValueError(f"expected an (N, {IMG_SIZE}, {IMG_SIZE}) image stack, got shape {px.shape}")
+    blocks = px.reshape(-1, GRID_SIZE, PATCH, GRID_SIZE, PATCH).transpose(0, 1, 3, 2, 4)
+    mean = blocks.mean(axis=(3, 4))
+    hgrad = np.abs(np.diff(blocks, axis=4)).mean(axis=(3, 4))
+    vgrad = np.abs(np.diff(blocks, axis=3)).mean(axis=(3, 4))
+    var = blocks.var(axis=(3, 4))
     patches = np.stack([mean, hgrad, vgrad, var], axis=-1)
-    weights = mean
-    total = weights.sum()
-    if total <= 0:
-        cls_vec = np.zeros(NUM_FEATURES)
-    else:
-        cls_vec = np.tensordot(weights, patches, axes=([0, 1], [0, 1])) / total
+    # one BLAS product per row, as for a single image, so a row's rounding
+    # does not depend on the stack it is in
+    weights = mean.reshape(mean.shape[0], 1, -1)
+    total = weights.sum(axis=2)
+    weighted = np.matmul(weights, patches.reshape(weights.shape[0], -1, NUM_FEATURES))[:, 0]
+    cls_vec = np.where(total > 0, weighted / np.where(total > 0, total, 1.0), 0.0)
     return FeatureMap(cls=cls_vec, patches=patches)
 
 
 def segment_foreground(fm: FeatureMap, reference_hint: np.ndarray | None = None) -> np.ndarray:
-    """First-principal-component split of the patch grid.
+    """First-principal-component split of each row's patch grid, (N, 16, 16).
 
     The component's sign is arbitrary, so the foreground side is the one
     whose average descriptor correlates better with the reference hint.
+    Raises SegmentationError naming the first row that cannot be split.
     """
     hint = DEFAULT_FOREGROUND_HINT if reference_hint is None else np.asarray(reference_hint, dtype=float)
-    flat = fm.patches.reshape(-1, NUM_FEATURES)
-    centered = flat - flat.mean(axis=0)
-    if np.sum(centered**2) < 1e-18:
-        raise SegmentationError("degenerate feature grid: all patch descriptors equal")
+    flat = fm.patches.reshape(fm.patches.shape[0], -1, NUM_FEATURES)
+    centered = flat - flat.mean(axis=1, keepdims=True)
+    degenerate = np.flatnonzero((centered**2).sum(axis=(1, 2)) < 1e-18)
+    if degenerate.size:
+        raise SegmentationError("degenerate feature grid: all patch descriptors equal", int(degenerate[0]))
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    scores = centered @ vt[0]
-    side = scores > 0
-    pos_corr = flat[side].mean(axis=0) @ hint if np.any(side) else -np.inf
-    neg_corr = flat[~side].mean(axis=0) @ hint if np.any(~side) else -np.inf
-    mask = side if pos_corr >= neg_corr else ~side
-    if not np.any(mask):
-        raise SegmentationError("segmentation produced an empty foreground")
-    return mask.reshape(GRID_SIZE, GRID_SIZE)
+    side = (centered * vt[:, :1, :]).sum(axis=-1) > 0
+
+    def hint_corr(part):
+        count = part.sum(axis=1)
+        mean = (flat * part[..., None]).sum(axis=1) / np.maximum(count, 1)[:, None]
+        return np.where(count > 0, (mean * hint).sum(axis=-1), -np.inf)
+
+    mask = np.where((hint_corr(side) >= hint_corr(~side))[:, None], side, ~side)
+    empty = np.flatnonzero(~mask.any(axis=1))
+    if empty.size:
+        raise SegmentationError("segmentation produced an empty foreground", int(empty[0]))
+    return mask.reshape(-1, GRID_SIZE, GRID_SIZE)
 
 
 def coordinate_map(mask: np.ndarray) -> np.ndarray:
-    """Horizontal coordinates on the foreground: leftmost column -0.5,
-    rightmost +0.5, linear in between; NaN off the foreground."""
+    """Horizontal coordinates on each row's foreground: leftmost column
+    -0.5, rightmost +0.5, linear in between; NaN off the foreground."""
     mask = np.asarray(mask, dtype=bool)
-    cols = np.flatnonzero(mask.any(axis=0))
-    if cols.size == 0:
+    occupied = mask.any(axis=1)                      # (N, columns)
+    if not occupied.any(axis=1).all():
         raise ValueError("coordinate_map needs a nonempty mask")
-    lo, hi = cols[0], cols[-1]
-    coord = np.full(mask.shape, np.nan)
-    col_idx = np.arange(mask.shape[1], dtype=float)
-    values = np.zeros(mask.shape[1]) if hi == lo else (col_idx - lo) / (hi - lo) - 0.5
-    coord[mask] = np.broadcast_to(values, mask.shape)[mask]
-    return coord
+    lo = occupied.argmax(axis=1)[:, None]
+    hi = occupied.shape[1] - 1 - occupied[:, ::-1].argmax(axis=1)[:, None]
+    col_idx = np.arange(occupied.shape[1], dtype=float)
+    values = np.where(hi == lo, 0.0, (col_idx - lo) / np.maximum(hi - lo, 1) - 0.5)
+    return np.where(mask, values[:, None, :], np.nan)
 
 
 # ---------------------------------------------------------------------------
 # Similarities and classification
 # ---------------------------------------------------------------------------
 
-def texture_similarity(input_cls: np.ndarray, template_cls: np.ndarray) -> float:
-    """Cosine similarity of global descriptors."""
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, broadcast over the others; each is
+    the same BLAS dot call as ``x @ y`` on one pair of vectors."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def texture_similarity(input_cls: np.ndarray, template_cls: np.ndarray) -> np.ndarray:
+    """Cosine similarity of global descriptors, (N, 4) against (K, 4) -> (N, K)."""
     a = np.asarray(input_cls, dtype=float)
     b = np.asarray(template_cls, dtype=float)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
+    na, nb = np.sqrt(_dot(a, a)), np.sqrt(_dot(b, b))
+    if np.any(na == 0) or np.any(nb == 0):
         raise ValueError("texture similarity undefined for a zero descriptor")
-    return float(a @ b / (na * nb))
+    return _dot(a[:, None, :], b[None, :, :]) / np.outer(na, nb)
 
 
-def orientation_similarity(input_parts, template: Template, tau_pat: float = 0.01) -> float:
-    """Patch-matching orientation score.
+def orientation_similarity(input_parts, templates, tau_pat: float = 0.01) -> np.ndarray:
+    """Patch-matching orientation score of each image against each template, (N, K).
 
-    Each foreground input patch is soft-matched (softmax over template
+    Each foreground input patch is soft-matched (softmax over a template's
     patches, concentrated on the nearest descriptor) and charged the
-    horizontal-coordinate discrepancy of its match.
+    horizontal-coordinate discrepancy of its match.  All images' foreground
+    patches form one (R, 4) block that is compared with every template's
+    foreground patches at once; the per-template softmax and the
+    per-image penalty are segment reductions over that block.
     """
     patches, mask, coord = input_parts
     mask = np.asarray(mask, dtype=bool)
-    if not np.any(mask) or not np.any(template.mask):
+    n_in = mask.sum(axis=(1, 2))
+    n_tm = np.array([t.mask.sum() for t in templates])
+    if np.any(n_in == 0) or np.any(n_tm == 0):
         raise ValueError("orientation similarity needs nonempty foregrounds")
-    f_in = patches[mask]
-    m_in = coord[mask]
-    f_tm = template.features.patches[template.mask]
-    m_tm = template.coord[template.mask]
-    dist = np.sqrt(np.sum((f_in[:, None, :] - f_tm[None, :, :]) ** 2, axis=-1))
-    logits = -dist / tau_pat
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    penalty = np.sum(w * np.abs(m_in[:, None] - m_tm[None, :])) / (f_in.shape[0] * f_tm.shape[0])
-    return float(np.clip(1.0 - penalty, 0.0, 1.0))
+    f_in, m_in = patches[mask], coord[mask]
+    f_tm = np.concatenate([t.features.patches[t.mask] for t in templates])
+    m_tm = np.concatenate([t.coord[t.mask] for t in templates])
+    cols = np.concatenate([[0], np.cumsum(n_tm)[:-1]])
+    templ = [slice(c, c + n) for c, n in zip(cols, n_tm)]
+    # squared distances one channel at a time, into two reused (R, P)
+    # buffers: bitwise the sums of reducing the (R, P, 4) difference tensor
+    # over its last axis, without materialising it
+    dist = np.zeros((f_in.shape[0], f_tm.shape[0]))
+    diff = np.empty_like(dist)
+    for ch in range(NUM_FEATURES):
+        np.subtract.outer(f_in[:, ch], f_tm[:, ch], out=diff)
+        diff *= diff
+        dist += diff
+    logits = np.sqrt(dist, out=dist)
+    logits /= -tau_pat
+    top = np.maximum.reduceat(logits, cols, axis=1)
+    for j, cols_j in enumerate(templ):
+        logits[:, cols_j] -= top[:, j, None]
+    w = np.exp(logits, out=logits)
+    norm = np.add.reduceat(w, cols, axis=1)
+    np.subtract.outer(m_in, m_tm, out=diff)
+    w *= np.abs(diff, out=diff)
+    # per (patch, template) charge, then summed over each image's patches
+    charge = np.add.reduceat(w, cols, axis=1) / norm
+    rows = np.concatenate([[0], np.cumsum(n_in)[:-1]])
+    penalty = np.add.reduceat(charge, rows, axis=0) / np.outer(n_in, n_tm)
+    return np.clip(1.0 - penalty, 0.0, 1.0)
 
 
 def _minmax(values: np.ndarray) -> np.ndarray:
-    lo, hi = values.min(), values.max()
-    if hi - lo < 1e-12:
-        return np.ones_like(values)
-    return (values - lo) / (hi - lo)
+    lo, hi = values.min(axis=1, keepdims=True), values.max(axis=1, keepdims=True)
+    flat = hi - lo < 1e-12
+    return np.where(flat, 1.0, (values - lo) / np.where(flat, 1.0, hi - lo))
 
 
 def _softmax(values: np.ndarray, tau: float) -> np.ndarray:
     z = values / tau
-    z -= z.max()
+    z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def classify(pc: PoseClassifier, img: GlyphImage, mode: str = "full") -> np.ndarray:
-    """Pose probabilities in template order.
+def classify(pc: PoseClassifier, pixels: np.ndarray, mode: str = "full") -> np.ndarray:
+    """Pose probabilities in template order, one row per image of an (N, 64, 64) stack.
 
     ``mode`` selects the and-gate inputs: "full", "orientation-only", or
     "texture-only" (the two degraded variants drop one similarity family).
     """
     if mode not in ("full", "orientation-only", "texture-only"):
         raise ValueError(f"unknown mode {mode!r}")
-    fm = extract_features(img)
+    fm = extract_features(pixels)
     mask = segment_foreground(fm)
-    coord = coordinate_map(mask)
-    s_tex = np.array([texture_similarity(fm.cls, t.features.cls) for t in pc.templates])
-    s_ori = np.array([orientation_similarity((fm.patches, mask, coord), t, pc.tau_pat) for t in pc.templates])
-    if mode == "texture-only":
-        fused = _minmax(s_tex)
-    elif mode == "orientation-only":
-        fused = _minmax(s_ori)
-    else:
-        fused = _minmax(s_tex) * _minmax(s_ori)
+    fused = 1.0
+    if mode != "orientation-only":
+        template_cls = np.concatenate([t.features.cls for t in pc.templates])
+        fused = fused * _minmax(texture_similarity(fm.cls, template_cls))
+    if mode != "texture-only":
+        parts = (fm.patches, mask, coordinate_map(mask))
+        fused = fused * _minmax(orientation_similarity(parts, pc.templates, pc.tau_pat))
     return _softmax(fused, pc.tau_pose)
 
 
 def build_template(img: GlyphImage, category: str, reference_hint: np.ndarray | None = None) -> Template:
-    fm = extract_features(img)
+    """A category's template: the one-row stack of its image's features, mask and coordinates."""
+    fm = extract_features(img.pixels[None])
     mask = segment_foreground(fm, reference_hint)
     return Template(category=category, features=fm, mask=mask, coord=coordinate_map(mask))
 
@@ -366,8 +402,7 @@ def classifier_posterior_adapter(pc: PoseClassifier, schedule, denoiser, t: int,
         x0 = tweedie_x0(schedule, t, xt, denoiser(xt, t, schedule))
     else:
         x0 = xt
-    img = GlyphImage(pixels=np.clip(x0.reshape(IMG_SIZE, IMG_SIZE), 0.0, 1.0))
-    return classify(pc, img)
+    return classify(pc, np.clip(x0.reshape(1, IMG_SIZE, IMG_SIZE), 0.0, 1.0))[0]
 
 
 # ---------------------------------------------------------------------------

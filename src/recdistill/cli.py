@@ -8,8 +8,7 @@ Subcommands:
   glyphs        generate a labelled glyph corpus as PGM files
 
 Every subcommand is a pure function of (config, seed): outputs are
-byte-identical across repeated runs.  RECDISTILL_THREADS sets the
-classification thread pool size, clamped to the CPU count.
+byte-identical across repeated runs.
 
 Exit codes: 0 success; 2 invalid configuration or input; 3 a run that
 diverged or produced a non-finite value.  Failures print one `error:` line
@@ -20,10 +19,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import pathlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,7 +28,7 @@ from . import classifier as C
 from . import distill as D
 from . import rectify, worldmodel
 from .config import parse_config
-from .errors import ConfigurationError, DivergenceError, NumericError
+from .errors import ConfigurationError, DivergenceError, NumericError, SegmentationError
 from .metrics import categorical_entropy, gaussian_frechet, marginal_tv
 from .oracle import grid_integrate
 from .schedule import build_schedule
@@ -121,16 +118,10 @@ def cmd_distill(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _thread_count() -> int:
-    """Classification pool size: RECDISTILL_THREADS clamped to [1, cpu count], else up to 8."""
-    cpus = os.cpu_count() or 1
-    cap = os.environ.get("RECDISTILL_THREADS", "").strip()
-    if not cap:
-        return min(8, cpus)
-    try:
-        return min(max(1, int(cap)), cpus)
-    except ValueError:
-        raise ConfigurationError(f"RECDISTILL_THREADS must be an integer, got {cap!r}") from None
+# images read and classified per pass; the pass's (patches x template
+# patches) distance block stays a few MiB.  A row's probabilities do not
+# depend on the chunking, so outputs do not either.
+CLASSIFY_CHUNK = 16
 
 
 def _classify_mode(args) -> str:
@@ -143,25 +134,46 @@ def _classify_mode(args) -> str:
     return "full"
 
 
-def _load_templates(template_dir) -> dict:
-    images = {}
+def _read_glyph(path) -> np.ndarray:
+    pixels = C.read_pgm(path)
+    if pixels.shape != (C.IMG_SIZE, C.IMG_SIZE):
+        raise ConfigurationError(f"{path}: expected {C.IMG_SIZE}x{C.IMG_SIZE} image, got {pixels.shape}")
+    return pixels
+
+
+def _load_classifier(template_dir) -> C.PoseClassifier:
+    templates = []
     for cat in C.CATEGORIES:
         path = pathlib.Path(template_dir) / f"{cat}.pgm"
         if not path.exists():
             raise ConfigurationError(f"missing template image for category {cat!r}: {path}")
-        images[cat] = C.GlyphImage(pixels=C.read_pgm(path), true_category=cat)
-    return images
+        try:
+            templates.append(C.build_template(C.GlyphImage(pixels=_read_glyph(path), true_category=cat), cat))
+        except SegmentationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
+    return C.PoseClassifier(templates=tuple(templates))
+
+
+def _classify_chunk(pc, paths, mode) -> np.ndarray:
+    """Probability rows for a few PGM files, read into one stack; an image
+    that cannot be read or segmented is named in the error."""
+    stack = np.empty((len(paths), C.IMG_SIZE, C.IMG_SIZE))
+    for row, path in zip(stack, paths):
+        row[:] = _read_glyph(path)
+    try:
+        return C.classify(pc, stack, mode=mode)
+    except SegmentationError as exc:
+        raise ConfigurationError(f"{paths[exc.row]}: {exc}") from None
 
 
 def cmd_classify(args) -> int:
-    pc = C.PoseClassifier.from_images(_load_templates(args.templates))
+    pc = _load_classifier(args.templates)
     mode = _classify_mode(args)
     paths = sorted(pathlib.Path(args.inputs).glob("*.pgm"))
     if not paths:
         raise ConfigurationError(f"no .pgm images under {args.inputs}")
-    images = [C.GlyphImage(pixels=C.read_pgm(p)) for p in paths]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        probs = list(pool.map(lambda im: C.classify(pc, im, mode=mode), images))
+    probs = np.concatenate([_classify_chunk(pc, paths[i : i + CLASSIFY_CHUNK], mode)
+                            for i in range(0, len(paths), CLASSIFY_CHUNK)])
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -123,6 +123,8 @@ def _parse_distill(section, k: int, dim: int) -> dict:
     out["renderer"] = Renderer(kind=section.get("renderer", "identity").strip(), angles=angles)
     if out["renderer"].kind == "rotation" and len(angles) != k:
         raise ConfigurationError(f"[distill] renderer_angles has {len(angles)} angles, need one per category ({k})")
+    if out["particles"] < 1:
+        raise ConfigurationError(f"[distill] particles = {out['particles']} must be at least 1")
     if out["dim"] != dim:
         raise ConfigurationError(f"[distill] dim = {out['dim']} does not match the mixture dimension {dim}")
     if out["renderer"].kind == "rotation" and dim != 2:

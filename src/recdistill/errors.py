@@ -6,7 +6,12 @@ class ConfigurationError(ValueError):
 
 
 class SegmentationError(RuntimeError):
-    """Foreground segmentation failed (degenerate feature grid)."""
+    """Foreground segmentation failed (degenerate feature grid) for row
+    ``row`` of an image stack."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
 class NumericError(ArithmeticError):

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,14 @@ def gaussian_frechet(sample_a, sample_b, regulariser: float = 1e-6) -> float:
     mu_a, mu_b = np.mean(a, axis=0), np.mean(b, axis=0)
     cov_a = np.cov(a, rowvar=False).reshape(d, d) + regulariser * np.eye(d)
     cov_b = np.cov(b, rowvar=False).reshape(d, d) + regulariser * np.eye(d)
-    cross = scipy.linalg.sqrtm(cov_a @ cov_b)
-    if np.iscomplexobj(cross):
-        cross = cross.real
-    dist2 = np.sum((mu_a - mu_b) ** 2) + np.trace(cov_a + cov_b - 2.0 * cross)
+    # tr((A B)^{1/2}) = sum of sqrt(eigenvalues of A^{1/2} B A^{1/2}), with the
+    # symmetric middle matrix written in A's eigenbasis, D^{1/2} V^T B V D^{1/2};
+    # in 1D it is sqrt(a b) and two identical sets are exactly 0 apart
+    lam_a, vec_a = np.linalg.eigh(cov_a)
+    lam_a = np.maximum(lam_a, 0.0)
+    middle = (vec_a.T @ cov_b @ vec_a) * np.sqrt(np.outer(lam_a, lam_a))
+    cross = np.sum(np.sqrt(np.maximum(np.linalg.eigvalsh(middle), 0.0)))
+    dist2 = np.sum((mu_a - mu_b) ** 2) + np.trace(cov_a + cov_b) - 2.0 * cross
     return float(max(dist2, 0.0))
 
 

@@ -192,18 +192,18 @@ def test_acceptance_6_pose_classifier_suite():
     from recdistill import classifier as C
 
     pc = C.PoseClassifier.from_images(C.template_images())
-    self_ok = all(
-        pc.categories[int(np.argmax(C.classify(pc, img)))] == cat
-        for cat, img in C.template_images().items()
-    )
+
+    def predictions(imgs, mode="full"):
+        stack = np.stack([im.pixels for im in imgs])
+        probs = np.concatenate([C.classify(pc, stack[i : i + 16], mode=mode) for i in range(0, len(stack), 16)])
+        return [pc.categories[k] for k in np.argmax(probs, axis=1)]
+
+    self_ok = predictions(C.template_images().values()) == list(C.template_images())
     corpus = C.generate_corpus(100, seed=0)
 
     def accuracy(mode, pair=None):
         imgs = [im for im in corpus if pair is None or im.true_category in pair]
-        hits = sum(
-            pc.categories[int(np.argmax(C.classify(pc, im, mode=mode)))] == im.true_category
-            for im in imgs
-        )
+        hits = sum(pred == im.true_category for pred, im in zip(predictions(imgs, mode), imgs))
         return hits / len(imgs)
 
     full = accuracy("full")

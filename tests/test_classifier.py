@@ -21,10 +21,137 @@ def corpus():
     return C.generate_corpus(25, seed=0)
 
 
+def _one(img):
+    """A glyph as a one-row stack."""
+    return img.pixels[None]
+
+
 def _parts(img):
-    fm = C.extract_features(img)
+    fm = C.extract_features(_one(img))
     mask = C.segment_foreground(fm)
     return fm, mask, C.coordinate_map(mask)
+
+
+# ---------------------------------------------------------------------------
+# Per-image reference: the classifier for one image at a time, which the
+# stack path must match.
+# ---------------------------------------------------------------------------
+
+def _ref_features(px):
+    blocks = px.reshape(16, 4, 16, 4).transpose(0, 2, 1, 3)
+    mean = blocks.mean(axis=(2, 3))
+    hgrad = np.abs(np.diff(blocks, axis=3)).mean(axis=(2, 3))
+    vgrad = np.abs(np.diff(blocks, axis=2)).mean(axis=(2, 3))
+    var = blocks.var(axis=(2, 3))
+    patches = np.stack([mean, hgrad, vgrad, var], axis=-1)
+    total = mean.sum()
+    cls = np.zeros(4) if total <= 0 else np.tensordot(mean, patches, axes=([0, 1], [0, 1])) / total
+    return cls, patches
+
+
+def _ref_segment(patches):
+    flat = patches.reshape(-1, 4)
+    centered = flat - flat.mean(axis=0)
+    if np.sum(centered**2) < 1e-18:
+        raise SegmentationError("degenerate", 0)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    side = centered @ vt[0] > 0
+    hint = C.DEFAULT_FOREGROUND_HINT
+    pos = flat[side].mean(axis=0) @ hint if np.any(side) else -np.inf
+    neg = flat[~side].mean(axis=0) @ hint if np.any(~side) else -np.inf
+    return (side if pos >= neg else ~side).reshape(16, 16)
+
+
+def _ref_coord(mask):
+    cols = np.flatnonzero(mask.any(axis=0))
+    lo, hi = cols[0], cols[-1]
+    coord = np.full(mask.shape, np.nan)
+    col_idx = np.arange(mask.shape[1], dtype=float)
+    values = np.zeros(mask.shape[1]) if hi == lo else (col_idx - lo) / (hi - lo) - 0.5
+    coord[mask] = np.broadcast_to(values, mask.shape)[mask]
+    return coord
+
+
+def _ref_orientation(patches, mask, coord, t_patches, t_mask, t_coord, tau_pat):
+    f_in, m_in = patches[mask], coord[mask]
+    f_tm, m_tm = t_patches[t_mask], t_coord[t_mask]
+    dist = np.sqrt(np.sum((f_in[:, None, :] - f_tm[None, :, :]) ** 2, axis=-1))
+    logits = -dist / tau_pat
+    logits -= logits.max(axis=1, keepdims=True)
+    w = np.exp(logits)
+    w /= w.sum(axis=1, keepdims=True)
+    penalty = np.sum(w * np.abs(m_in[:, None] - m_tm[None, :])) / (f_in.shape[0] * f_tm.shape[0])
+    return float(np.clip(1.0 - penalty, 0.0, 1.0))
+
+
+def _ref_classify(template_images, px, mode, tau_pat=0.01, tau_pose=0.05):
+    templates = []
+    for img in template_images.values():
+        cls, patches = _ref_features(img.pixels)
+        mask = _ref_segment(patches)
+        templates.append((cls, patches, mask, _ref_coord(mask)))
+    cls, patches = _ref_features(px)
+    mask = _ref_segment(patches)
+    coord = _ref_coord(mask)
+    s_tex = np.array([cls @ t[0] / (np.linalg.norm(cls) * np.linalg.norm(t[0])) for t in templates])
+    s_ori = np.array([_ref_orientation(patches, mask, coord, *t[1:], tau_pat) for t in templates])
+
+    def minmax(v):
+        return np.ones_like(v) if v.max() - v.min() < 1e-12 else (v - v.min()) / (v.max() - v.min())
+
+    fused = {"texture-only": minmax(s_tex), "orientation-only": minmax(s_ori),
+             "full": minmax(s_tex) * minmax(s_ori)}[mode]
+    z = fused / tau_pose
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+class TestStackMatchesPerImageReference:
+    @pytest.fixture(scope="class")
+    def corpus_stack(self):
+        return np.stack([im.pixels for im in C.generate_corpus(200, seed=0)])
+
+    @pytest.mark.parametrize("mode", ["full", "orientation-only", "texture-only"])
+    def test_corpus_probabilities(self, pc, templates, corpus_stack, mode):
+        got = np.concatenate([C.classify(pc, corpus_stack[i : i + 16], mode=mode)
+                              for i in range(0, len(corpus_stack), 16)])
+        want = np.array([_ref_classify(templates, px, mode) for px in corpus_stack])
+        assert got.shape == (800, 4)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+    @pytest.mark.parametrize("mode", ["full", "orientation-only", "texture-only"])
+    def test_rows_bitwise_independent_of_their_stack(self, pc, corpus_stack, mode):
+        """A row's probabilities are the same bits alone, in a chunk of 16
+        and shuffled into the corpus, so output files do not depend on how
+        images are chunked."""
+        chunked = np.concatenate([C.classify(pc, corpus_stack[i : i + 16], mode=mode)
+                                  for i in range(0, len(corpus_stack), 16)])
+        perm = np.random.default_rng(5).permutation(len(corpus_stack))
+        shuffled = np.empty_like(chunked)
+        for i in range(0, len(perm), 100):
+            shuffled[perm[i : i + 100]] = C.classify(pc, corpus_stack[perm[i : i + 100]], mode=mode)
+        assert np.array_equal(shuffled, chunked)
+        for i in range(0, len(corpus_stack), 37):
+            assert np.array_equal(C.classify(pc, corpus_stack[i : i + 1], mode=mode)[0], chunked[i])
+
+    def test_template_features_match(self, pc, templates):
+        for t, img in zip(pc.templates, templates.values()):
+            cls, patches = _ref_features(img.pixels)
+            assert np.array_equal(t.features.cls[0], cls)
+            assert np.array_equal(t.features.patches[0], patches)
+            assert np.array_equal(t.mask[0], _ref_segment(patches))
+
+    def test_segmentation_error_names_the_row(self):
+        stack = np.stack([C.generate_glyph("front").pixels, np.full((64, 64), 0.5),
+                          C.generate_glyph("back").pixels])
+        with pytest.raises(SegmentationError) as info:
+            C.segment_foreground(C.extract_features(stack))
+        assert info.value.row == 1
+
+    def test_wrong_shape_rejected(self, pc):
+        with pytest.raises(ValueError, match="image stack"):
+            C.classify(pc, np.zeros((64, 64)))
 
 
 class TestGlyphGeneration:
@@ -58,20 +185,19 @@ class TestGlyphGeneration:
 
 class TestExtractFeatures:
     def test_zero_image(self):
-        fm = C.extract_features(C.GlyphImage(pixels=np.zeros((64, 64))))
-        assert np.array_equal(fm.patches, np.zeros((16, 16, 4)))
-        assert np.array_equal(fm.cls, np.zeros(4))
+        fm = C.extract_features(np.zeros((1, 64, 64)))
+        assert np.array_equal(fm.patches, np.zeros((1, 16, 16, 4)))
+        assert np.array_equal(fm.cls, np.zeros((1, 4)))
 
     def test_mirror_gives_column_reversed_grid(self):
         img = C.generate_glyph("right", jitter_seed=1)
-        mirrored = C.GlyphImage(pixels=np.fliplr(img.pixels))
-        a = C.extract_features(img).patches
-        b = C.extract_features(mirrored).patches
+        a = C.extract_features(_one(img)).patches[0]
+        b = C.extract_features(np.fliplr(img.pixels)[None]).patches[0]
         assert np.allclose(b, a[:, ::-1, :], atol=1e-12)
 
     def test_stripes_have_more_horizontal_gradient_than_dots(self):
-        front = C.extract_features(C.generate_glyph("front"))
-        back = C.extract_features(C.generate_glyph("back"))
+        front = C.extract_features(_one(C.generate_glyph("front")))
+        back = C.extract_features(_one(C.generate_glyph("back")))
         fg = C.segment_foreground(front)
         assert front.patches[..., 1][fg].mean() > back.patches[..., 1][fg].mean()
 
@@ -81,64 +207,63 @@ class TestSegmentation:
         ious = []
         for img in corpus:
             true = C.glyph_silhouette(img).reshape(16, 4, 16, 4).mean(axis=(1, 3)) >= 0.5
-            mask = C.segment_foreground(C.extract_features(img))
+            mask = C.segment_foreground(C.extract_features(_one(img)))[0]
             ious.append((mask & true).sum() / (mask | true).sum())
         assert min(ious) >= 0.8
 
     def test_inverted_contrast_same_mask(self, templates):
         img = templates["front"]
-        inverted = C.GlyphImage(pixels=1.0 - img.pixels)
-        a = C.segment_foreground(C.extract_features(img))
-        b = C.segment_foreground(C.extract_features(inverted))
+        a = C.segment_foreground(C.extract_features(_one(img)))
+        b = C.segment_foreground(C.extract_features(1.0 - _one(img)))
         assert np.array_equal(a, b)
 
     def test_degenerate_features_rejected(self):
         with pytest.raises(SegmentationError):
-            C.segment_foreground(C.extract_features(C.GlyphImage(pixels=np.zeros((64, 64)))))
+            C.segment_foreground(C.extract_features(np.zeros((1, 64, 64))))
 
 
 class TestCoordinateMap:
     def test_midpoint_zero(self):
         mask = np.zeros((16, 16), dtype=bool)
         mask[5, 2:15] = True  # columns 2..14
-        coord = C.coordinate_map(mask)
+        coord = C.coordinate_map(mask[None])[0]
         assert coord[5, 2] == -0.5 and coord[5, 14] == 0.5
         assert coord[5, 8] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_column(self):
         mask = np.zeros((16, 16), dtype=bool)
         mask[:, 7] = True
-        coord = C.coordinate_map(mask)
+        coord = C.coordinate_map(mask[None])[0]
         assert np.all(coord[:, 7] == 0.0)
 
     def test_mirror_negates(self):
         mask = np.zeros((16, 16), dtype=bool)
         mask[4:9, 3:12] = True
-        a = C.coordinate_map(mask)
-        b = C.coordinate_map(mask[:, ::-1])
+        a = C.coordinate_map(mask[None])[0]
+        b = C.coordinate_map(mask[None, :, ::-1])[0]
         assert np.allclose(b[4:9, ::-1], -a[4:9, :], atol=1e-12, equal_nan=True)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
-            C.coordinate_map(np.zeros((16, 16), dtype=bool))
+            C.coordinate_map(np.zeros((1, 16, 16), dtype=bool))
 
 
 class TestTextureSimilarity:
     def test_identical(self):
         v = np.array([0.3, 0.1, 0.4, 0.2])
-        assert C.texture_similarity(v, v) == pytest.approx(1.0)
+        assert C.texture_similarity([v], [v])[0, 0] == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert C.texture_similarity([1, 0, 0, 0], [0, 1, 0, 0]) == pytest.approx(0.0)
+        assert C.texture_similarity([[1, 0, 0, 0]], [[0, 1, 0, 0]])[0, 0] == pytest.approx(0.0)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            C.texture_similarity(np.zeros(4), np.ones(4))
+            C.texture_similarity(np.zeros((1, 4)), np.ones((1, 4)))
 
     def test_regenerated_variants_score_high(self, pc, corpus):
         for img in corpus:
             tmpl = next(t for t in pc.templates if t.category == img.true_category)
-            sim = C.texture_similarity(C.extract_features(img).cls, tmpl.features.cls)
+            sim = C.texture_similarity(C.extract_features(_one(img)).cls, tmpl.features.cls)[0, 0]
             assert sim >= 0.9
 
 
@@ -146,8 +271,7 @@ class TestOrientationSimilarity:
     def test_template_self_match_is_argmax(self, pc, templates):
         for cat, img in templates.items():
             fm, mask, coord = _parts(img)
-            scores = [C.orientation_similarity((fm.patches, mask, coord), t, pc.tau_pat)
-                      for t in pc.templates]
+            scores = C.orientation_similarity((fm.patches, mask, coord), pc.templates, pc.tau_pat)[0]
             assert pc.templates[int(np.argmax(scores))].category == cat
 
     def test_left_right_discrimination(self, pc, corpus):
@@ -156,8 +280,8 @@ class TestOrientationSimilarity:
             if img.true_category not in ("left", "right"):
                 continue
             fm, mask, coord = _parts(img)
-            s = {t.category: C.orientation_similarity((fm.patches, mask, coord), t, pc.tau_pat)
-                 for t in pc.templates}
+            s = dict(zip(pc.categories,
+                         C.orientation_similarity((fm.patches, mask, coord), pc.templates, pc.tau_pat)[0]))
             total += 1
             own, other = (("left", "right") if img.true_category == "left" else ("right", "left"))
             good += s[own] > s[other]
@@ -168,22 +292,22 @@ class TestOrientationSimilarity:
             if img.true_category not in ("front", "back"):
                 continue
             fm, mask, coord = _parts(img)
-            s = {t.category: C.orientation_similarity((fm.patches, mask, coord), t, pc.tau_pat)
-                 for t in pc.templates}
+            s = dict(zip(pc.categories,
+                         C.orientation_similarity((fm.patches, mask, coord), pc.templates, pc.tau_pat)[0]))
             assert abs(s["front"] - s["back"]) < 0.05
 
 
 class TestClassify:
     def test_templates_self_classified(self, pc, templates):
         for cat, img in templates.items():
-            probs = C.classify(pc, img)
+            probs = C.classify(pc, _one(img))[0]
             assert pc.categories[int(np.argmax(probs))] == cat
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_corpus_accuracy(self, pc):
         corpus = C.generate_corpus(100, seed=0)
         correct = sum(
-            pc.categories[int(np.argmax(C.classify(pc, img)))] == img.true_category
+            pc.categories[int(np.argmax(C.classify(pc, _one(img))[0]))] == img.true_category
             for img in corpus
         )
         assert correct / len(corpus) >= 0.95
@@ -194,7 +318,7 @@ class TestClassify:
         def pair_accuracy(mode, pair):
             imgs = [im for im in corpus if im.true_category in pair]
             hits = sum(
-                pc.categories[int(np.argmax(C.classify(pc, im, mode=mode)))] == im.true_category
+                pc.categories[int(np.argmax(C.classify(pc, _one(im), mode=mode)[0]))] == im.true_category
                 for im in imgs
             )
             return hits / len(imgs)
@@ -214,8 +338,8 @@ class TestClassify:
         swapped = C.PoseClassifier(templates=tuple(swapped_templates),
                                    tau_pat=pc.tau_pat, tau_pose=pc.tau_pose)
         for img in corpus[:8]:
-            a = C.classify(pc, img)
-            b = C.classify(swapped, img)
+            a = C.classify(pc, _one(img))[0]
+            b = C.classify(swapped, _one(img))[0]
             assert a[i] == pytest.approx(b[j], abs=1e-12)
             assert a[j] == pytest.approx(b[i], abs=1e-12)
 
@@ -223,8 +347,8 @@ class TestClassify:
         sharp = C.PoseClassifier(templates=pc.templates, tau_pat=pc.tau_pat,
                                  tau_pose=pc.tau_pose / 4)
         for img in corpus[:8]:
-            a = C.classify(pc, img)
-            b = C.classify(sharp, img)
+            a = C.classify(pc, _one(img))[0]
+            b = C.classify(sharp, _one(img))[0]
             assert int(np.argmax(a)) == int(np.argmax(b))
             assert b.max() >= a.max() - 1e-12
 
@@ -244,7 +368,7 @@ class TestNoisyAdapter:
             xt = (schedule.alpha[1] * img.pixels
                   + schedule.sigma[1] * rng.standard_normal((64, 64))).ravel()
             noisy = C.classifier_posterior_adapter(pc, schedule, denoiser, 1, xt)
-            clean = C.classify(pc, img)
+            clean = C.classify(pc, _one(img))[0]
             assert 0.5 * np.abs(noisy - clean).sum() < 0.05
 
     def test_pure_noise_has_high_average_entropy(self, pc, setup):

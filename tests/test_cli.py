@@ -97,6 +97,8 @@ class TestConfigErrors:
         ("dim = 1", "dim = 2"),
         ("[rectifier]", "[demo]\ntimes = 5000\n\n[rectifier]"),
         ("[rectifier]", "[demo]\ntimes = -3\n\n[rectifier]"),
+        ("particles = 4", "particles = 0"),
+        ("particles = 4", "particles = -1"),
     ])
     def test_invalid_distill_value_rejected_at_parse_time(self, tmp_path, capsys, old, new):
         rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD.replace(old, new)),
@@ -137,20 +139,6 @@ class TestConfigErrors:
                        "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "p(c) > 0" in capsys.readouterr().err
-
-
-class TestThreadCount:
-    def test_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("RECDISTILL_THREADS", "100000")
-        assert cli._thread_count() == 2
-        monkeypatch.setenv("RECDISTILL_THREADS", "0")
-        assert cli._thread_count() == 1
-
-    def test_non_integer_is_a_config_error(self, monkeypatch):
-        monkeypatch.setenv("RECDISTILL_THREADS", "four")
-        with pytest.raises(cli.ConfigurationError, match="RECDISTILL_THREADS"):
-            cli._thread_count()
 
 
 class TestRectifyDemo:
@@ -196,8 +184,7 @@ class TestGlyphsAndClassify:
         labels = (glyph_dir / "labels.csv").read_text().splitlines()
         assert labels[0] == "image,category" and len(labels) == 25
 
-    def test_classify_roundtrip_accuracy(self, glyph_dir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("RECDISTILL_THREADS", "2")
+    def test_classify_roundtrip_accuracy(self, glyph_dir, tmp_path, capsys):
         rc = cli.main(["classify", "--templates", str(glyph_dir / "templates"),
                        "--inputs", str(glyph_dir / "corpus"), "--out-dir", str(tmp_path / "out")])
         assert rc == 0
@@ -235,6 +222,35 @@ class TestGlyphsAndClassify:
                        "--orient-only", "--texture-only"])
         assert rc == 2
         assert "mutually exclusive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, pixels, message", [
+        ("zz_black.pgm", np.zeros((64, 64)), "degenerate feature grid"),
+        ("zz_grey.pgm", np.full((64, 64), 0.5), "degenerate feature grid"),
+        ("zz_small.pgm", np.full((32, 32), 0.5), "expected 64x64 image, got (32, 32)"),
+    ])
+    def test_bad_input_image_named(self, glyph_dir, tmp_path, capsys, name, pixels, message):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for path in sorted((glyph_dir / "corpus").glob("*_00[01].pgm")):
+            (inputs / path.name).write_bytes(path.read_bytes())
+        cli.C.write_pgm(inputs / name, pixels)
+        rc = cli.main(["classify", "--templates", str(glyph_dir / "templates"),
+                       "--inputs", str(inputs), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and name in err and message in err
+
+    def test_blank_template_named(self, glyph_dir, tmp_path, capsys):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        for path in (glyph_dir / "templates").glob("*.pgm"):
+            (templates / path.name).write_bytes(path.read_bytes())
+        cli.C.write_pgm(templates / "back.pgm", np.zeros((64, 64)))
+        rc = cli.main(["classify", "--templates", str(templates),
+                       "--inputs", str(glyph_dir / "corpus"), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and "back.pgm" in err
 
     def test_empty_input_dir_rejected(self, glyph_dir, tmp_path, capsys):
         (tmp_path / "empty").mkdir()

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -55,6 +60,27 @@ class TestGaussianFrechet:
         b = rng.standard_normal((10_000, 2)) + np.array([3.0, 4.0])
         assert gaussian_frechet(a, b) == pytest.approx(25.0, abs=0.5)
 
+    def test_matches_scipy_sqrtm(self):
+        import scipy.linalg
+
+        rng = np.random.default_rng(6)
+        for d in range(1, 6):
+            for _ in range(20):
+                a = rng.standard_normal((3 * d + 5, d)) @ rng.standard_normal((d, d))
+                b = rng.standard_normal((3 * d + 7, d)) @ rng.standard_normal((d, d)) + rng.standard_normal(d)
+                cov_a = np.cov(a, rowvar=False).reshape(d, d) + 1e-6 * np.eye(d)
+                cov_b = np.cov(b, rowvar=False).reshape(d, d) + 1e-6 * np.eye(d)
+                cross = scipy.linalg.sqrtm(cov_a @ cov_b).real
+                want = np.sum((a.mean(axis=0) - b.mean(axis=0)) ** 2) + np.trace(cov_a + cov_b - 2.0 * cross)
+                assert gaussian_frechet(a, b) == pytest.approx(want, rel=1e-10)
+
+    def test_identical_one_dimensional_sets_are_exactly_zero(self):
+        rng = np.random.default_rng(8)
+        for scale in (1e-3, 1.0, 7.0, 1e4):
+            for _ in range(50):
+                pts = scale * rng.standard_normal((20, 1))
+                assert gaussian_frechet(pts, pts) == 0.0
+
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             gaussian_frechet(np.zeros((2, 2)), np.zeros((10, 2)))
@@ -77,3 +103,10 @@ class TestMarginalTv:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             marginal_tv([0.5, 0.5], [1.0])
+
+
+def test_cli_import_does_not_load_scipy():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import recdistill.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
