@@ -51,6 +51,8 @@ class Template:
     features: FeatureMap               # one-row stack
     mask: np.ndarray                   # (1, GRID_SIZE, GRID_SIZE) bool
     coord: np.ndarray                  # (1, GRID_SIZE, GRID_SIZE), NaN off-foreground
+    distinct: np.ndarray               # (U, NUM_FEATURES + 1) distinct foreground (descriptor, coordinate) rows
+    counts: np.ndarray                 # (U,) foreground patches equal to each distinct row
 
 
 @dataclass(frozen=True)
@@ -277,8 +279,10 @@ def orientation_similarity(input_parts, templates, tau_pat: float = 0.01) -> np.
     patches, concentrated on the nearest descriptor) and charged the
     horizontal-coordinate discrepancy of its match.  All images' foreground
     patches form one (R, 4) block that is compared with every template's
-    foreground patches at once; the per-template softmax and the
-    per-image penalty are segment reductions over that block.
+    distinct foreground patches at once; a template patch that occurs c
+    times weighs c times in its template's softmax and charge, so the
+    score is the one over all its patches.  The per-template softmax and
+    the per-image penalty are segment reductions over that block.
     """
     patches, mask, coord = input_parts
     mask = np.asarray(mask, dtype=bool)
@@ -287,10 +291,12 @@ def orientation_similarity(input_parts, templates, tau_pat: float = 0.01) -> np.
     if np.any(n_in == 0) or np.any(n_tm == 0):
         raise ValueError("orientation similarity needs nonempty foregrounds")
     f_in, m_in = patches[mask], coord[mask]
-    f_tm = np.concatenate([t.features.patches[t.mask] for t in templates])
-    m_tm = np.concatenate([t.coord[t.mask] for t in templates])
-    cols = np.concatenate([[0], np.cumsum(n_tm)[:-1]])
-    templ = [slice(c, c + n) for c, n in zip(cols, n_tm)]
+    distinct = np.concatenate([t.distinct for t in templates])
+    f_tm, m_tm = distinct[:, :NUM_FEATURES], distinct[:, NUM_FEATURES]
+    counts = np.concatenate([t.counts for t in templates])
+    n_cols = [len(t.counts) for t in templates]
+    cols = np.concatenate([[0], np.cumsum(n_cols)[:-1]])
+    templ = [slice(c, c + n) for c, n in zip(cols, n_cols)]
     # squared distances one channel at a time, into two reused (R, P)
     # buffers: bitwise the sums of reducing the (R, P, 4) difference tensor
     # over its last axis, without materialising it
@@ -306,6 +312,7 @@ def orientation_similarity(input_parts, templates, tau_pat: float = 0.01) -> np.
     for j, cols_j in enumerate(templ):
         logits[:, cols_j] -= top[:, j, None]
     w = np.exp(logits, out=logits)
+    w *= counts
     norm = np.add.reduceat(w, cols, axis=1)
     np.subtract.outer(m_in, m_tm, out=diff)
     w *= np.abs(diff, out=diff)
@@ -350,10 +357,19 @@ def classify(pc: PoseClassifier, pixels: np.ndarray, mode: str = "full") -> np.n
 
 
 def build_template(img: GlyphImage, category: str, reference_hint: np.ndarray | None = None) -> Template:
-    """A category's template: the one-row stack of its image's features, mask and coordinates."""
+    """A category's template: the one-row stack of its image's features, mask
+    and coordinates, and its foreground patches merged into distinct
+    (descriptor, coordinate) rows with their counts.
+
+    Flat and periodic glyph interiors repeat patches exactly, so the
+    canonical templates keep 27-44 distinct rows of their 79-97.
+    """
     fm = extract_features(img.pixels[None])
     mask = segment_foreground(fm, reference_hint)
-    return Template(category=category, features=fm, mask=mask, coord=coordinate_map(mask))
+    coord = coordinate_map(mask)
+    foreground = np.column_stack([fm.patches[mask], coord[mask]])
+    distinct, counts = np.unique(foreground, axis=0, return_counts=True)
+    return Template(category=category, features=fm, mask=mask, coord=coord, distinct=distinct, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +435,13 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """Pixels of a binary (P5) PGM file scaled to [0, 1]; a malformed header
+    or short pixel data raises one ValueError naming the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     fields = []
     pos = 0
-    while len(fields) < 4:
+    while len(fields) < 4 and pos < len(raw):
         while pos < len(raw) and raw[pos : pos + 1].isspace():
             pos += 1
         if raw[pos : pos + 1] == b"#":
@@ -433,10 +451,15 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
-        fields.append(raw[start:pos])
-    if fields[0] != b"P5":
+        if pos > start:
+            fields.append(raw[start:pos])
+    if not fields or fields[0] != b"P5":
         raise ValueError(f"not a binary PGM file: {path}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    header = [int(f) if f.isdigit() else None for f in fields[1:]]
+    if len(header) < 3 or None in header or min(header[:2]) < 1 or not 1 <= header[2] <= 65535:
+        raise ValueError(f"bad PGM header in {path}: width and height must be integers >= 1 "
+                         "and maxval an integer in 1-65535")
+    w, h, maxval = header
     pos += 1
     dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")   # 16-bit samples are big-endian
     size = w * h * dtype.itemsize

@@ -334,16 +334,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception, code: int) -> int:
+    # one line even when the message quotes a multi-line config value
+    print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     except (DivergenceError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
 
 
 if __name__ == "__main__":

@@ -58,6 +58,8 @@ def _parse_mixture(section) -> PoseLabeledMixture:
         means.append(_floats(fields[1]))
         covs.append(_floats(fields[2]))
         cats.append(int(fields[3]))
+    if not means:
+        raise ConfigurationError("[mixture] components lists no component")
     d = means[0].size
     return PoseLabeledMixture(
         weights=np.array(weights),
@@ -123,6 +125,9 @@ def _parse_distill(section, k: int, dim: int) -> dict:
     out["renderer"] = Renderer(kind=section.get("renderer", "identity").strip(), angles=angles)
     if out["renderer"].kind == "rotation" and len(angles) != k:
         raise ConfigurationError(f"[distill] renderer_angles has {len(angles)} angles, need one per category ({k})")
+    # distill.run stops a run as diverged once a particle leaves [-1e6, 1e6]
+    if not 0.0 <= out["init_scale"] <= 1e6:
+        raise ConfigurationError(f"[distill] init_scale = {out['init_scale']} must lie in [0, 1e6]")
     if out["particles"] < 1:
         raise ConfigurationError(f"[distill] particles = {out['particles']} must be at least 1")
     if out["dim"] != dim:

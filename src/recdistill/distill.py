@@ -73,10 +73,10 @@ class DistillConfig:
             raise ConfigurationError(f"unknown method {self.method!r}; choose from {METHODS}")
         if not (np.isfinite(self.eta1) and self.eta1 > 0):
             raise ConfigurationError(f"eta1 must be a finite positive learning rate, got {self.eta1}")
-        if self.iters < 1 or self.snapshot_every < 1:
-            raise ConfigurationError(
-                f"iters and snapshot_every must be at least 1, got {self.iters} and {self.snapshot_every}"
-            )
+        low = [f"{k} = {getattr(self, k)}" for k in ("iters", "snapshot_every", "bnf_n_i", "n_t", "n_ema")
+               if getattr(self, k) < 1]
+        if low:
+            raise ConfigurationError(f"{', '.join(low)}: must be at least 1")
         if (self.control_category is not None) != (self.method == "ctrl"):
             raise ConfigurationError("control_category must be set exactly when method='ctrl'")
         if self.method == "usd" and self.rectifier is None:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,45 @@ class TestStackMatchesPerImageReference:
     def test_wrong_shape_rejected(self, pc):
         with pytest.raises(ValueError, match="image stack"):
             C.classify(pc, np.zeros((64, 64)))
+
+
+class TestMergedTemplatePatches:
+    """Each template's foreground patches are merged into distinct
+    (descriptor, coordinate) rows with counts; the scores stay the ones
+    over all patches."""
+
+    @staticmethod
+    def _foreground_rows(t):
+        rows = np.column_stack([t.features.patches[t.mask], t.coord[t.mask]])
+        return Counter(map(tuple, rows))
+
+    def test_distinct_rows_and_counts(self, pc):
+        for t in pc.templates:
+            assert t.counts.sum() == t.mask.sum()
+            assert Counter(dict(zip(map(tuple, t.distinct), t.counts.tolist()))) == self._foreground_rows(t)
+            assert len(set(map(tuple, t.distinct))) == len(t.distinct)
+        # the canonical templates' flat and periodic interiors repeat patches
+        assert all(len(t.counts) < t.mask.sum() for t in pc.templates)
+
+    def test_templates_read_back_from_pgm_merge_the_same(self, pc, templates, tmp_path):
+        for t, (cat, img) in zip(pc.templates, templates.items()):
+            C.write_pgm(tmp_path / f"{cat}.pgm", img.pixels)
+            back = C.build_template(C.GlyphImage(pixels=C.read_pgm(tmp_path / f"{cat}.pgm")), cat)
+            assert back.counts.sum() == back.mask.sum()
+            assert Counter(dict(zip(map(tuple, back.distinct), back.counts.tolist()))) == self._foreground_rows(back)
+            assert len(back.counts) == len(t.counts)
+
+    @pytest.mark.parametrize("mode", ["full", "orientation-only", "texture-only"])
+    def test_unrepeated_templates_match_per_image_reference(self, mode):
+        """Jittered templates repeat no patch, so every count is 1."""
+        jittered = {cat: C.generate_glyph(cat, jitter_seed=99) for cat in C.CATEGORIES}
+        pc = C.PoseClassifier.from_images(jittered)
+        assert all(np.all(t.counts == 1) for t in pc.templates)
+        stack = np.stack([im.pixels for im in C.generate_corpus(16, seed=3)])
+        got = np.concatenate([C.classify(pc, stack[i : i + 16], mode=mode) for i in range(0, len(stack), 16)])
+        want = np.array([_ref_classify(jittered, px, mode) for px in stack])
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
 
 class TestGlyphGeneration:
@@ -426,3 +467,23 @@ class TestPgmRoundtrip:
         with pytest.raises(ValueError, match="truncated.*short.pgm") as info:
             C.read_pgm(path)
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("header", [
+        b"P5\n64 64\n0\n",          # maxval 0
+        b"P5\n64",                    # header cut short
+        b"P5\n0 64\n255\n",         # zero width
+        b"P5\n64 -1\n255\n",        # negative height
+        b"P5\n64 64\n65536\n",      # maxval above 16 bits
+        b"P5\n64 64\n2.5\n",        # non-integer maxval
+    ])
+    def test_bad_header_names_the_file(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + bytes(2 * 64 * 64))
+        with pytest.raises(ValueError, match="PGM header.*bad.pgm|bad.pgm.*PGM header") as info:
+            C.read_pgm(path)
+        assert "\n" not in str(info.value)
+
+    def test_comment_and_maxval_one(self, tmp_path):
+        path = tmp_path / "bits.pgm"
+        path.write_bytes(b"P5\n# a comment\n2 1\n1\n" + bytes([0, 1]))
+        assert np.array_equal(C.read_pgm(path), [[0.0, 1.0]])

@@ -1,7 +1,17 @@
+import configparser
+import contextlib
+import io
+import pathlib
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recdistill import cli
+from recdistill.config import _KNOWN_KEYS
 
 SMALL_USD = """\
 [mixture]
@@ -99,6 +109,11 @@ class TestConfigErrors:
         ("[rectifier]", "[demo]\ntimes = -3\n\n[rectifier]"),
         ("particles = 4", "particles = 0"),
         ("particles = 4", "particles = -1"),
+        ("dim = 1", "n_t = 0\ndim = 1"),
+        ("dim = 1", "n_ema = 0\ndim = 1"),
+        ("init_scale = 2.0", "init_scale = 1e154"),
+        ("init_scale = 2.0", "init_scale = nan"),
+        ("components =\n    0.8 |  2.0 | 0.01 | 0\n    0.2 | -2.0 | 0.01 | 1", "components ="),
     ])
     def test_invalid_distill_value_rejected_at_parse_time(self, tmp_path, capsys, old, new):
         rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD.replace(old, new)),
@@ -114,6 +129,12 @@ class TestConfigErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert _single_error_line(err) and "iters" in err
+
+    def test_multiline_value_gives_one_error_line(self, tmp_path, capsys):
+        text = SMALL_USD.replace("dim = 1", "grad_norm_align =\n    yes\n    no\ndim = 1")
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert _single_error_line(capsys.readouterr().err)
 
     def test_unknown_key_names_it(self, tmp_path, capsys):
         rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD + "learning_rate = 1\n"),
@@ -252,6 +273,22 @@ class TestGlyphsAndClassify:
         err = capsys.readouterr().err
         assert _single_error_line(err) and "back.pgm" in err
 
+    @pytest.mark.parametrize("header", [b"P5\n64 64\n0\n", b"P5\n64"])
+    def test_bad_pgm_header_named(self, glyph_dir, tmp_path, capsys, header):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for path in sorted((glyph_dir / "corpus").glob("*_000.pgm")):
+            (inputs / path.name).write_bytes(path.read_bytes())
+        (inputs / "zz_header.pgm").write_bytes(header + bytes(64 * 64))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["classify", "--templates", str(glyph_dir / "templates"),
+                           "--inputs", str(inputs), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and "zz_header.pgm" in err and "PGM header" in err
+        assert not caught
+
     def test_empty_input_dir_rejected(self, glyph_dir, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         rc = cli.main(["classify", "--templates", str(glyph_dir / "templates"),
@@ -305,3 +342,61 @@ class TestPresets:
         for path in presets:
             spec = parse_config(path)
             assert spec.mixture.num_categories == 2
+
+
+PRESET_DIR = pathlib.Path(__file__).resolve().parents[1] / "presets"
+_NUMBERS = st.one_of(st.integers(-3, 20), st.floats())
+_COMPONENT_LINES = st.lists(st.tuples(_NUMBERS, _NUMBERS, _NUMBERS, st.integers(-1, 3)),
+                            min_size=1, max_size=3).map(
+    lambda comps: "\n" + "\n".join(" | ".join(map(str, c)) for c in comps))
+_WORDS = st.sampled_from([
+    "", "x", "uniform", "sds", "vsd", "usd", "ctrl", "exact-mixture", "classifier-direct",
+    "classifier-on-tweedie", "ema", "fixed-presampled", "true", "no", "identity", "rotation",
+    "constant-one", "0.5 0.5", "0.2 0.3 0.5", "1 0", "0 1.5",
+])
+# Numbers, words the config knows and component lines, valid or not;
+# integers stop at 20 so that a valid iters or particles keeps the run small.
+_PRESET_VALUES = st.one_of(_NUMBERS.map(str), _WORDS, _COMPONENT_LINES)
+
+
+class TestPresetMutations:
+    """One [distill], [rectifier] or [mixture] value of a preset set to a
+    random valid or invalid value: the run either completes its CSVs or
+    fails with one error line, never with a traceback or a warning."""
+
+    @pytest.mark.parametrize("preset", sorted(p.name for p in PRESET_DIR.glob("*.cfg")))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_preset_completes_or_fails_cleanly(self, preset, data):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(PRESET_DIR / preset)
+        command = "distill" if parser.has_section("distill") else "rectify-demo"
+        if command == "distill":
+            parser["distill"]["iters"] = "20"
+        section = data.draw(st.sampled_from(["distill", "rectifier", "mixture"]), label="section")
+        key = data.draw(st.sampled_from(sorted(_KNOWN_KEYS[section])), label="key")
+        value = data.draw(_PRESET_VALUES, label="value")
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section][key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = pathlib.Path(tmp) / "run.cfg", pathlib.Path(tmp) / "out"
+            with open(cfg, "w") as fh:
+                parser.write(fh)
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                rc = cli.main([command, "--config", str(cfg), "--out-dir", str(out)])
+            assert not [str(w.message) for w in caught]
+            err = stderr.getvalue()
+            if rc == 0:
+                assert err == ""
+                names = (["particles.csv", "ema.csv", "metrics.csv"] if command == "distill" else
+                         ["density_clean.csv", "marginal_report.csv"]
+                         + [f"density_t{t}.csv" for t in parser["demo"]["times"].split()])
+                for name in names:
+                    rows = (out / name).read_text().splitlines()
+                    assert len(rows) > 1 and len({row.count(",") for row in rows}) == 1
+            else:
+                assert rc in (2, 3) and _single_error_line(err)
