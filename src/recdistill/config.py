@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distill import DistillConfig
 from .errors import ConfigurationError
 from .rectify import MARGINAL_SOURCES, POSTERIOR_SOURCES, Rectifier, TargetMarginal
 from .worldmodel import PoseLabeledMixture, Renderer
@@ -45,8 +46,29 @@ def _floats(text: str) -> np.ndarray:
     return np.array([float(tok) for tok in text.split()])
 
 
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split()]
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError("not a boolean (yes/no, true/false, on/off, 1/0)") from None
+
+
+def _value(section, name: str, key: str, cast, default: str | None = None):
+    """section[key], or the default, through cast; a value the cast rejects
+    is a ConfigurationError naming the section and the key."""
+    text = section.get(key, default)
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"[{name}] {key} = {text}: {exc}") from exc
+
+
 def _parse_mixture(section) -> PoseLabeledMixture:
-    num_categories = int(section.get("num_categories", "2"))
+    num_categories = _value(section, "mixture", "num_categories", int, "2")
     weights, means, covs, cats = [], [], [], []
     for line in section["components"].strip().splitlines():
         fields = [f.strip() for f in line.split("|")]
@@ -54,10 +76,13 @@ def _parse_mixture(section) -> PoseLabeledMixture:
             raise ConfigurationError(
                 f"component line needs 'weight | mean | cov | category', got {line.strip()!r}"
             )
-        weights.append(float(fields[0]))
-        means.append(_floats(fields[1]))
-        covs.append(_floats(fields[2]))
-        cats.append(int(fields[3]))
+        try:
+            weights.append(float(fields[0]))
+            means.append(_floats(fields[1]))
+            covs.append(_floats(fields[2]))
+            cats.append(int(fields[3]))
+        except ValueError as exc:
+            raise ConfigurationError(f"[mixture] components line {line.strip()!r}: {exc}") from exc
     if not means:
         raise ConfigurationError("[mixture] components lists no component")
     d = means[0].size
@@ -70,26 +95,22 @@ def _parse_mixture(section) -> PoseLabeledMixture:
     )
 
 
-def _parse_target(text: str, k: int) -> TargetMarginal:
-    if text.strip() == "uniform":
-        return TargetMarginal.uniform(k)
-    probs = _floats(text)
-    if probs.size != k:
-        raise ConfigurationError(f"[rectifier] target has {probs.size} probabilities, the mixture has {k} categories")
-    return TargetMarginal(probs)
-
-
 def _parse_rectifier(section, k: int) -> Rectifier:
-    kwargs = {"target": _parse_target(section.get("target", "uniform"), k)}
+    kwargs = {}
     if "posterior_source" in section:
         kwargs["posterior_source"] = section["posterior_source"].strip()
     if "marginal_source" in section:
         kwargs["marginal_source"] = section["marginal_source"].strip()
-    if "epsilon_floor" in section:
-        kwargs["epsilon_floor"] = float(section["epsilon_floor"])
-    if "fd_step" in section:
-        kwargs["fd_step"] = float(section["fd_step"])
+    for key in ("epsilon_floor", "fd_step"):
+        if key in section:
+            kwargs[key] = _value(section, "rectifier", key, float)
+    probs = None
+    if section.get("target", "uniform").strip() != "uniform":
+        probs = _value(section, "rectifier", "target", _floats)
+        if probs.size != k:
+            raise ConfigurationError(f"[rectifier] target has {probs.size} probabilities, the mixture has {k} categories")
     try:
+        kwargs["target"] = TargetMarginal.uniform(k) if probs is None else TargetMarginal(probs)
         return Rectifier(**kwargs)
     except ValueError as exc:
         raise ConfigurationError(f"[rectifier] {exc}") from exc
@@ -98,31 +119,32 @@ def _parse_rectifier(section, k: int) -> Rectifier:
 def _parse_distill(section, k: int, dim: int) -> dict:
     out = {
         "method": section.get("method", "usd").strip(),
-        "particles": int(section.get("particles", "16")),
-        "dim": int(section.get("dim", str(dim))),
-        "init_scale": float(section.get("init_scale", "1.0")),
+        "particles": _value(section, "distill", "particles", int, "16"),
+        "dim": _value(section, "distill", "dim", int, str(dim)),
+        "init_scale": _value(section, "distill", "init_scale", float, "1.0"),
     }
     for key, cast in [
-        ("eta1", float), ("iters", int), ("bnf_n_i", int),
-        ("n_t", int), ("n_ema", int), ("snapshot_every", int),
+        ("eta1", float), ("iters", int), ("bnf_n_i", int), ("n_t", int),
+        ("n_ema", int), ("snapshot_every", int), ("grad_norm_align", _boolean),
     ]:
         if key in section:
-            out[key] = cast(section[key])
-    if "grad_norm_align" in section:
-        out["grad_norm_align"] = section.getboolean("grad_norm_align")
+            out[key] = _value(section, "distill", key, cast)
     if "control_category" in section and section["control_category"].strip():
-        out["control_category"] = int(section["control_category"])
+        out["control_category"] = _value(section, "distill", "control_category", int)
         if not 0 <= out["control_category"] < k:
             raise ConfigurationError(f"[distill] control_category {out['control_category']} outside [0, {k})")
     if "omega_kind" in section:
         out["omega_kind"] = section["omega_kind"].strip()
     if "pose_probs" in section and section["pose_probs"].strip() != "uniform":
-        probs = _floats(section["pose_probs"])
+        probs = _value(section, "distill", "pose_probs", _floats)
         if probs.size != k or np.any(probs < 0) or abs(np.sum(probs) - 1.0) > 1e-9:
             raise ConfigurationError(f"[distill] pose_probs must be {k} non-negative probabilities summing to 1")
         out["pose_probs"] = probs
-    angles = tuple(_floats(section.get("renderer_angles", "")))
-    out["renderer"] = Renderer(kind=section.get("renderer", "identity").strip(), angles=angles)
+    angles = tuple(_value(section, "distill", "renderer_angles", _floats, ""))
+    try:
+        out["renderer"] = Renderer(kind=section.get("renderer", "identity").strip(), angles=angles)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[distill] {exc}") from exc
     if out["renderer"].kind == "rotation" and len(angles) != k:
         raise ConfigurationError(f"[distill] renderer_angles has {len(angles)} angles, need one per category ({k})")
     # distill.run stops a run as diverged once a particle leaves [-1e6, 1e6]
@@ -138,14 +160,14 @@ def _parse_distill(section, k: int, dim: int) -> dict:
 
 
 def _parse_demo(section, num_steps: int) -> dict:
-    times = [int(tok) for tok in section.get("times", "50 300 700").split()]
+    times = _value(section, "demo", "times", _ints, "50 300 700")
     bad = [t for t in times if not 0 <= t <= num_steps]
     if bad:
         raise ConfigurationError(f"[demo] times {bad} outside [0, {num_steps}]")
     return {
-        "grid_lo": float(section.get("grid_lo", "-8.0")),
-        "grid_hi": float(section.get("grid_hi", "8.0")),
-        "grid_points": int(section.get("grid_points", "801")),
+        "grid_lo": _value(section, "demo", "grid_lo", float, "-8.0"),
+        "grid_hi": _value(section, "demo", "grid_hi", float, "8.0"),
+        "grid_points": _value(section, "demo", "grid_points", int, "801"),
         "times": times,
     }
 
@@ -170,17 +192,21 @@ def parse_config(path) -> RunSpec:
         raise ConfigurationError("config needs a [mixture] section with a 'components' key")
     mixture = _parse_mixture(parser["mixture"])
     sched = parser["schedule"] if "schedule" in parser else {}
-    num_steps = int(sched.get("num_steps", "1000"))
+    num_steps = _value(sched, "schedule", "num_steps", int, "1000")
     rectifier = None
     if "rectifier" in parser:
         rectifier = _parse_rectifier(parser["rectifier"], mixture.num_categories)
     distill = _parse_distill(parser["distill"] if "distill" in parser else {}, mixture.num_categories, mixture.dim)
+    # the EMA tracker splits the steps into n_t equal intervals (n_t < 1 fails in DistillConfig)
+    n_t = distill.get("n_t", DistillConfig.n_t)
+    if "distill" in parser and n_t >= 1 and num_steps % n_t:
+        raise ConfigurationError(f"[schedule] num_steps = {num_steps} is not divisible by [distill] n_t = {n_t}")
     demo = _parse_demo(parser["demo"] if "demo" in parser else {}, num_steps)
     return RunSpec(
         mixture=mixture,
         num_steps=num_steps,
-        beta_min=float(sched.get("beta_min", "1e-4")),
-        beta_max=float(sched.get("beta_max", "0.02")),
+        beta_min=_value(sched, "schedule", "beta_min", float, "1e-4"),
+        beta_max=_value(sched, "schedule", "beta_max", float, "0.02"),
         rectifier=rectifier,
         distill=distill,
         demo=demo,

@@ -122,10 +122,11 @@ def grad_log_r(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
     the score of the category-reweighted mixture minus the score of the
     original mixture, taken from one pass over the components.  The
     classifier-backed sources have no cheap Jacobian and take central
-    differences of log r, all rows at once, one axis at a time.  A
-    difference within a few ulps of log r's magnitude is rounding noise
-    from a flat log r (a saturated posterior) and counts as zero, so that
-    gradient-norm alignment cannot scale it up.
+    differences of log r: the 2d shifted points xt + h e_j, then
+    xt - h e_j, for every axis j and every row, are evaluated in one
+    stacked call.  A difference within a few ulps of log r's magnitude is
+    rounding noise from a flat log r (a saturated posterior) and counts as
+    zero, so that gradient-norm alignment cannot scale it up.
     """
     xt = np.asarray(xt, dtype=float)
     w = weight_function(rect.target, marginal, rect.epsilon_floor)
@@ -134,19 +135,18 @@ def grad_log_r(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
             log_w = np.log(w)
         out = worldmodel.grad_log_reweight(m, schedule, t, xt, log_w)
     else:
-        def log_r(x):
-            return np.log(np.sum(w * posterior(rect, m, schedule, t, x), axis=-1))
-
+        d = xt.shape[-1]
         h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
-        out = np.empty_like(xt)
-        for j in range(xt.shape[-1]):
-            step = np.zeros_like(xt)
-            step[..., j] = h
-            fp, fm = log_r(xt + step), log_r(xt - step)
-            if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-                raise NumericError(f"non-finite log r near xt={xt} along axis {j} at t={t}")
-            rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(fp) + np.abs(fm))
-            out[..., j] = np.where(np.abs(fp - fm) <= rounding, 0.0, fp - fm) / (2.0 * h)
+        step = np.moveaxis(h[..., None, None] * np.eye(d), -2, 0)             # (d, ..., d): h e_j
+        log_r = np.log(np.sum(w * posterior(rect, m, schedule, t, np.concatenate([xt + step, xt - step])),
+                              axis=-1))
+        fp, fm = log_r[:d], log_r[d:]                                         # (d, ...)
+        finite = np.isfinite(fp) & np.isfinite(fm)
+        if not np.all(finite):
+            j = int(np.argmin(finite.reshape(d, -1).all(axis=1)))
+            raise NumericError(f"non-finite log r near xt={xt} along axis {j} at t={t}")
+        rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(fp) + np.abs(fm))
+        out = np.moveaxis(np.where(np.abs(fp - fm) <= rounding, 0.0, fp - fm) / (2.0 * h), 0, -1)
     if not np.all(np.isfinite(out)):
         raise NumericError(f"non-finite grad log r at t={t}, xt={xt}")
     return out

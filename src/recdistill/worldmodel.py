@@ -198,10 +198,18 @@ class Renderer:
 
     kind: str = "identity"
     angles: tuple[float, ...] = ()
+    _rotations: np.ndarray = field(init=False, repr=False, compare=False)   # (len(angles), 2, 2)
 
     def __post_init__(self):
         if self.kind not in ("identity", "rotation"):
             raise ConfigurationError(f"unknown renderer kind {self.kind!r}")
+        # each pose's rotation matrix, built once; an identity renderer ignores its angles
+        angle = np.asarray(self.angles if self.kind == "rotation" else (), dtype=float)
+        if not np.all(np.isfinite(angle)):
+            raise ConfigurationError(f"rotation renderer angles must be finite, got {angle.tolist()}")
+        cos, sin = np.cos(angle), np.sin(angle)
+        rotations = np.stack([cos, -sin, sin, cos], axis=-1).reshape(angle.shape + (2, 2))
+        object.__setattr__(self, "_rotations", rotations)
 
 
 def render(r: Renderer, theta, c) -> np.ndarray:
@@ -225,7 +233,4 @@ def render_jacobian(r: Renderer, theta, c) -> np.ndarray:
         raise ValueError(f"pose {c[bad].flat[0]} outside configured categories [0, {len(r.angles)})")
     if d != 2:
         raise ValueError("rotation renderer needs 2D parameters")
-    angle = np.asarray(r.angles)[c]
-    cos, sin = np.cos(angle), np.sin(angle)
-    rot = np.stack([cos, -sin, sin, cos], axis=-1).reshape(angle.shape + (2, 2))
-    return np.broadcast_to(rot, np.broadcast_shapes(angle.shape, theta.shape[:-1]) + (2, 2))
+    return np.broadcast_to(r._rotations[c], np.broadcast_shapes(c.shape, theta.shape[:-1]) + (2, 2))

@@ -123,6 +123,33 @@ class TestConfigErrors:
         assert _single_error_line(err) and new.split()[0] in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("dim = 1", "grad_norm_align = maybe\ndim = 1", "[distill] grad_norm_align = maybe"),
+        ("iters = 60", "iters = x", "[distill] iters = x"),
+        ("particles = 4", "particles = 2.5", "[distill] particles = 2.5"),
+        ("eta1 = 0.03", "eta1 = fast", "[distill] eta1 = fast"),
+        ("dim = 1", "pose_probs = 0.5 half\ndim = 1", "[distill] pose_probs = 0.5 half"),
+        ("dim = 1", "n_t = 3\ndim = 1", "[schedule] num_steps = 1000 is not divisible by [distill] n_t = 3"),
+        ("[rectifier]", "[schedule]\nnum_steps = 999\n\n[rectifier]",
+         "[schedule] num_steps = 999 is not divisible by [distill] n_t = 10"),
+        ("[rectifier]", "[schedule]\nnum_steps = 1e3\n\n[rectifier]", "[schedule] num_steps = 1e3"),
+        ("[rectifier]", "[schedule]\nbeta_max = high\n\n[rectifier]", "[schedule] beta_max = high"),
+        ("target = uniform", "target = uniform\nfd_step = tiny", "[rectifier] fd_step = tiny"),
+        ("target = uniform", "target = 0.5 x", "[rectifier] target = 0.5 x"),
+        ("num_categories = 2", "num_categories = two", "[mixture] num_categories = two"),
+        ("0.2 | -2.0 | 0.01 | 1", "0.2 | -2.0 | 0.01 | one", "[mixture] components line"),
+        ("[rectifier]", "[demo]\ntimes = 50 x\n\n[rectifier]", "[demo] times = 50 x"),
+        ("[rectifier]", "[demo]\ngrid_points = many\n\n[rectifier]", "[demo] grid_points = many"),
+        ("dim = 1", "renderer = rotation\nrenderer_angles = 0 inf\ndim = 1", "[distill] rotation renderer angles"),
+    ])
+    def test_bad_value_names_section_and_key(self, tmp_path, capsys, old, new, named):
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD.replace(old, new)),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and named in err
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_key_is_a_config_error(self, tmp_path, capsys):
         rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD + "iters = 10\n"),
                        "--out-dir", str(tmp_path / "out")])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recdistill import distill, rectify, worldmodel
+from recdistill.errors import NumericError
 from recdistill.oracle import finite_difference_grad, grid_integrate
 from recdistill.rectify import Rectifier, TargetMarginal, grad_log_r, r_value, weight_function
 from recdistill.worldmodel import PoseLabeledMixture
@@ -170,6 +171,84 @@ class TestGradLogR:
         log_w = np.log(weight_function(rect.target, marginal, rect.epsilon_floor))
         want = worldmodel.grad_log_reweight(mixed_2d, None, 0, xt, log_w)
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-4
+
+
+def _per_axis_grad_log_r(rect, m, schedule, t, xt, marginal):
+    """The classifier-backed central differences one axis at a time, two
+    posterior calls per axis: the reference for the stacked evaluation."""
+    xt = np.asarray(xt, dtype=float)
+    w = weight_function(rect.target, marginal, rect.epsilon_floor)
+
+    def log_r(x):
+        return np.log(np.sum(w * rectify.posterior(rect, m, schedule, t, x), axis=-1))
+
+    h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
+    out = np.empty_like(xt)
+    for j in range(xt.shape[-1]):
+        step = np.zeros_like(xt)
+        step[..., j] = h
+        fp, fm = log_r(xt + step), log_r(xt - step)
+        rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(fp) + np.abs(fm))
+        out[..., j] = np.where(np.abs(fp - fm) <= rounding, 0.0, fp - fm) / (2.0 * h)
+    return out
+
+
+CLASSIFIER_SOURCES = ("classifier-on-tweedie", "classifier-direct")
+
+
+class TestStackedFiniteDifferences:
+    """grad_log_r evaluates all 2d shifted points in one posterior call."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), k=st.integers(2, 4),
+           n=st.integers(0, 6), source=st.sampled_from(CLASSIFIER_SOURCES))
+    def test_bitwise_equal_to_per_axis_loop(self, schedule, seed, dim, k, n, source):
+        # n = 0 is the scalar form: one step, a (d,) point and a (K,) marginal;
+        # otherwise (n,) steps, (n, d) points and one marginal per row
+        rng = np.random.default_rng(seed)
+        m = random_mixture(rng, dim, k)
+        rect = Rectifier(target=TargetMarginal(rng.dirichlet(np.ones(k))), posterior_source=source,
+                         fd_step=float(rng.choice([1e-3, 1e-5])))
+        shape = () if n == 0 else (n,)
+        t = int(rng.integers(1, 1001)) if n == 0 else rng.integers(1, 1001, size=n)
+        xt = rng.uniform(-4.0, 4.0, size=shape + (dim,))
+        marginal = rng.dirichlet(np.ones(k), size=shape or None)
+        got = grad_log_r(rect, m, schedule, t, xt, marginal)
+        assert got.shape == xt.shape
+        assert np.array_equal(got, _per_axis_grad_log_r(rect, m, schedule, t, xt, marginal))
+
+    @pytest.mark.parametrize("source, passes", [("classifier-on-tweedie", 2), ("classifier-direct", 1)])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_mixture_passes_per_call(self, schedule, monkeypatch, source, passes, dim):
+        # Tweedie denoising costs one pass (the noise prediction) before the
+        # clean posterior's pass; neither count grows with the dimension
+        rng = np.random.default_rng(dim)
+        m = random_mixture(rng, dim, 3)
+        rect = Rectifier(target=TargetMarginal.uniform(3), posterior_source=source)
+        calls = []
+        components = worldmodel._components
+
+        def counting(*args):
+            calls.append(np.shape(args[-1]))
+            return components(*args)
+
+        monkeypatch.setattr(worldmodel, "_components", counting)
+        grad_log_r(rect, m, schedule, rng.integers(1, 1001, size=5), rng.standard_normal((5, dim)),
+                   rng.dirichlet(np.ones(3), size=5))
+        assert calls == [(2 * dim, 5, dim)] * passes
+
+    def test_non_finite_names_the_axis(self, mixed_2d, schedule, monkeypatch):
+        # log r is non-finite only where the second coordinate exceeds 1,
+        # which only the point shifted up along axis 1 reaches
+        posterior = rectify.posterior
+
+        def broken(rect, m, schedule, t, x):
+            return np.where(x[..., 1:] > 1.0, np.nan, posterior(rect, m, schedule, t, x))
+
+        monkeypatch.setattr(rectify, "posterior", broken)
+        rect = Rectifier(target=TargetMarginal.uniform(2), posterior_source="classifier-direct")
+        with pytest.raises(NumericError, match="along axis 1 "):
+            grad_log_r(rect, mixed_2d, schedule, 300, np.array([0.3, 1.0]), np.array([0.5, 0.5]))
 
 
 class TestOnePassCorrection:

@@ -217,3 +217,32 @@ class TestRenderer:
         r = Renderer(kind="rotation", angles=(0.0,))
         with pytest.raises(ValueError):
             render(r, np.zeros(2), 5)
+        for pose in (5, -1, np.array([[0], [3]])):
+            with pytest.raises(ValueError, match=r"pose (5|-1|3) outside configured categories \[0, 1\)"):
+                render_jacobian(r, np.zeros((2, 3, 2)), pose)
+
+    def test_cached_rotations_equal_cos_sin_construction(self):
+        # the per-pose matrices are built once; each lookup must equal the
+        # matrix built from cos and sin of that pose's angle, bit for bit,
+        # for one pose, a pose per row, and the (m, 1) poses against (n, 2)
+        # parameters that variational_eps renders
+        rng = np.random.default_rng(8)
+        angles = tuple(rng.uniform(-2 * np.pi, 2 * np.pi, 5))
+        r = Renderer(kind="rotation", angles=angles)
+
+        def reference(c, batch):
+            angle = np.asarray(angles)[c]
+            cos, sin = np.cos(angle), np.sin(angle)
+            rot = np.stack([cos, -sin, sin, cos], axis=-1).reshape(angle.shape + (2, 2))
+            return np.broadcast_to(rot, np.broadcast_shapes(angle.shape, batch) + (2, 2))
+
+        theta = rng.standard_normal((7, 2))
+        for c in (3, rng.integers(5, size=7), rng.integers(5, size=(4, 1))):
+            got = render_jacobian(r, theta, c)
+            assert np.array_equal(got, reference(c, theta.shape[:-1]))
+            assert np.array_equal(render(r, theta, c), np.einsum("...ij,...j->...i", got, theta))
+
+    def test_angles_must_be_finite(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Renderer(kind="rotation", angles=(0.0, np.inf))
+        assert Renderer(kind="identity", angles=(np.nan,)).kind == "identity"   # unused by identity
