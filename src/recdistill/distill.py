@@ -174,16 +174,20 @@ def _draw(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, sche
     return _Draws(t=t, pose=pose, eps=eps, xt=xt)
 
 
+def _control_log_weights(m: PoseLabeledMixture, category: int) -> np.ndarray:
+    """log w for CTRL: reweighting by 1 on the category and 0 elsewhere."""
+    return np.where(np.arange(m.num_categories) == category, 0.0, -np.inf)
+
+
 def _control_grad_log_posterior(m: PoseLabeledMixture, schedule: DiffusionSchedule,
                                 t, xt, category: int) -> np.ndarray:
-    """grad_x log p(category | x_t): reweighting by 1 on the category and 0 elsewhere."""
-    log_w = np.where(np.arange(m.num_categories) == category, 0.0, -np.inf)
-    return worldmodel.grad_log_reweight(m, schedule, t, xt, log_w)
+    """grad_x log p(category | x_t)."""
+    return worldmodel.grad_log_reweight(m, schedule, t, xt, _control_log_weights(m, category))
 
 
 def gradient(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, schedule: DiffusionSchedule,
              cfg: DistillConfig, draws: _Draws, state: IntervalEma | None = None,
-             fixed_marginal: np.ndarray | None = None) -> np.ndarray:
+             fixed_marginal: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Distillation gradient of every particle, the one rule behind every method:
 
         omega(t) J^T (eps_pre - eps_ref) - align(omega(t) sigma_t J^T grad log r)
@@ -197,14 +201,22 @@ def gradient(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, s
     the EMA `state`, the mixture's category weights or `fixed_marginal`,
     as its marginal source says), and the commanded category's posterior
     for CTRL.  Subtracting the correction in a descent update ascends log r.
+
+    One pass over the mixture at the drawn points gives eps_pre, the CTRL
+    correction and the exact-mixture USD correction.  For USD the second
+    return value holds the rectifier's posterior row at every draw, for the
+    EMA to observe (from the same pass for the exact-mixture source);
+    other methods return None there.
     """
     t, pose, xt = draws.t, draws.pose, draws.xt
     omega = loss_weight(schedule, cfg.omega_kind)[t][:, None]
     eps_ref = draws.eps if cfg.method == "sds" else variational_eps(particles, renderer, schedule, t, pose, xt)
     jac = render_jacobian(renderer, particles, pose)
-    out = omega * np.einsum("nji,nj->ni", jac, worldmodel.eps_pretrain(m, schedule, t, xt) - eps_ref)
+    logits, scores = worldmodel._components(m, schedule, t, xt)
+    out = omega * np.einsum("nji,nj->ni", jac, worldmodel._eps_pretrain(schedule, t, logits, scores) - eps_ref)
+    rows = None
     if cfg.method == "ctrl":
-        g = _control_grad_log_posterior(m, schedule, t, xt, cfg.control_category)
+        g = worldmodel._grad_log_reweight(m, logits, scores, _control_log_weights(m, cfg.control_category))
     elif cfg.method == "usd":
         rect = cfg.rectifier
         if rect.marginal_source == "ema":
@@ -213,13 +225,19 @@ def gradient(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, s
             marginal = m.category_weights()
         else:
             marginal = fixed_marginal
-        g = grad_log_r(rect, m, schedule, t, xt, marginal)
+        if rect.posterior_source == "exact-mixture":
+            log_w = rectify.log_weights(rect, marginal)
+            g = rectify.require_finite(worldmodel._grad_log_reweight(m, logits, scores, log_w), t, xt)
+            rows = worldmodel._category_posterior(m, logits)
+        else:
+            g = grad_log_r(rect, m, schedule, t, xt, marginal)
+            rows = rectify.posterior(rect, m, schedule, t, xt)
     else:
-        return out
+        return out, None
     correction = omega * schedule.sigma[t][:, None] * np.einsum("nji,nj->ni", jac, g)
     if cfg.grad_norm_align:
         correction = grad_norm_align(out, correction)
-    return out - correction
+    return out - correction, rows
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +272,9 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
     """Execute the configured distillation loop; deterministic given the seed.
 
     One (t, pose, noise) triple is drawn per particle per iteration.  The
-    EMA marginal tracker observes one posterior evaluation per iteration,
-    taken at a rotating particle's draw so no extra randomness is consumed
-    (methods stay trajectory-comparable under a shared seed).
+    EMA marginal tracker observes one posterior row per iteration, the one
+    `gradient` returns at a rotating particle's draw, so no extra randomness
+    is consumed (methods stay trajectory-comparable under a shared seed).
     """
     rng = np.random.default_rng(ps.seed)
     particles = ps.particles.copy()
@@ -271,16 +289,15 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
     snapshots, ema_trace, metrics = [], [], []
     for it in range(cfg.iters):
         draws = _draw(particles, ps.renderer, m, schedule, cfg, it, rng)
-        grads = gradient(particles, ps.renderer, m, schedule, cfg, draws, state, fixed_marginal)
+        grads, rows = gradient(particles, ps.renderer, m, schedule, cfg, draws, state, fixed_marginal)
         particles = particles - cfg.eta1 * grads
         if np.any(np.abs(particles) > 1e6) or not np.all(np.isfinite(particles)):
             raise DivergenceError(
                 f"particle parameters diverged at iteration {it} (method {cfg.method!r})"
             )
-        if cfg.method == "usd":
+        if rows is not None:
             j = it % ps.num_particles
-            observed = rectify.posterior(rect, m, schedule, draws.t[j], draws.xt[j])
-            ema_update(state, int(draws.t[j]), observed)
+            ema_update(state, int(draws.t[j]), rows[j])
         if it % cfg.snapshot_every == 0 or it == cfg.iters - 1:
             snapshots.append((it, particles.copy()))
             ema_trace.append((it, state.snapshot()))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, first_row
 from .schedule import DiffusionSchedule
 
 
@@ -31,8 +31,9 @@ def tweedie_x0(schedule: DiffusionSchedule, t, xt, eps_pred) -> np.ndarray:
     xt = np.asarray(xt, dtype=float)
     eps_pred = np.asarray(eps_pred, dtype=float)
     out = (xt - schedule.sigma[t][..., None] * eps_pred) / a
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"non-finite clean estimate at t={t}")
+    bad = ~np.all(np.isfinite(out), axis=-1)
+    if np.any(bad):
+        raise NumericError(f"non-finite clean estimate at {first_row(bad, t, xt)}")
     return out
 
 

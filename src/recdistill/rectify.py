@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import worldmodel
-from .errors import NumericError
+from .errors import NumericError, first_row
 from .estimator import tweedie_x0
 from .worldmodel import PoseLabeledMixture
 
@@ -62,6 +62,10 @@ class Rectifier:
         k = self.target.probs.size
         if not 0.0 < self.epsilon_floor < 1.0 / k:
             raise ValueError(f"epsilon_floor must lie in (0, 1/{k})")
+        # the step is fd_step * (1 + |x|): one as large as the point's own
+        # scale is no derivative
+        if not 0.0 < self.fd_step < 1.0:
+            raise ValueError(f"fd_step = {self.fd_step} must lie in (0, 1)")
 
 
 def weight_function(target: TargetMarginal, marginal, epsilon_floor: float = 1e-4) -> np.ndarray:
@@ -90,6 +94,21 @@ def rectified_noisy_density(m: PoseLabeledMixture, schedule, t: int, target: Tar
     w = weight_function(target, m.category_weights())
     posterior = worldmodel.category_posterior(m, schedule, t, xt)
     return worldmodel.noisy_density(m, schedule, t, xt) * np.sum(w * posterior, axis=-1)
+
+
+def log_weights(rect: Rectifier, marginal) -> np.ndarray:
+    """log w(c) of `weight_function`; a zero target weight is log 0 = -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(weight_function(rect.target, marginal, rect.epsilon_floor))
+
+
+def require_finite(grad, t, xt) -> np.ndarray:
+    """grad log r at points xt, unless a row of it is non-finite: then a
+    NumericError names the first such row."""
+    bad = ~np.all(np.isfinite(grad), axis=-1)
+    if np.any(bad):
+        raise NumericError(f"non-finite grad log r at {first_row(bad, t, xt)}")
+    return grad
 
 
 def r_value(rect: Rectifier, posterior, marginal) -> float:
@@ -129,12 +148,10 @@ def grad_log_r(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
     zero, so that gradient-norm alignment cannot scale it up.
     """
     xt = np.asarray(xt, dtype=float)
-    w = weight_function(rect.target, marginal, rect.epsilon_floor)
     if rect.posterior_source == "exact-mixture":
-        with np.errstate(divide="ignore"):      # a zero target weight is log 0 = -inf
-            log_w = np.log(w)
-        out = worldmodel.grad_log_reweight(m, schedule, t, xt, log_w)
+        out = worldmodel.grad_log_reweight(m, schedule, t, xt, log_weights(rect, marginal))
     else:
+        w = weight_function(rect.target, marginal, rect.epsilon_floor)
         d = xt.shape[-1]
         h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
         step = np.moveaxis(h[..., None, None] * np.eye(d), -2, 0)             # (d, ..., d): h e_j
@@ -143,10 +160,9 @@ def grad_log_r(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
         fp, fm = log_r[:d], log_r[d:]                                         # (d, ...)
         finite = np.isfinite(fp) & np.isfinite(fm)
         if not np.all(finite):
-            j = int(np.argmin(finite.reshape(d, -1).all(axis=1)))
-            raise NumericError(f"non-finite log r near xt={xt} along axis {j} at t={t}")
+            bad = ~np.all(finite, axis=0)
+            j = int(np.argmin(finite.reshape(d, -1)[:, np.argmax(bad)]))
+            raise NumericError(f"non-finite log r along axis {j} at {first_row(bad, t, xt)}")
         rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(fp) + np.abs(fm))
         out = np.moveaxis(np.where(np.abs(fp - fm) <= rounding, 0.0, fp - fm) / (2.0 * h), 0, -1)
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"non-finite grad log r at t={t}, xt={xt}")
-    return out
+    return require_finite(out, t, xt)

@@ -126,6 +126,30 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+# The score, noise prediction, category posterior and reweighting gradient
+# as functions of one `_components` pass (logits, scores): the public
+# evaluators below are a pass followed by one of these, and a caller that
+# needs several of them at the same points evaluates the mixture once.
+
+
+def _score(logits, scores) -> np.ndarray:
+    return np.sum(_softmax(logits)[..., None] * scores, axis=-2)
+
+
+def _eps_pretrain(schedule: DiffusionSchedule, t, logits, scores) -> np.ndarray:
+    return -schedule.sigma[t][..., None] * _score(logits, scores)
+
+
+def _category_posterior(m: PoseLabeledMixture, logits) -> np.ndarray:
+    members = m.category_of == np.arange(m.num_categories)[:, None]        # (K, n_comp)
+    return np.sum(_softmax(logits)[..., None, :] * members, axis=-1)
+
+
+def _grad_log_reweight(m: PoseLabeledMixture, logits, scores, log_w) -> np.ndarray:
+    shift = _softmax(logits + log_w[..., m.category_of]) - _softmax(logits)
+    return np.sum(shift[..., None] * scores, axis=-2)
+
+
 def density(m: PoseLabeledMixture, x) -> np.ndarray:
     """Clean data density p(x); accepts a point (d,) or a batch (..., d)."""
     return noisy_density(m, None, 0, x)
@@ -143,13 +167,12 @@ def score(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
     Like every evaluator here, it takes one step t with points (..., d), or
     steps of shape (n,) with points of shape (n, d).
     """
-    logits, scores = _components(m, schedule, t, xt)
-    return np.sum(_softmax(logits)[..., None] * scores, axis=-2)
+    return _score(*_components(m, schedule, t, xt))
 
 
 def eps_pretrain(m: PoseLabeledMixture, schedule: DiffusionSchedule, t, xt) -> np.ndarray:
     """Exact noise prediction: -sigma_t times the score."""
-    return -schedule.sigma[t][..., None] * score(m, schedule, t, xt)
+    return _eps_pretrain(schedule, t, *_components(m, schedule, t, xt))
 
 
 def category_posterior(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
@@ -161,8 +184,7 @@ def category_posterior(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
     differences of log r divide that rounding by the step.
     """
     logits, _ = _components(m, schedule, t, xt)
-    members = m.category_of == np.arange(m.num_categories)[:, None]        # (K, n_comp)
-    return np.sum(_softmax(logits)[..., None, :] * members, axis=-1)
+    return _category_posterior(m, logits)
 
 
 def grad_log_reweight(m: PoseLabeledMixture, schedule, t, xt, log_w) -> np.ndarray:
@@ -175,9 +197,7 @@ def grad_log_reweight(m: PoseLabeledMixture, schedule, t, xt, log_w) -> np.ndarr
     or one row per point, and may hold -inf for categories that get zero
     weight (at least one must stay finite).
     """
-    logits, scores = _components(m, schedule, t, xt)
-    shift = _softmax(logits + log_w[..., m.category_of]) - _softmax(logits)
-    return np.sum(shift[..., None] * scores, axis=-2)
+    return _grad_log_reweight(m, *_components(m, schedule, t, xt), log_w)
 
 
 def category_marginal(m: PoseLabeledMixture, schedule: DiffusionSchedule, t: int, n_samples: int, seed: int) -> np.ndarray:

@@ -99,8 +99,8 @@ def test_acceptance_3_gradient_decomposition_and_fd_check(schedule):
     worst_decomp = 0.0
     for it in range(25):
         draws = D._draw(ps.particles, ps.renderer, m, schedule, cfg_u, it, rng)
-        u = D.gradient(ps.particles, ps.renderer, m, schedule, cfg_u, draws, state)
-        v = D.gradient(ps.particles, ps.renderer, m, schedule, cfg_v, draws)
+        u, _ = D.gradient(ps.particles, ps.renderer, m, schedule, cfg_u, draws, state)
+        v, _ = D.gradient(ps.particles, ps.renderer, m, schedule, cfg_v, draws)
         for i in range(ps.num_particles):
             t = int(draws.t[i])
             g_r = grad_log_r(rect, m, schedule, t, draws.xt[i], m.category_weights())

@@ -7,6 +7,7 @@ gradient rule is checked against a per-particle loop written here.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +127,29 @@ def _reference_gradient(particles, renderer, m, schedule, cfg, draws, state, fix
     return out
 
 
+def _three_pass_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed):
+    """The batched gradient rule with a mixture pass for the prior's noise
+    prediction and another for the correction, through the public calls."""
+    t, pose, xt = draws.t, draws.pose, draws.xt
+    omega = loss_weight(schedule, cfg.omega_kind)[t][:, None]
+    eps_ref = draws.eps if cfg.method == "sds" else D.variational_eps(particles, renderer, schedule, t, pose, xt)
+    jac = worldmodel.render_jacobian(renderer, particles, pose)
+    out = omega * np.einsum("nji,nj->ni", jac, worldmodel.eps_pretrain(m, schedule, t, xt) - eps_ref)
+    if cfg.method == "ctrl":
+        g = D._control_grad_log_posterior(m, schedule, t, xt, cfg.control_category)
+    elif cfg.method == "usd":
+        rect = cfg.rectifier
+        marginal = {"ema": ema_lookup(state, t), "exact-mc": m.category_weights(),
+                    "fixed-presampled": fixed}[rect.marginal_source]
+        g = rectify.grad_log_r(rect, m, schedule, t, xt, marginal)
+    else:
+        return out
+    correction = omega * schedule.sigma[t][:, None] * np.einsum("nji,nj->ni", jac, g)
+    if cfg.grad_norm_align:
+        correction = D.grad_norm_align(out, correction)
+    return out - correction
+
+
 class TestBatchedGradient:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), k=st.integers(2, 4),
@@ -148,8 +172,41 @@ class TestBatchedGradient:
         state.values[:] = rng.dirichlet(np.ones(k), size=10)
         fixed = rng.dirichlet(np.ones(k))
         draws = D._draw(particles, renderer, m, schedule, cfg, int(rng.integers(10)), rng)
-        assert _close(D.gradient(particles, renderer, m, schedule, cfg, draws, state, fixed),
-                      _reference_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed))
+        got, rows = D.gradient(particles, renderer, m, schedule, cfg, draws, state, fixed)
+        assert _close(got, _reference_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed))
+        # the shared pass changes no bit of the result
+        assert np.array_equal(got, _three_pass_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed))
+        if method == "usd":
+            for j in range(n):
+                assert np.array_equal(rows[j], rectify.posterior(cfg.rectifier, m, schedule, draws.t[j], draws.xt[j]))
+        else:
+            assert rows is None
+
+    @pytest.mark.parametrize("method, source, passes", [
+        ("sds", None, 1), ("vsd", None, 1), ("ctrl", None, 1), ("usd", "exact-mixture", 1),
+        ("usd", "classifier-on-tweedie", 5), ("usd", "classifier-direct", 3),
+    ])
+    def test_mixture_passes_per_iteration(self, schedule, monkeypatch, method, source, passes):
+        # one pass gives eps_pre, the CTRL or exact-mixture correction and
+        # the EMA's posterior row; a classifier source adds its posterior
+        # rows (two passes through Tweedie, one without) and its stacked
+        # finite differences (as many)
+        rng = np.random.default_rng(5)
+        m = random_mixture(rng, 2, 3)
+        kwargs = dict(method=method, iters=6, snapshot_every=100)
+        if method == "ctrl":
+            kwargs["control_category"] = 1
+        if method == "usd":
+            kwargs["rectifier"] = Rectifier(target=TargetMarginal.uniform(3), posterior_source=source)
+        ps = D.ParticleSet.initialise(8, 2, Renderer(), seed=0)
+        events = []
+        components, draw = worldmodel._components, D._draw
+        monkeypatch.setattr(worldmodel, "_components", lambda *a: (events.append("pass"), components(*a))[1])
+        monkeypatch.setattr(D, "_draw", lambda *a: (events.append("draw"), draw(*a))[1])
+        D.run(ps, m, schedule, D.DistillConfig(**kwargs))
+        per_iteration = [block.count("pass") for block in " ".join(events).split("draw")[1:]]
+        # iterations 0 and 5 take a snapshot, whose metrics row costs a pass
+        assert per_iteration[1:-1] == [passes] * 4
 
 
 class TestSaturatedFiniteDifferences:
@@ -185,7 +242,7 @@ class TestSaturatedFiniteDifferences:
                          xt=np.array([x, [0.05, 0.0]]))
         usd = D.DistillConfig(method="usd", iters=10, rectifier=rect)
         vsd = D.DistillConfig(method="vsd", iters=10)
-        u = D.gradient(particles, Renderer(), m, schedule, usd, draws, fixed_marginal=marginal)
-        v = D.gradient(particles, Renderer(), m, schedule, vsd, draws)
+        u, _ = D.gradient(particles, Renderer(), m, schedule, usd, draws, fixed_marginal=marginal)
+        v, _ = D.gradient(particles, Renderer(), m, schedule, vsd, draws)
         assert np.array_equal(u[0], v[0])
         assert not np.array_equal(u[1], v[1])     # the unsaturated particle is corrected

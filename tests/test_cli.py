@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recdistill import cli
+from recdistill import cli, rectify, worldmodel
 from recdistill.config import _KNOWN_KEYS
 
 SMALL_USD = """\
@@ -135,6 +135,10 @@ class TestConfigErrors:
         ("[rectifier]", "[schedule]\nnum_steps = 1e3\n\n[rectifier]", "[schedule] num_steps = 1e3"),
         ("[rectifier]", "[schedule]\nbeta_max = high\n\n[rectifier]", "[schedule] beta_max = high"),
         ("target = uniform", "target = uniform\nfd_step = tiny", "[rectifier] fd_step = tiny"),
+        ("target = uniform", "target = uniform\nfd_step = 0", "[rectifier] fd_step = 0.0 must lie in (0, 1)"),
+        ("target = uniform", "target = uniform\nfd_step = 1e300", "[rectifier] fd_step = 1e+300 must lie"),
+        ("target = uniform", "target = uniform\nfd_step = -0.01", "[rectifier] fd_step = -0.01 must lie"),
+        ("target = uniform", "target = uniform\nfd_step = nan", "[rectifier] fd_step = nan must lie"),
         ("target = uniform", "target = 0.5 x", "[rectifier] target = 0.5 x"),
         ("num_categories = 2", "num_categories = two", "[mixture] num_categories = two"),
         ("0.2 | -2.0 | 0.01 | 1", "0.2 | -2.0 | 0.01 | one", "[mixture] components line"),
@@ -187,6 +191,31 @@ class TestConfigErrors:
                        "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "p(c) > 0" in capsys.readouterr().err
+
+
+class TestNumericErrorLine:
+    """A non-finite correction at one of 16 particles names that particle's
+    row, step and point, not the whole batch."""
+
+    @pytest.mark.parametrize("source", ["exact-mixture", "classifier-direct"])
+    def test_names_the_row(self, tmp_path, capsys, monkeypatch, source):
+        def nan_row_5(fn):
+            def broken(*args):
+                out = fn(*args).copy()
+                out[..., 5, :] = np.nan
+                return out
+            return broken
+
+        if source == "exact-mixture":
+            monkeypatch.setattr(worldmodel, "_grad_log_reweight", nan_row_5(worldmodel._grad_log_reweight))
+        else:
+            monkeypatch.setattr(rectify, "posterior", nan_row_5(rectify.posterior))
+        text = SMALL_USD.replace("particles = 4", "particles = 16").replace(
+            "target = uniform", f"target = uniform\nposterior_source = {source}")
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and " at row 5: t=" in err and len(err.strip()) < 200
 
 
 class TestRectifyDemo:

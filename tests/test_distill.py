@@ -46,7 +46,7 @@ def _draw(ps, m, schedule, cfg, iteration, rng):
 
 def _gradient(ps, m, schedule, cfg, draws, state=None):
     """The one gradient rule with the inputs cfg.method selects."""
-    return D.gradient(ps.particles, ps.renderer, m, schedule, cfg, draws, state)
+    return D.gradient(ps.particles, ps.renderer, m, schedule, cfg, draws, state)[0]
 
 
 class TestVariationalEps:

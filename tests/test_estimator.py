@@ -44,6 +44,13 @@ class TestTweedie:
         with pytest.raises(NumericError):
             tweedie_x0(schedule, 10, np.array([np.inf]), np.zeros(1))
 
+    def test_non_finite_names_the_row(self, schedule):
+        eps = np.zeros((16, 2))
+        eps[5, 1] = np.nan
+        t = np.arange(1, 17) * 10
+        with pytest.raises(NumericError, match=r"^non-finite clean estimate at row 5: t=60, xt=\[5\. 5\.\]$"):
+            tweedie_x0(schedule, t, np.full((16, 2), 5.0), eps)
+
 
 class TestAlphaFromNEma:
     def test_single_update(self):
