@@ -210,14 +210,13 @@ def extract_features(pixels: np.ndarray) -> FeatureMap:
     return FeatureMap(cls=cls_vec, patches=patches)
 
 
-def segment_foreground(fm: FeatureMap, reference_hint: np.ndarray | None = None) -> np.ndarray:
+def segment_foreground(fm: FeatureMap) -> np.ndarray:
     """First-principal-component split of each row's patch grid, (N, 16, 16).
 
     The component's sign is arbitrary, so the foreground side is the one
-    whose average descriptor correlates better with the reference hint.
+    whose average descriptor correlates better with DEFAULT_FOREGROUND_HINT.
     Raises SegmentationError naming the first row that cannot be split.
     """
-    hint = DEFAULT_FOREGROUND_HINT if reference_hint is None else np.asarray(reference_hint, dtype=float)
     flat = fm.patches.reshape(fm.patches.shape[0], -1, NUM_FEATURES)
     centered = flat - flat.mean(axis=1, keepdims=True)
     degenerate = np.flatnonzero((centered**2).sum(axis=(1, 2)) < 1e-18)
@@ -229,7 +228,7 @@ def segment_foreground(fm: FeatureMap, reference_hint: np.ndarray | None = None)
     def hint_corr(part):
         count = part.sum(axis=1)
         mean = (flat * part[..., None]).sum(axis=1) / np.maximum(count, 1)[:, None]
-        return np.where(count > 0, (mean * hint).sum(axis=-1), -np.inf)
+        return np.where(count > 0, (mean * DEFAULT_FOREGROUND_HINT).sum(axis=-1), -np.inf)
 
     mask = np.where((hint_corr(side) >= hint_corr(~side))[:, None], side, ~side)
     empty = np.flatnonzero(~mask.any(axis=1))
@@ -356,7 +355,7 @@ def classify(pc: PoseClassifier, pixels: np.ndarray, mode: str = "full") -> np.n
     return _softmax(fused, pc.tau_pose)
 
 
-def build_template(img: GlyphImage, category: str, reference_hint: np.ndarray | None = None) -> Template:
+def build_template(img: GlyphImage, category: str) -> Template:
     """A category's template: the one-row stack of its image's features, mask
     and coordinates, and its foreground patches merged into distinct
     (descriptor, coordinate) rows with their counts.
@@ -365,7 +364,7 @@ def build_template(img: GlyphImage, category: str, reference_hint: np.ndarray | 
     canonical templates keep 27-44 distinct rows of their 79-97.
     """
     fm = extract_features(img.pixels[None])
-    mask = segment_foreground(fm, reference_hint)
+    mask = segment_foreground(fm)
     coord = coordinate_map(mask)
     foreground = np.column_stack([fm.patches[mask], coord[mask]])
     distinct, counts = np.unique(foreground, axis=0, return_counts=True)

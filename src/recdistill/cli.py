@@ -10,9 +10,10 @@ Subcommands:
 Every subcommand is a pure function of (config, seed): outputs are
 byte-identical across repeated runs.
 
-Exit codes: 0 success; 2 invalid configuration or input; 3 a run that
-diverged or produced a non-finite value.  Failures print one `error:` line
-on stderr.
+Exit codes: 0 success; 2 invalid configuration or input, or a file that
+cannot be read or written (an OSError, such as a missing input or an
+--out-dir that is a file); 3 a run that diverged or produced a non-finite
+value.  Failures print one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import classifier as C
 from . import distill as D
 from . import rectify, worldmodel
-from .config import parse_config
+from .config import parse_config, parse_demo
 from .errors import ConfigurationError, DivergenceError, NumericError, SegmentationError
 from .metrics import categorical_entropy, gaussian_frechet, marginal_tv
 from .oracle import grid_integrate
@@ -59,14 +60,15 @@ def cmd_rectify_demo(args) -> int:
     rect = spec.rectifier
     if rect is None:
         raise ConfigurationError("rectify-demo needs a [rectifier] section")
+    demo = spec.demo if spec.demo is not None else parse_demo({}, spec.num_steps)
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = np.linspace(spec.demo["grid_lo"], spec.demo["grid_hi"], spec.demo["grid_points"])
+    grid = np.linspace(demo["grid_lo"], demo["grid_hi"], demo["grid_points"])
     x = grid[:, None]
     rows = [[_fmt(g), _fmt(p), _fmt(q)] for g, p, q in zip(
         grid, worldmodel.density(m, x), rectify.rectified_density(m, rect.target, x))]
     _write_rows(out / "density_clean.csv", ["x", "p", "p_rectified"], rows)
-    for t in spec.demo["times"]:
+    for t in demo["times"]:
         rows = [[_fmt(g), _fmt(p), _fmt(q)] for g, p, q in zip(
             grid,
             worldmodel.noisy_density(m, schedule, t, x),
@@ -74,8 +76,8 @@ def cmd_rectify_demo(args) -> int:
         _write_rows(out / f"density_t{t}.csv", ["x", "p", "p_rectified"], rows)
     # category marginal of the rectified joint w(c) * p(c|x) * p(x)
     w = rectify.weight_function(rect.target, m.category_weights())
-    box = [(spec.demo["grid_lo"], spec.demo["grid_hi"])]
-    npts = spec.demo["grid_points"]
+    box = [(demo["grid_lo"], demo["grid_hi"])]
+    npts = demo["grid_points"]
     mass = np.empty(m.num_categories)
     for c in range(m.num_categories):
         def cat_mass(pts, c=c):
@@ -106,6 +108,8 @@ def cmd_distill(args) -> int:
     renderer = kwargs.pop("renderer")
     cfg = D.DistillConfig(rectifier=spec.rectifier, **kwargs)
     ps = D.ParticleSet.initialise(n, dim, renderer, seed=args.seed, scale=init_scale)
+    # an unusable --out-dir fails here, not after the run
+    pathlib.Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     report = D.run(ps, spec.mixture, schedule, cfg)
     D.write_report(report, args.out_dir)
     it, split, entropy = report.metrics[-1]
@@ -208,6 +212,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_glyphs(args) -> int:
+    if args.per_category < 1:
+        raise ConfigurationError(f"--per-category {args.per_category} must be at least 1")
     out = pathlib.Path(args.out_dir)
     (out / "corpus").mkdir(parents=True, exist_ok=True)
     (out / "templates").mkdir(parents=True, exist_ok=True)
@@ -232,34 +238,35 @@ def cmd_glyphs(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_matrix(path, skip_columns=0):
-    rows = []
+def _read_columns(path, pick):
+    """A CSV's data rows as a float matrix of the columns pick(header)
+    lists.  An empty file, no columns to read, a header with no data rows
+    and a row whose length differs from the header's are errors naming the
+    file and the row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append([float(v) for v in row[skip_columns:]])
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}: malformed row {lineno}: {exc}") from exc
-    return header, np.array(rows)
-
-
-def _read_probability_rows(path):
-    """Probability rows from a CSV; columns headed p_* if present, else all."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols = [i for i, name in enumerate(header) if name.startswith("p_")]
+        header = next(reader, None)
+        if not header:
+            raise ConfigurationError(f"{path}: empty file, expected a header row")
+        cols = list(pick(header))
         if not cols:
-            cols = list(range(len(header)))
+            raise ConfigurationError(f"{path}: no columns to read in header {header}")
+        rows = []
         for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ConfigurationError(f"{path}: row {lineno} has {len(row)} fields, the header {len(header)}")
             try:
                 rows.append([float(row[i]) for i in cols])
             except ValueError as exc:
                 raise ConfigurationError(f"{path}: malformed row {lineno}: {exc}") from exc
-    return [header[i] for i in cols], np.array(rows)
+    if not rows:
+        raise ConfigurationError(f"{path}: no data rows below the header")
+    return np.array(rows)
+
+
+def _probability_columns(header):
+    """Columns headed p_* if present, else all."""
+    return [i for i, name in enumerate(header) if name.startswith("p_")] or range(len(header))
 
 
 def cmd_metrics(args) -> int:
@@ -267,14 +274,15 @@ def cmd_metrics(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     if args.probs:
-        header, mat = _read_probability_rows(args.probs)
+        mat = _read_columns(args.probs, _probability_columns)
         report = categorical_entropy(mat)
         rows.append(["entropy", _fmt(report.entropy)])
         for i, v in enumerate(report.mean_probs):
             rows.append([f"mean_prob_{i}", _fmt(v)])
     if args.particles_a and args.particles_b:
-        _, a = _read_matrix(args.particles_a, skip_columns=2)
-        _, b = _read_matrix(args.particles_b, skip_columns=2)
+        # particles.csv: iter, particle, then the coordinates
+        a = _read_columns(args.particles_a, lambda header: range(2, len(header)))
+        b = _read_columns(args.particles_b, lambda header: range(2, len(header)))
         rows.append(["frechet", _fmt(gaussian_frechet(a, b))])
     if args.marginal and args.target:
         p = np.array([float(v) for v in args.marginal.split(",")])
@@ -344,7 +352,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, ValueError, OSError) as exc:
         return _error(exc, 2)
     except (DivergenceError, NumericError) as exc:
         return _error(exc, 3)

@@ -39,7 +39,7 @@ class RunSpec:
     beta_max: float
     rectifier: Rectifier | None
     distill: dict                     # DistillConfig kwargs + particle-init keys
-    demo: dict                        # rectify-demo grid settings
+    demo: dict | None                 # rectify-demo grid settings; None without [demo]
 
 
 def _floats(text: str) -> np.ndarray:
@@ -159,17 +159,27 @@ def _parse_distill(section, k: int, dim: int) -> dict:
     return out
 
 
-def _parse_demo(section, num_steps: int) -> dict:
-    times = _value(section, "demo", "times", _ints, "50 300 700")
-    bad = [t for t in times if not 0 <= t <= num_steps]
-    if bad:
-        raise ConfigurationError(f"[demo] times {bad} outside [0, {num_steps}]")
-    return {
+def parse_demo(section, num_steps: int) -> dict:
+    """rectify-demo's grid settings from a [demo] section ({} gives the
+    defaults), checked against the schedule's num_steps."""
+    out = {
         "grid_lo": _value(section, "demo", "grid_lo", float, "-8.0"),
         "grid_hi": _value(section, "demo", "grid_hi", float, "8.0"),
         "grid_points": _value(section, "demo", "grid_points", int, "801"),
-        "times": times,
+        "times": _value(section, "demo", "times", _ints, "50 300 700"),
     }
+    bad = [t for t in out["times"] if not 0 <= t <= num_steps]
+    if bad:
+        raise ConfigurationError(f"[demo] times {bad} outside [0, {num_steps}]")
+    # oracle.grid_integrate needs 16 points per axis
+    if out["grid_points"] < 16:
+        raise ConfigurationError(f"[demo] grid_points = {out['grid_points']} must be at least 16")
+    for key in ("grid_lo", "grid_hi"):
+        if not np.isfinite(out[key]):
+            raise ConfigurationError(f"[demo] {key} = {out[key]} must be finite")
+    if not out["grid_lo"] < out["grid_hi"]:
+        raise ConfigurationError(f"[demo] grid_lo = {out['grid_lo']} must be below grid_hi = {out['grid_hi']}")
+    return out
 
 
 def parse_config(path) -> RunSpec:
@@ -201,7 +211,8 @@ def parse_config(path) -> RunSpec:
     n_t = distill.get("n_t", DistillConfig.n_t)
     if "distill" in parser and n_t >= 1 and num_steps % n_t:
         raise ConfigurationError(f"[schedule] num_steps = {num_steps} is not divisible by [distill] n_t = {n_t}")
-    demo = _parse_demo(parser["demo"] if "demo" in parser else {}, num_steps)
+    # without a [demo] section, rectify-demo checks the defaults against this schedule itself
+    demo = parse_demo(parser["demo"], num_steps) if "demo" in parser else None
     return RunSpec(
         mixture=mixture,
         num_steps=num_steps,

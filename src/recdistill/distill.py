@@ -20,7 +20,7 @@ from . import rectify, worldmodel
 from .errors import ConfigurationError, DivergenceError
 from .estimator import IntervalEma, ema_lookup, ema_update
 from .metrics import categorical_entropy
-from .rectify import Rectifier, grad_log_r
+from .rectify import Rectifier
 from .schedule import DiffusionSchedule, loss_weight
 from .worldmodel import PoseLabeledMixture, Renderer, render, render_jacobian
 
@@ -186,8 +186,7 @@ def _control_grad_log_posterior(m: PoseLabeledMixture, schedule: DiffusionSchedu
 
 
 def gradient(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, schedule: DiffusionSchedule,
-             cfg: DistillConfig, draws: _Draws, state: IntervalEma | None = None,
-             fixed_marginal: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+             cfg: DistillConfig, draws: _Draws, marginal=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Distillation gradient of every particle, the one rule behind every method:
 
         omega(t) J^T (eps_pre - eps_ref) - align(omega(t) sigma_t J^T grad log r)
@@ -197,41 +196,28 @@ def gradient(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, s
     each particle's correction to its first term's norm when
     cfg.grad_norm_align is set.  Only two inputs depend on the method:
     eps_ref is the drawn noise for SDS and the particle-mixture prediction
-    otherwise; r is 1 for SDS and VSD, the rectifier for USD (which reads
-    the EMA `state`, the mixture's category weights or `fixed_marginal`,
-    as its marginal source says), and the commanded category's posterior
-    for CTRL.  Subtracting the correction in a descent update ascends log r.
+    otherwise; r is 1 for SDS and VSD, the rectifier for USD (with the
+    category marginal `marginal`, (K,) or one row per draw), and the
+    commanded category's posterior for CTRL.  Subtracting the correction in
+    a descent update ascends log r.
 
-    One pass over the mixture at the drawn points gives eps_pre, the CTRL
-    correction and the exact-mixture USD correction.  For USD the second
-    return value holds the rectifier's posterior row at every draw, for the
-    EMA to observe (from the same pass for the exact-mixture source);
-    other methods return None there.
+    One pass over the mixture at the drawn points gives eps_pre and the
+    CTRL correction, and `rectify.correction` takes the USD correction from
+    it.  For USD the second return value holds the rectifier's posterior
+    row at every draw, for the EMA to observe; other methods return None
+    there.
     """
     t, pose, xt = draws.t, draws.pose, draws.xt
     omega = loss_weight(schedule, cfg.omega_kind)[t][:, None]
     eps_ref = draws.eps if cfg.method == "sds" else variational_eps(particles, renderer, schedule, t, pose, xt)
     jac = render_jacobian(renderer, particles, pose)
-    logits, scores = worldmodel._components(m, schedule, t, xt)
-    out = omega * np.einsum("nji,nj->ni", jac, worldmodel._eps_pretrain(schedule, t, logits, scores) - eps_ref)
+    components = worldmodel._components(m, schedule, t, xt)
+    out = omega * np.einsum("nji,nj->ni", jac, worldmodel._eps_pretrain(schedule, t, components) - eps_ref)
     rows = None
     if cfg.method == "ctrl":
-        g = worldmodel._grad_log_reweight(m, logits, scores, _control_log_weights(m, cfg.control_category))
+        g = worldmodel._grad_log_reweight(m, components, _control_log_weights(m, cfg.control_category))
     elif cfg.method == "usd":
-        rect = cfg.rectifier
-        if rect.marginal_source == "ema":
-            marginal = ema_lookup(state, t)
-        elif rect.marginal_source == "exact-mc":
-            marginal = m.category_weights()
-        else:
-            marginal = fixed_marginal
-        if rect.posterior_source == "exact-mixture":
-            log_w = rectify.log_weights(rect, marginal)
-            g = rectify.require_finite(worldmodel._grad_log_reweight(m, logits, scores, log_w), t, xt)
-            rows = worldmodel._category_posterior(m, logits)
-        else:
-            g = grad_log_r(rect, m, schedule, t, xt, marginal)
-            rows = rectify.posterior(rect, m, schedule, t, xt)
+        g, rows = rectify.correction(cfg.rectifier, m, schedule, t, xt, marginal, components)
     else:
         return out, None
     correction = omega * schedule.sigma[t][:, None] * np.einsum("nji,nj->ni", jac, g)
@@ -279,17 +265,19 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
     rng = np.random.default_rng(ps.seed)
     particles = ps.particles.copy()
     state = IntervalEma.create(schedule.num_steps, cfg.n_t, m.num_categories, cfg.n_ema)
-    rect = cfg.rectifier
-    fixed_marginal = None
-    if cfg.method == "usd" and rect.marginal_source == "fixed-presampled":
+    # USD's marginal: the EMA's row at each draw's step, or a constant
+    source = cfg.rectifier.marginal_source if cfg.method == "usd" else None
+    marginal = m.category_weights() if source == "exact-mc" else None
+    if source == "fixed-presampled":
         # one-shot estimate from the initial particles, never updated; at
         # t = 0 every posterior source is the clean posterior
         rows = worldmodel.category_posterior(m, None, 0, render(ps.renderer, particles, 0))
-        fixed_marginal = np.mean(rows, axis=0)
+        marginal = np.mean(rows, axis=0)
     snapshots, ema_trace, metrics = [], [], []
     for it in range(cfg.iters):
         draws = _draw(particles, ps.renderer, m, schedule, cfg, it, rng)
-        grads, rows = gradient(particles, ps.renderer, m, schedule, cfg, draws, state, fixed_marginal)
+        grads, rows = gradient(particles, ps.renderer, m, schedule, cfg, draws,
+                               ema_lookup(state, draws.t) if source == "ema" else marginal)
         particles = particles - cfg.eta1 * grads
         if np.any(np.abs(particles) > 1e6) or not np.all(np.isfinite(particles)):
             raise DivergenceError(

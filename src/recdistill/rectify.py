@@ -9,7 +9,7 @@ the distillation gradient by the marginal-rectified method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,21 +96,6 @@ def rectified_noisy_density(m: PoseLabeledMixture, schedule, t: int, target: Tar
     return worldmodel.noisy_density(m, schedule, t, xt) * np.sum(w * posterior, axis=-1)
 
 
-def log_weights(rect: Rectifier, marginal) -> np.ndarray:
-    """log w(c) of `weight_function`; a zero target weight is log 0 = -inf."""
-    with np.errstate(divide="ignore"):
-        return np.log(weight_function(rect.target, marginal, rect.epsilon_floor))
-
-
-def require_finite(grad, t, xt) -> np.ndarray:
-    """grad log r at points xt, unless a row of it is non-finite: then a
-    NumericError names the first such row."""
-    bad = ~np.all(np.isfinite(grad), axis=-1)
-    if np.any(bad):
-        raise NumericError(f"non-finite grad log r at {first_row(bad, t, xt)}")
-    return grad
-
-
 def r_value(rect: Rectifier, posterior, marginal) -> float:
     """Discrete correction factor sum_c f(c)/p(c) * posterior(c)."""
     posterior = np.asarray(posterior, dtype=float)
@@ -133,30 +118,37 @@ def posterior(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt) -> np.nda
     return worldmodel.category_posterior(m, None, 0, xt)
 
 
-def grad_log_r(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal) -> np.ndarray:
-    """Gradient of log r with respect to the noisy point(s).
+def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal,
+               components=None) -> tuple[np.ndarray, np.ndarray]:
+    """grad log r at the noisy point(s), and the posterior rows there.
 
     t, xt and marginal are one step, point (d,) and marginal (K,), or one
-    of each per row.  With the exact mixture posterior this is analytic:
-    the score of the category-reweighted mixture minus the score of the
-    original mixture, taken from one pass over the components.  The
-    classifier-backed sources have no cheap Jacobian and take central
-    differences of log r: the 2d shifted points xt + h e_j, then
-    xt - h e_j, for every axis j and every row, are evaluated in one
-    stacked call.  A difference within a few ulps of log r's magnitude is
-    rounding noise from a flat log r (a saturated posterior) and counts as
-    zero, so that gradient-norm alignment cannot scale it up.
+    of each per row.  With the exact mixture posterior both come from
+    `components`, the `worldmodel._components` pass at (t, xt) (made here
+    if not given): grad log r is the category-reweighted mixture's score
+    minus this mixture's.  The classifier-backed sources take central
+    differences of log r: xt, the 2d points xt + h e_j, then xt - h e_j,
+    for every axis j and row, go through one stacked `posterior` call
+    whose first block is the rows.  A difference within a few ulps of log
+    r is rounding noise from a saturated posterior and counts as zero, so
+    that gradient-norm alignment cannot scale it up.  A non-finite
+    gradient is a NumericError naming its first row.
     """
     xt = np.asarray(xt, dtype=float)
+    w = weight_function(rect.target, marginal, rect.epsilon_floor)
     if rect.posterior_source == "exact-mixture":
-        out = worldmodel.grad_log_reweight(m, schedule, t, xt, log_weights(rect, marginal))
+        if components is None:
+            components = worldmodel._components(m, schedule, t, xt)
+        with np.errstate(divide="ignore"):          # a zero target weight is log 0 = -inf
+            log_w = np.log(w)
+        out = worldmodel._grad_log_reweight(m, components, log_w)
+        rows = worldmodel._category_posterior(m, components)
     else:
-        w = weight_function(rect.target, marginal, rect.epsilon_floor)
         d = xt.shape[-1]
         h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
         step = np.moveaxis(h[..., None, None] * np.eye(d), -2, 0)             # (d, ..., d): h e_j
-        log_r = np.log(np.sum(w * posterior(rect, m, schedule, t, np.concatenate([xt + step, xt - step])),
-                              axis=-1))
+        post = posterior(rect, m, schedule, t, np.concatenate([xt[None], xt + step, xt - step]))
+        log_r = np.log(np.sum(w * post[1:], axis=-1))
         fp, fm = log_r[:d], log_r[d:]                                         # (d, ...)
         finite = np.isfinite(fp) & np.isfinite(fm)
         if not np.all(finite):
@@ -165,4 +157,13 @@ def grad_log_r(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
             raise NumericError(f"non-finite log r along axis {j} at {first_row(bad, t, xt)}")
         rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(fp) + np.abs(fm))
         out = np.moveaxis(np.where(np.abs(fp - fm) <= rounding, 0.0, fp - fm) / (2.0 * h), 0, -1)
-    return require_finite(out, t, xt)
+        rows = post[0]
+    bad = ~np.all(np.isfinite(out), axis=-1)
+    if np.any(bad):
+        raise NumericError(f"non-finite grad log r at {first_row(bad, t, xt)}")
+    return out, rows
+
+
+def grad_log_r(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal) -> np.ndarray:
+    """Gradient of log r with respect to the noisy point(s); see `correction`."""
+    return correction(rect, m, schedule, t, xt, marginal)[0]

@@ -10,6 +10,7 @@ distribution is again a mixture with unchanged component weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,16 +94,22 @@ class PoseLabeledMixture:
         return schedule.alpha[t] * x0 + schedule.sigma[t] * eps
 
 
-def _components(m: PoseLabeledMixture, schedule, t, xt):
+class _Pass(NamedTuple):
+    """One pass over the mixture components at some points."""
+
+    logits: np.ndarray     # (..., n_comp): log(pi_k) + log N(xt; mean_k(t), cov_k(t))
+    resp: np.ndarray       # (..., n_comp): the responsibilities, softmax(logits)
+    scores: np.ndarray     # (..., n_comp, d): -cov_k(t)^-1 (xt - mean_k(t))
+
+
+def _components(m: PoseLabeledMixture, schedule, t, xt) -> _Pass:
     """One pass over the components; t = 0 (or no schedule) is the clean mixture.
 
     t is one step, or one step per point: shape (n,) with xt of shape
-    (n, d).  Returns the logits log(pi_k) + log N(xt; mean_k(t), cov_k(t)),
-    shape (..., n_comp), and each component's Gaussian score
-    -cov_k(t)^-1 (xt - mean_k(t)), shape (..., n_comp, d).  The logits need
-    the same solve as the scores, so the scores cost nothing extra;
-    density, score, posterior and the reweighting gradient all derive from
-    this pass.
+    (n, d).  The logits need the same solve as the Gaussian scores, so the
+    scores cost nothing extra, and the responsibilities are taken once
+    here; density, score, posterior and the reweighting gradient all
+    derive from this pass.
     """
     xt = np.asarray(xt, dtype=float)
     if xt.shape[-1] != m.dim:
@@ -117,7 +124,7 @@ def _components(m: PoseLabeledMixture, schedule, t, xt):
     sol = np.linalg.solve(covs, diff[..., None])[..., 0]
     logdet = np.linalg.slogdet(covs)[1]
     logits = np.log(m.weights) - 0.5 * (np.sum(diff * sol, axis=-1) + m.dim * np.log(2.0 * np.pi) + logdet)
-    return logits, -sol
+    return _Pass(logits, _softmax(logits), -sol)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -127,27 +134,27 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 # The score, noise prediction, category posterior and reweighting gradient
-# as functions of one `_components` pass (logits, scores): the public
-# evaluators below are a pass followed by one of these, and a caller that
-# needs several of them at the same points evaluates the mixture once.
+# as functions of one `_components` pass: the public evaluators below are a
+# pass followed by one of these, and a caller that needs several of them at
+# the same points evaluates the mixture once.
 
 
-def _score(logits, scores) -> np.ndarray:
-    return np.sum(_softmax(logits)[..., None] * scores, axis=-2)
+def _score(p: _Pass) -> np.ndarray:
+    return np.sum(p.resp[..., None] * p.scores, axis=-2)
 
 
-def _eps_pretrain(schedule: DiffusionSchedule, t, logits, scores) -> np.ndarray:
-    return -schedule.sigma[t][..., None] * _score(logits, scores)
+def _eps_pretrain(schedule: DiffusionSchedule, t, p: _Pass) -> np.ndarray:
+    return -schedule.sigma[t][..., None] * _score(p)
 
 
-def _category_posterior(m: PoseLabeledMixture, logits) -> np.ndarray:
+def _category_posterior(m: PoseLabeledMixture, p: _Pass) -> np.ndarray:
     members = m.category_of == np.arange(m.num_categories)[:, None]        # (K, n_comp)
-    return np.sum(_softmax(logits)[..., None, :] * members, axis=-1)
+    return np.sum(p.resp[..., None, :] * members, axis=-1)
 
 
-def _grad_log_reweight(m: PoseLabeledMixture, logits, scores, log_w) -> np.ndarray:
-    shift = _softmax(logits + log_w[..., m.category_of]) - _softmax(logits)
-    return np.sum(shift[..., None] * scores, axis=-2)
+def _grad_log_reweight(m: PoseLabeledMixture, p: _Pass, log_w) -> np.ndarray:
+    shift = _softmax(p.logits + log_w[..., m.category_of]) - p.resp
+    return np.sum(shift[..., None] * p.scores, axis=-2)
 
 
 def density(m: PoseLabeledMixture, x) -> np.ndarray:
@@ -157,8 +164,7 @@ def density(m: PoseLabeledMixture, x) -> np.ndarray:
 
 def noisy_density(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
     """Time-t marginal density; reduces to `density` exactly at t=0."""
-    logits, _ = _components(m, schedule, t, xt)
-    return np.exp(_logsumexp(logits, axis=-1))
+    return np.exp(_logsumexp(_components(m, schedule, t, xt).logits, axis=-1))
 
 
 def score(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
@@ -167,12 +173,12 @@ def score(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
     Like every evaluator here, it takes one step t with points (..., d), or
     steps of shape (n,) with points of shape (n, d).
     """
-    return _score(*_components(m, schedule, t, xt))
+    return _score(_components(m, schedule, t, xt))
 
 
 def eps_pretrain(m: PoseLabeledMixture, schedule: DiffusionSchedule, t, xt) -> np.ndarray:
     """Exact noise prediction: -sigma_t times the score."""
-    return _eps_pretrain(schedule, t, *_components(m, schedule, t, xt))
+    return _eps_pretrain(schedule, t, _components(m, schedule, t, xt))
 
 
 def category_posterior(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
@@ -183,8 +189,7 @@ def category_posterior(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
     a row of a batch must equal the call for that row alone, since central
     differences of log r divide that rounding by the step.
     """
-    logits, _ = _components(m, schedule, t, xt)
-    return _category_posterior(m, logits)
+    return _category_posterior(m, _components(m, schedule, t, xt))
 
 
 def grad_log_reweight(m: PoseLabeledMixture, schedule, t, xt, log_w) -> np.ndarray:
@@ -197,7 +202,7 @@ def grad_log_reweight(m: PoseLabeledMixture, schedule, t, xt, log_w) -> np.ndarr
     or one row per point, and may hold -inf for categories that get zero
     weight (at least one must stay finite).
     """
-    return _grad_log_reweight(m, *_components(m, schedule, t, xt), log_w)
+    return _grad_log_reweight(m, _components(m, schedule, t, xt), log_w)
 
 
 def category_marginal(m: PoseLabeledMixture, schedule: DiffusionSchedule, t: int, n_samples: int, seed: int) -> np.ndarray:

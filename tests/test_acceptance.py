@@ -94,12 +94,11 @@ def test_acceptance_3_gradient_decomposition_and_fd_check(schedule):
     cfg_v = D.DistillConfig(method="vsd", iters=100)
     omega = loss_weight(schedule, cfg_u.omega_kind)
     ps = D.ParticleSet(particles=np.array([[1.5], [-0.7], [0.2]]), renderer=Renderer(), seed=0)
-    state = IntervalEma.create(1000, 10, 2)
     rng = np.random.default_rng(13)
     worst_decomp = 0.0
     for it in range(25):
         draws = D._draw(ps.particles, ps.renderer, m, schedule, cfg_u, it, rng)
-        u, _ = D.gradient(ps.particles, ps.renderer, m, schedule, cfg_u, draws, state)
+        u, _ = D.gradient(ps.particles, ps.renderer, m, schedule, cfg_u, draws, m.category_weights())
         v, _ = D.gradient(ps.particles, ps.renderer, m, schedule, cfg_v, draws)
         for i in range(ps.num_particles):
             t = int(draws.t[i])

@@ -172,7 +172,11 @@ class TestBatchedGradient:
         state.values[:] = rng.dirichlet(np.ones(k), size=10)
         fixed = rng.dirichlet(np.ones(k))
         draws = D._draw(particles, renderer, m, schedule, cfg, int(rng.integers(10)), rng)
-        got, rows = D.gradient(particles, renderer, m, schedule, cfg, draws, state, fixed)
+        marginal = None
+        if method == "usd":
+            marginal = {"ema": ema_lookup(state, draws.t), "exact-mc": m.category_weights(),
+                        "fixed-presampled": fixed}[marginal_source]
+        got, rows = D.gradient(particles, renderer, m, schedule, cfg, draws, marginal)
         assert _close(got, _reference_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed))
         # the shared pass changes no bit of the result
         assert np.array_equal(got, _three_pass_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed))
@@ -184,13 +188,13 @@ class TestBatchedGradient:
 
     @pytest.mark.parametrize("method, source, passes", [
         ("sds", None, 1), ("vsd", None, 1), ("ctrl", None, 1), ("usd", "exact-mixture", 1),
-        ("usd", "classifier-on-tweedie", 5), ("usd", "classifier-direct", 3),
+        ("usd", "classifier-on-tweedie", 3), ("usd", "classifier-direct", 2),
     ])
     def test_mixture_passes_per_iteration(self, schedule, monkeypatch, method, source, passes):
         # one pass gives eps_pre, the CTRL or exact-mixture correction and
-        # the EMA's posterior row; a classifier source adds its posterior
-        # rows (two passes through Tweedie, one without) and its stacked
-        # finite differences (as many)
+        # the EMA's posterior row; a classifier source adds one stack of its
+        # posterior rows and finite differences (two passes through Tweedie,
+        # one without)
         rng = np.random.default_rng(5)
         m = random_mixture(rng, 2, 3)
         kwargs = dict(method=method, iters=6, snapshot_every=100)
@@ -242,7 +246,7 @@ class TestSaturatedFiniteDifferences:
                          xt=np.array([x, [0.05, 0.0]]))
         usd = D.DistillConfig(method="usd", iters=10, rectifier=rect)
         vsd = D.DistillConfig(method="vsd", iters=10)
-        u, _ = D.gradient(particles, Renderer(), m, schedule, usd, draws, fixed_marginal=marginal)
+        u, _ = D.gradient(particles, Renderer(), m, schedule, usd, draws, marginal)
         v, _ = D.gradient(particles, Renderer(), m, schedule, vsd, draws)
         assert np.array_equal(u[0], v[0])
         assert not np.array_equal(u[1], v[1])     # the unsaturated particle is corrected

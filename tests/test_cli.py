@@ -245,6 +245,41 @@ class TestRectifyDemo:
         assert rc == 2
         assert "rectifier" in capsys.readouterr().err
 
+    def test_default_times_checked_without_demo_section(self, tmp_path, capsys):
+        # the default times 50 300 700 do not fit a 100-step schedule
+        text = SMALL_USD.replace("[rectifier]", "[schedule]\nnum_steps = 100\nbeta_max = 0.2\n\n[rectifier]")
+        rc = cli.main(["rectify-demo", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and "[demo] times [300, 700] outside [0, 100]" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, named", [
+        ("grid_points = 5", "[demo] grid_points = 5 must be at least 16"),
+        ("grid_points = 0", "[demo] grid_points = 0 must be at least 16"),
+        ("grid_hi = nan", "[demo] grid_hi = nan must be finite"),
+        ("grid_lo = -inf", "[demo] grid_lo = -inf must be finite"),
+        ("grid_lo = 6.0", "[demo] grid_lo = 6.0 must be below grid_hi = 6.0"),
+        ("grid_lo = 7.0", "[demo] grid_lo = 7.0 must be below grid_hi = 6.0"),
+    ])
+    def test_bad_grid_rejected_at_parse_time(self, tmp_path, capsys, line, named):
+        key = line.split()[0]
+        text = "\n".join(line if row.startswith(key) else row for row in BALANCED_DEMO.splitlines())
+        rc = cli.main(["rectify-demo", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and named in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestShortSchedule:
+    def test_distill_ignores_demo_defaults(self, tmp_path, capsys):
+        # no [demo] section: the demo's default times are not checked
+        text = SMALL_USD.replace("[rectifier]", "[schedule]\nnum_steps = 100\nbeta_max = 0.2\n\n[rectifier]")
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+        assert (tmp_path / "out" / "metrics.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def glyph_dir(tmp_path_factory):
@@ -385,6 +420,68 @@ class TestMetricsCommand:
         rc = cli.main(["metrics", "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "no inputs" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    """Files that cannot be read or written exit 2 with one error line."""
+
+    @staticmethod
+    def _metrics(tmp_path, *args):
+        return cli.main(["metrics", *args, "--out-dir", str(tmp_path / "out")])
+
+    def test_missing_probs_file(self, tmp_path, capsys):
+        assert self._metrics(tmp_path, "--probs", str(tmp_path / "missing.csv")) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and "missing.csv" in err
+
+    @pytest.mark.parametrize("flag", ["--probs", "--particles-a"])
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("iter,particle,p_x0\n", "no data rows"),
+        ("iter,particle,p_x0\n0,0,0.5\n0,1\n", "row 3 has 2 fields, the header 3"),
+        ("iter,particle,p_x0\n0,0,0.5,0.5\n", "row 2 has 4 fields, the header 3"),
+    ])
+    def test_bad_csv_names_file_and_row(self, tmp_path, capsys, flag, text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        args = [flag, str(path)] + (["--particles-b", str(path)] if flag == "--particles-a" else [])
+        assert self._metrics(tmp_path, *args) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and "in.csv" in err and message in err
+
+    def test_particles_without_coordinates(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("iter,particle\n0,0\n0,1\n")
+        assert self._metrics(tmp_path, "--particles-a", str(path), "--particles-b", str(path)) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and "in.csv: no columns to read" in err
+
+    def test_out_dir_is_a_file(self, tmp_path, capsys, glyph_dir):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        probs = tmp_path / "probs.csv"
+        probs.write_text("p_a,p_b\n0.5,0.5\n")
+        commands = [
+            ["rectify-demo", "--config", _cfg(tmp_path, BALANCED_DEMO)],
+            # a long run: the --out-dir is checked before it, not after
+            ["distill", "--config", _cfg(tmp_path, SMALL_USD.replace("iters = 60", "iters = 100000"), "d.cfg")],
+            ["classify", "--templates", str(glyph_dir / "templates"), "--inputs", str(glyph_dir / "corpus")],
+            ["metrics", "--probs", str(probs)],
+            ["glyphs", "--per-category", "1"],
+        ]
+        for command in commands:
+            for out in (blocker, blocker / "sub"):
+                assert cli.main(command + ["--out-dir", str(out)]) == 2, command
+                err = capsys.readouterr().err
+                assert _single_error_line(err) and str(blocker) in err, (command, err)
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_glyphs_needs_one_per_category(self, tmp_path, capsys, count):
+        rc = cli.main(["glyphs", "--per-category", count, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and f"--per-category {count}" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPresets:

@@ -6,7 +6,6 @@ import scipy.stats
 from recdistill import distill as D
 from recdistill import worldmodel
 from recdistill.errors import ConfigurationError, DivergenceError
-from recdistill.estimator import IntervalEma
 from recdistill.oracle import finite_difference_grad
 from recdistill.rectify import Rectifier, TargetMarginal
 from recdistill.schedule import build_schedule, loss_weight
@@ -44,9 +43,9 @@ def _draw(ps, m, schedule, cfg, iteration, rng):
     return D._draw(ps.particles, ps.renderer, m, schedule, cfg, iteration, rng)
 
 
-def _gradient(ps, m, schedule, cfg, draws, state=None):
+def _gradient(ps, m, schedule, cfg, draws, marginal=None):
     """The one gradient rule with the inputs cfg.method selects."""
-    return D.gradient(ps.particles, ps.renderer, m, schedule, cfg, draws, state)[0]
+    return D.gradient(ps.particles, ps.renderer, m, schedule, cfg, draws, marginal)[0]
 
 
 class TestVariationalEps:
@@ -207,11 +206,10 @@ class TestUsdStep:
         cfg_u = D.DistillConfig(method="usd", iters=100, rectifier=rect)
         cfg_v = D.DistillConfig(method="vsd", iters=100)
         ps = _particles([[1.8], [-2.2], [0.4]])
-        state = IntervalEma.create(1000, 10, 2)
         rng = np.random.default_rng(9)
         for it in range(20):
             draws = _draw(ps, narrow_balanced, schedule, cfg_u, it, rng)
-            u = _gradient(ps, narrow_balanced, schedule, cfg_u, draws, state)
+            u = _gradient(ps, narrow_balanced, schedule, cfg_u, draws, narrow_balanced.category_weights())
             v = _gradient(ps, narrow_balanced, schedule, cfg_v, draws)
             assert np.array_equal(u, v)
 
@@ -222,13 +220,12 @@ class TestUsdStep:
         cfg_v = D.DistillConfig(method="vsd", iters=100)
         omega = loss_weight(schedule, cfg.omega_kind)
         ps = _particles([[1.5], [-0.7]])
-        state = IntervalEma.create(1000, 10, 2)
         rng = np.random.default_rng(10)
         from recdistill.rectify import grad_log_r
 
         for it in range(20):
             draws = _draw(ps, narrow_biased, schedule, cfg, it, rng)
-            u = _gradient(ps, narrow_biased, schedule, cfg, draws, state)
+            u = _gradient(ps, narrow_biased, schedule, cfg, draws, narrow_biased.category_weights())
             v = _gradient(ps, narrow_biased, schedule, cfg_v, draws)
             for i in range(2):
                 t = int(draws.t[i])

@@ -197,7 +197,7 @@ CLASSIFIER_SOURCES = ("classifier-on-tweedie", "classifier-direct")
 
 
 class TestStackedFiniteDifferences:
-    """grad_log_r evaluates all 2d shifted points in one posterior call."""
+    """grad_log_r evaluates xt and all 2d shifted points in one posterior call."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), k=st.integers(2, 4),
@@ -220,8 +220,9 @@ class TestStackedFiniteDifferences:
     @pytest.mark.parametrize("source, passes", [("classifier-on-tweedie", 2), ("classifier-direct", 1)])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_mixture_passes_per_call(self, schedule, monkeypatch, source, passes, dim):
-        # Tweedie denoising costs one pass (the noise prediction) before the
-        # clean posterior's pass; neither count grows with the dimension
+        # one stack of 2d + 1 blocks (xt, then the shifted points); Tweedie
+        # denoising costs one pass (the noise prediction) before the clean
+        # posterior's pass; neither count grows with the dimension
         rng = np.random.default_rng(dim)
         m = random_mixture(rng, dim, 3)
         rect = Rectifier(target=TargetMarginal.uniform(3), posterior_source=source)
@@ -235,7 +236,7 @@ class TestStackedFiniteDifferences:
         monkeypatch.setattr(worldmodel, "_components", counting)
         grad_log_r(rect, m, schedule, rng.integers(1, 1001, size=5), rng.standard_normal((5, dim)),
                    rng.dirichlet(np.ones(3), size=5))
-        assert calls == [(2 * dim, 5, dim)] * passes
+        assert calls == [(2 * dim + 1, 5, dim)] * passes
 
     def test_non_finite_names_the_axis(self, mixed_2d, schedule, monkeypatch):
         # log r is non-finite only where the second coordinate exceeds 1,
