@@ -13,15 +13,22 @@ byte-identical across repeated runs.
 Exit codes: 0 success; 2 invalid configuration or input, or a file that
 cannot be read or written (an OSError, such as a missing input or an
 --out-dir that is a file); 3 a run that diverged or produced a non-finite
-value.  Failures print one `error:` line on stderr.
+value.  Failures print one `error:` line on stderr and leave --out-dir as
+it was: a command writes into a hidden directory inside it and moves the
+files in only when it succeeds (see `_staged`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
+import os
 import pathlib
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -51,7 +58,7 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rectify_demo(args) -> int:
+def cmd_rectify_demo(args, out) -> int:
     spec = parse_config(args.config)
     m = spec.mixture
     if m.dim != 1:
@@ -61,8 +68,6 @@ def cmd_rectify_demo(args) -> int:
     if rect is None:
         raise ConfigurationError("rectify-demo needs a [rectifier] section")
     demo = spec.demo if spec.demo is not None else parse_demo({}, spec.num_steps)
-    out = pathlib.Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid = np.linspace(demo["grid_lo"], demo["grid_hi"], demo["grid_points"])
     x = grid[:, None]
     rows = [[_fmt(g), _fmt(p), _fmt(q)] for g, p, q in zip(
@@ -98,7 +103,7 @@ def cmd_rectify_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_distill(args) -> int:
+def cmd_distill(args, out) -> int:
     spec = parse_config(args.config)
     schedule = build_schedule(spec.num_steps, spec.beta_min, spec.beta_max)
     kwargs = dict(spec.distill)
@@ -108,10 +113,8 @@ def cmd_distill(args) -> int:
     renderer = kwargs.pop("renderer")
     cfg = D.DistillConfig(rectifier=spec.rectifier, **kwargs)
     ps = D.ParticleSet.initialise(n, dim, renderer, seed=args.seed, scale=init_scale)
-    # an unusable --out-dir fails here, not after the run
-    pathlib.Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     report = D.run(ps, spec.mixture, schedule, cfg)
-    D.write_report(report, args.out_dir)
+    D.write_report(report, out)
     it, split, entropy = report.metrics[-1]
     print(f"{cfg.method} finished: split {np.round(split, 4).tolist()}, entropy {entropy:.4f}")
     return 0
@@ -170,7 +173,7 @@ def _classify_chunk(pc, paths, mode) -> np.ndarray:
         raise ConfigurationError(f"{paths[exc.row]}: {exc}") from None
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, out) -> int:
     pc = _load_classifier(args.templates)
     mode = _classify_mode(args)
     paths = sorted(pathlib.Path(args.inputs).glob("*.pgm"))
@@ -178,8 +181,6 @@ def cmd_classify(args) -> int:
         raise ConfigurationError(f"no .pgm images under {args.inputs}")
     probs = np.concatenate([_classify_chunk(pc, paths[i : i + CLASSIFY_CHUNK], mode)
                             for i in range(0, len(paths), CLASSIFY_CHUNK)])
-    out = pathlib.Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for path, p in zip(paths, probs):
         pred = pc.categories[int(np.argmax(p))]
@@ -211,12 +212,11 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_glyphs(args) -> int:
+def cmd_glyphs(args, out) -> int:
     if args.per_category < 1:
         raise ConfigurationError(f"--per-category {args.per_category} must be at least 1")
-    out = pathlib.Path(args.out_dir)
-    (out / "corpus").mkdir(parents=True, exist_ok=True)
-    (out / "templates").mkdir(parents=True, exist_ok=True)
+    (out / "corpus").mkdir()
+    (out / "templates").mkdir()
     for cat, img in C.template_images().items():
         C.write_pgm(out / "templates" / f"{cat}.pgm", img.pixels)
     corpus = C.generate_corpus(args.per_category, seed=args.seed)
@@ -229,7 +229,7 @@ def cmd_glyphs(args) -> int:
         C.write_pgm(out / "corpus" / name, img.pixels)
         rows.append([name, img.true_category])
     _write_rows(out / "labels.csv", ["image", "category"], rows)
-    print(f"wrote {len(corpus)} corpus glyphs and {len(C.CATEGORIES)} templates under {out}")
+    print(f"wrote {len(corpus)} corpus glyphs and {len(C.CATEGORIES)} templates under {pathlib.Path(args.out_dir)}")
     return 0
 
 
@@ -269,9 +269,7 @@ def _probability_columns(header):
     return [i for i, name in enumerate(header) if name.startswith("p_")] or range(len(header))
 
 
-def cmd_metrics(args) -> int:
-    out = pathlib.Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_metrics(args, out) -> int:
     rows = []
     if args.probs:
         mat = _read_columns(args.probs, _probability_columns)
@@ -342,6 +340,60 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _staged(out_dir):
+    """A new hidden directory inside out_dir for a command to write into;
+    its files move into out_dir when the command succeeds.  Staging inside
+    out_dir needs only out_dir to be writable and keeps every move on one
+    filesystem.  A command that fails leaves out_dir as it was: the staging
+    directory goes, and so do out_dir and the directories above it that were
+    made here, bottom-up, as long as they are empty.  A file and a directory
+    sharing a name are found before anything moves; only an I/O error while
+    moving can leave out_dir part-updated.  An out_dir that is (or lies
+    under) a file, or that cannot be made, fails before the command runs."""
+    out = pathlib.Path(out_dir)
+    made = []
+    try:
+        for p in reversed((out, *out.parents)):
+            if not p.is_dir():
+                try:
+                    p.mkdir()
+                    made.append(p)
+                except FileExistsError:
+                    if not p.is_dir():      # else made meanwhile by another process
+                        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(p)) from None
+        stage = pathlib.Path(tempfile.mkdtemp(prefix=".stage.", dir=out))
+        try:
+            yield stage
+            _move_into(stage, out, check=True)
+            _move_into(stage, out, check=False)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+    except BaseException:
+        for p in reversed(made):
+            try:
+                p.rmdir()
+            except OSError:                 # not empty: another process writes there too
+                break
+        raise
+
+
+def _move_into(src: pathlib.Path, dst: pathlib.Path, check: bool) -> None:
+    """Move src's entries into dst, merging into directories dst already has;
+    with check, move nothing and raise where a move would meet a file and a
+    directory sharing a name."""
+    for entry in src.iterdir():
+        target = dst / entry.name
+        if entry.is_dir() and target.is_dir():
+            _move_into(entry, target, check)
+        elif not check:
+            os.replace(entry, target)
+        elif target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        elif entry.is_dir() and target.exists():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(target))
+
+
 def _error(exc: Exception, code: int) -> int:
     # one line even when the message quotes a multi-line config value
     print("error: " + " ".join(str(exc).split()), file=sys.stderr)
@@ -351,7 +403,8 @@ def _error(exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with _staged(args.out_dir) as out:
+            return args.fn(args, out)
     except (ConfigurationError, ValueError, OSError) as exc:
         return _error(exc, 2)
     except (DivergenceError, NumericError) as exc:

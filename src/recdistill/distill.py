@@ -160,15 +160,43 @@ class _Draws:
     xt: np.ndarray         # (n, d)
 
 
+@dataclass(frozen=True)
+class RunTables:
+    """What a run needs that depends only on its prior, schedule and config,
+    built once per run; the iterations gather from it by t."""
+
+    schedule: worldmodel.TabulatedSchedule   # the prior's noisy components at every step
+    omega: np.ndarray                        # (T+1,) the loss weight of each step
+    pose_cdf: np.ndarray                     # (K,) cumulative pose probabilities, normalised
+    control_log_w: np.ndarray | None         # CTRL's log weights
+
+    @classmethod
+    def build(cls, m: PoseLabeledMixture, schedule: DiffusionSchedule, cfg: DistillConfig) -> "RunTables":
+        k = m.num_categories
+        probs = np.full(k, 1.0 / k) if cfg.pose_probs is None else np.asarray(cfg.pose_probs, dtype=float)
+        # the checks rng.choice(k, p=probs) makes
+        if probs.shape != (k,) or not np.all(probs >= 0) or abs(np.sum(probs) - 1.0) > np.sqrt(np.finfo(float).eps):
+            raise ConfigurationError(f"pose_probs must be {k} non-negative probabilities summing to 1")
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        return cls(
+            schedule=worldmodel.TabulatedSchedule.of(schedule, m),
+            omega=loss_weight(schedule, cfg.omega_kind),
+            pose_cdf=cdf,
+            control_log_w=None if cfg.control_category is None else _control_log_weights(m, cfg.control_category),
+        )
+
+
 def _draw(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, schedule: DiffusionSchedule,
-          cfg: DistillConfig, iteration: int, rng: np.random.Generator) -> _Draws:
+          cfg: DistillConfig, iteration: int, rng: np.random.Generator, tables: RunTables | None = None) -> _Draws:
+    """The iteration's draws; `run` passes its tables, a call on its own builds them."""
+    if tables is None:
+        tables = RunTables.build(m, schedule, cfg)
     n, d = particles.shape
     lo, hi = bnf_interval(iteration, cfg.iters, cfg.bnf_n_i, schedule.num_steps)
     t = rng.integers(lo, hi + 1, size=n)
-    probs = cfg.pose_probs
-    if probs is None:
-        probs = np.full(m.num_categories, 1.0 / m.num_categories)
-    pose = rng.choice(m.num_categories, size=n, p=probs)
+    # how rng.choice(K, size=n, p=probs) draws: the same poses and generator state
+    pose = tables.pose_cdf.searchsorted(rng.random(n), side="right")
     eps = rng.standard_normal((n, d))
     xt = schedule.alpha[t][:, None] * render(renderer, particles, pose) + schedule.sigma[t][:, None] * eps
     return _Draws(t=t, pose=pose, eps=eps, xt=xt)
@@ -186,7 +214,8 @@ def _control_grad_log_posterior(m: PoseLabeledMixture, schedule: DiffusionSchedu
 
 
 def gradient(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, schedule: DiffusionSchedule,
-             cfg: DistillConfig, draws: _Draws, marginal=None) -> tuple[np.ndarray, np.ndarray | None]:
+             cfg: DistillConfig, draws: _Draws, marginal=None,
+             tables: RunTables | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Distillation gradient of every particle, the one rule behind every method:
 
         omega(t) J^T (eps_pre - eps_ref) - align(omega(t) sigma_t J^T grad log r)
@@ -201,21 +230,24 @@ def gradient(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, s
     commanded category's posterior for CTRL.  Subtracting the correction in
     a descent update ascends log r.
 
-    One pass over the mixture at the drawn points gives eps_pre and the
-    CTRL correction, and `rectify.correction` takes the USD correction from
-    it.  For USD the second return value holds the rectifier's posterior
-    row at every draw, for the EMA to observe; other methods return None
-    there.
+    One pass over the mixture at the drawn points, gathered from the run's
+    tables (built here for a call on its own), gives eps_pre and the CTRL
+    correction, and `rectify.correction` takes the USD correction from it.
+    For USD the second return value holds the rectifier's posterior row at
+    every draw, for the EMA to observe; other methods return None there.
     """
+    if tables is None:
+        tables = RunTables.build(m, schedule, cfg)
+    schedule = tables.schedule
     t, pose, xt = draws.t, draws.pose, draws.xt
-    omega = loss_weight(schedule, cfg.omega_kind)[t][:, None]
+    omega = tables.omega[t][:, None]
     eps_ref = draws.eps if cfg.method == "sds" else variational_eps(particles, renderer, schedule, t, pose, xt)
     jac = render_jacobian(renderer, particles, pose)
     components = worldmodel._components(m, schedule, t, xt)
     out = omega * np.einsum("nji,nj->ni", jac, worldmodel._eps_pretrain(schedule, t, components) - eps_ref)
     rows = None
     if cfg.method == "ctrl":
-        g = worldmodel._grad_log_reweight(m, components, _control_log_weights(m, cfg.control_category))
+        g = worldmodel._grad_log_reweight(m, components, tables.control_log_w)
     elif cfg.method == "usd":
         g, rows = rectify.correction(cfg.rectifier, m, schedule, t, xt, marginal, components)
     else:
@@ -265,6 +297,7 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
     rng = np.random.default_rng(ps.seed)
     particles = ps.particles.copy()
     state = IntervalEma.create(schedule.num_steps, cfg.n_t, m.num_categories, cfg.n_ema)
+    tables = RunTables.build(m, schedule, cfg)
     # USD's marginal: the EMA's row at each draw's step, or a constant
     source = cfg.rectifier.marginal_source if cfg.method == "usd" else None
     marginal = m.category_weights() if source == "exact-mc" else None
@@ -275,9 +308,9 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
         marginal = np.mean(rows, axis=0)
     snapshots, ema_trace, metrics = [], [], []
     for it in range(cfg.iters):
-        draws = _draw(particles, ps.renderer, m, schedule, cfg, it, rng)
+        draws = _draw(particles, ps.renderer, m, schedule, cfg, it, rng, tables)
         grads, rows = gradient(particles, ps.renderer, m, schedule, cfg, draws,
-                               ema_lookup(state, draws.t) if source == "ema" else marginal)
+                               ema_lookup(state, draws.t) if source == "ema" else marginal, tables)
         particles = particles - cfg.eta1 * grads
         if np.any(np.abs(particles) > 1e6) or not np.all(np.isfinite(particles)):
             raise DivergenceError(

@@ -103,18 +103,21 @@ def r_value(rect: Rectifier, posterior, marginal) -> float:
     return float(np.sum(w * posterior, axis=-1))
 
 
-def posterior(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
+def posterior(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, eps=None) -> np.ndarray:
     """Category posterior p_t(c | xt) from the rectifier's posterior source.
 
     'exact-mixture' is the true time-t posterior.  The degraded sources
     mimic classifying images instead: 'classifier-on-tweedie' applies the
-    clean posterior to the Tweedie-denoised point (t >= 1),
+    clean posterior to the Tweedie-denoised point (t >= 1), with eps the
+    prior's noise prediction at xt (evaluated here if not given),
     'classifier-direct' applies it to the noisy point as-is.
     """
     if rect.posterior_source == "exact-mixture":
         return worldmodel.category_posterior(m, schedule, t, xt)
     if rect.posterior_source == "classifier-on-tweedie":
-        xt = tweedie_x0(schedule, t, xt, worldmodel.eps_pretrain(m, schedule, t, xt))
+        if eps is None:
+            eps = worldmodel.eps_pretrain(m, schedule, t, xt)
+        xt = tweedie_x0(schedule, t, xt, eps)
     return worldmodel.category_posterior(m, None, 0, xt)
 
 
@@ -129,7 +132,9 @@ def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
     minus this mixture's.  The classifier-backed sources take central
     differences of log r: xt, the 2d points xt + h e_j, then xt - h e_j,
     for every axis j and row, go through one stacked `posterior` call
-    whose first block is the rows.  A difference within a few ulps of log
+    whose first block is the rows; given `components`, the Tweedie source
+    takes that block's noise prediction from it and evaluates the prior
+    at the 2d shifted blocks only.  A difference within a few ulps of log
     r is rounding noise from a saturated posterior and counts as zero, so
     that gradient-norm alignment cannot scale it up.  A non-finite
     gradient is a NumericError naming its first row.
@@ -147,7 +152,12 @@ def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
         d = xt.shape[-1]
         h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
         step = np.moveaxis(h[..., None, None] * np.eye(d), -2, 0)             # (d, ..., d): h e_j
-        post = posterior(rect, m, schedule, t, np.concatenate([xt[None], xt + step, xt - step]))
+        stack = np.concatenate([xt[None], xt + step, xt - step])
+        eps = None
+        if rect.posterior_source == "classifier-on-tweedie" and components is not None:
+            eps = np.concatenate([worldmodel._eps_pretrain(schedule, t, components)[None],
+                                  worldmodel.eps_pretrain(m, schedule, t, stack[1:])])
+        post = posterior(rect, m, schedule, t, stack, eps)
         log_r = np.log(np.sum(w * post[1:], axis=-1))
         fp, fm = log_r[:d], log_r[d:]                                         # (d, ...)
         finite = np.isfinite(fp) & np.isfinite(fm)

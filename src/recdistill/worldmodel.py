@@ -34,6 +34,8 @@ class PoseLabeledMixture:
     category_of: np.ndarray    # (n_comp,) ints in [0, num_categories)
     num_categories: int
     _chols: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_weights: np.ndarray = field(init=False, repr=False, compare=False)   # (n_comp,)
+    _members: np.ndarray = field(init=False, repr=False, compare=False)       # (K, n_comp) bools
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -66,6 +68,8 @@ class PoseLabeledMixture:
         except np.linalg.LinAlgError as exc:
             raise ConfigurationError("all component covariances must be positive-definite") from exc
         object.__setattr__(self, "_chols", chols)
+        object.__setattr__(self, "_log_weights", np.log(w))
+        object.__setattr__(self, "_members", cat == np.arange(self.num_categories)[:, None])
 
     @property
     def dim(self) -> int:
@@ -102,28 +106,67 @@ class _Pass(NamedTuple):
     scores: np.ndarray     # (..., n_comp, d): -cov_k(t)^-1 (xt - mean_k(t))
 
 
-def _components(m: PoseLabeledMixture, schedule, t, xt) -> _Pass:
-    """One pass over the components; t = 0 (or no schedule) is the clean mixture.
+class _Steps(NamedTuple):
+    """The noisy components at some steps t: N(alpha_t mu_k, alpha_t^2 Sigma_k + sigma_t^2 I)."""
 
-    t is one step, or one step per point: shape (n,) with xt of shape
-    (n, d).  The logits need the same solve as the Gaussian scores, so the
-    scores cost nothing extra, and the responsibilities are taken once
-    here; density, score, posterior and the reweighting gradient all
-    derive from this pass.
-    """
-    xt = np.asarray(xt, dtype=float)
-    if xt.shape[-1] != m.dim:
-        raise ValueError(f"point dimension {xt.shape[-1]} != mixture dimension {m.dim}")
+    means: np.ndarray      # (..., n_comp, d): alpha_t * mu_k
+    covs: np.ndarray       # (..., n_comp, d, d)
+    logdet: np.ndarray     # (..., n_comp): log det covs
+
+
+def _steps(m: PoseLabeledMixture, schedule, t) -> _Steps:
+    """The noisy components at step(s) t, gathered from a `TabulatedSchedule`
+    or formed here; t = 0 (or no schedule) is the clean mixture."""
+    if isinstance(schedule, TabulatedSchedule):
+        if schedule.mixture is not m:
+            raise ValueError("the schedule was tabulated for another mixture")
+        return _Steps(*(rows[t] for rows in schedule.steps))
     t = np.asarray(t)
     if schedule is None and np.any(t != 0):
         raise ValueError("a noisy step needs a schedule")
     a, s = (np.ones(t.shape), np.zeros(t.shape)) if schedule is None else (schedule.alpha[t], schedule.sigma[t])
     a, s = a[..., None, None], s[..., None, None]
-    covs = a[..., None] ** 2 * m.covs + s[..., None] ** 2 * np.eye(m.dim)   # (..., n_comp, d, d)
-    diff = xt[..., None, :] - a * m.means                                     # (..., n_comp, d)
-    sol = np.linalg.solve(covs, diff[..., None])[..., 0]
-    logdet = np.linalg.slogdet(covs)[1]
-    logits = np.log(m.weights) - 0.5 * (np.sum(diff * sol, axis=-1) + m.dim * np.log(2.0 * np.pi) + logdet)
+    covs = a[..., None] ** 2 * m.covs + s[..., None] ** 2 * np.eye(m.dim)
+    return _Steps(a * m.means, covs, np.linalg.slogdet(covs)[1])
+
+
+@dataclass(frozen=True)
+class TabulatedSchedule(DiffusionSchedule):
+    """A schedule with one mixture's noisy components at every step 0..T.
+
+    It stands in for the schedule wherever that mixture is evaluated: a
+    pass gathers its steps' rows from the table instead of forming the
+    covariances and their log-determinants again, so it makes the same
+    solve on the same numbers.  A run builds one; it costs one `slogdet`
+    over (T + 1) * n_comp matrices.
+    """
+
+    mixture: PoseLabeledMixture
+    steps: _Steps = field(repr=False, compare=False)   # rows t = 0..T
+
+    @classmethod
+    def of(cls, schedule: DiffusionSchedule, m: PoseLabeledMixture) -> "TabulatedSchedule":
+        steps = _steps(m, schedule, np.arange(schedule.num_steps + 1))
+        return cls(schedule.num_steps, schedule.alpha, schedule.sigma, m, steps)
+
+
+def _components(m: PoseLabeledMixture, schedule, t, xt) -> _Pass:
+    """One pass over the components; t = 0 (or no schedule) is the clean mixture.
+
+    t is one step, or one step per point: shape (n,) with xt of shape
+    (n, d).  A `TabulatedSchedule` supplies the steps' noisy components,
+    which are otherwise formed here.  The logits need the same solve as
+    the Gaussian scores, so the scores cost nothing extra, and the
+    responsibilities are taken once here; density, score, posterior and
+    the reweighting gradient all derive from this pass.
+    """
+    xt = np.asarray(xt, dtype=float)
+    if xt.shape[-1] != m.dim:
+        raise ValueError(f"point dimension {xt.shape[-1]} != mixture dimension {m.dim}")
+    steps = _steps(m, schedule, t)
+    diff = xt[..., None, :] - steps.means                                    # (..., n_comp, d)
+    sol = np.linalg.solve(steps.covs, diff[..., None])[..., 0]
+    logits = m._log_weights - 0.5 * (np.sum(diff * sol, axis=-1) + m.dim * np.log(2.0 * np.pi) + steps.logdet)
     return _Pass(logits, _softmax(logits), -sol)
 
 
@@ -148,8 +191,7 @@ def _eps_pretrain(schedule: DiffusionSchedule, t, p: _Pass) -> np.ndarray:
 
 
 def _category_posterior(m: PoseLabeledMixture, p: _Pass) -> np.ndarray:
-    members = m.category_of == np.arange(m.num_categories)[:, None]        # (K, n_comp)
-    return np.sum(p.resp[..., None, :] * members, axis=-1)
+    return np.sum(p.resp[..., None, :] * m._members, axis=-1)
 
 
 def _grad_log_reweight(m: PoseLabeledMixture, p: _Pass, log_w) -> np.ndarray:

@@ -1,0 +1,123 @@
+"""The byte-identity table: SHA-256 digests of short distillation runs.
+
+    PYTHONPATH=src python tests/identity_table.py     # rewrites tests/identity/table.json
+
+Each run is `recdistill distill` on one of the benchmark's three distill
+configs (copies under tests/identity/, cut to 50 iterations) or a variant
+of one, at seeds 0-2.  The table holds the digest of its particles.csv,
+ema.csv and metrics.csv and of its stdout line, together with the Python,
+numpy and platform it was made on.  test_identity.py reruns every run and
+compares: a change meant to keep outputs byte-identical must leave the
+table as it is, and a change that alters outputs on purpose regenerates it
+and names every entry that changed.
+"""
+
+from __future__ import annotations
+
+import configparser
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import platform
+import sys
+import tempfile
+
+import numpy as np
+
+HERE = pathlib.Path(__file__).resolve().parent / "identity"
+TABLE = HERE / "table.json"
+SEEDS = (0, 1, 2)
+OUTPUTS = ("particles.csv", "ema.csv", "metrics.csv")
+
+# per base config: variant name -> {section: {key: value}} set over the base
+_SOURCES = {
+    "classifier-direct": {"rectifier": {"posterior_source": "classifier-direct"}},
+    "fixed-presampled": {"rectifier": {"marginal_source": "fixed-presampled"}},
+    "exact-mc": {"rectifier": {"marginal_source": "exact-mc"}},
+    "align-off": {"distill": {"grad_norm_align": "false"}},
+    "sds": {"distill": {"method": "sds"}},
+    "vsd": {"distill": {"method": "vsd"}},
+}
+VARIANTS = {
+    "usd-twomode": {
+        "base": {},
+        **_SOURCES,
+        "classifier-on-tweedie": {"rectifier": {"posterior_source": "classifier-on-tweedie"}},
+        "ctrl": {"distill": {"method": "ctrl", "control_category": "1"}},
+        "omega-constant-one": {"distill": {"omega_kind": "constant-one"}},
+    },
+    "usd-tweedie-rot2d": {
+        "base": {},
+        **_SOURCES,
+        "exact-mixture": {"rectifier": {"posterior_source": "exact-mixture"}},
+        "pose-probs": {"distill": {"pose_probs": "0.7 0.3"}},
+    },
+    "ctrl-wide": {
+        "base": {},
+        "align-on": {"distill": {"grad_norm_align": "true"}},
+    },
+}
+
+
+def environment() -> dict:
+    """What the digests depend on besides the code: the interpreter, numpy,
+    the platform and the SIMD targets numpy dispatches to on this CPU."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "platform": f"{platform.system()}-{platform.machine()}",
+            "simd": [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _config(work: pathlib.Path, base: str, variant: str) -> pathlib.Path:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(HERE / f"{base}.cfg")
+    for section, values in VARIANTS[base][variant].items():
+        for key, value in values.items():
+            parser[section][key] = value
+    path = work / f"{base}-{variant}.cfg"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return path
+
+
+def digests(work) -> dict:
+    """Run every (config, variant, seed) under the directory `work`; the
+    digests keyed "config/variant/seed"."""
+    from recdistill import cli
+
+    work = pathlib.Path(work)
+    out = {}
+    for base, variants in VARIANTS.items():
+        for variant in variants:
+            cfg = _config(work, base, variant)
+            for seed in SEEDS:
+                key = f"{base}/{variant}/{seed}"
+                run_dir = work / key.replace("/", "-")
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    rc = cli.main(["distill", "--config", str(cfg), "--seed", str(seed), "--out-dir", str(run_dir)])
+                if rc != 0:
+                    raise RuntimeError(f"{key}: distill exited {rc}")
+                out[key] = {name: _sha((run_dir / name).read_bytes()) for name in OUTPUTS}
+                out[key]["stdout"] = _sha(stdout.getvalue().encode())
+    return out
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as work:
+        table = {"environment": environment(), "runs": digests(work)}
+    TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table['runs'])} runs to {TABLE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    raise SystemExit(main())

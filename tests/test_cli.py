@@ -78,10 +78,31 @@ class TestDistillCommand:
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         text = SMALL_USD.replace("eta1 = 0.03", "eta1 = 1e9\nomega_kind = constant-one")
-        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "a" / "out")])
         assert rc == 3
         err = capsys.readouterr().err
         assert _single_error_line(err) and "diverged" in err
+        # nothing is left behind, not even the directory above --out-dir
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_failure_leaves_an_existing_out_dir_unchanged(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD), "--out-dir", str(out)]) == 0
+        before = _tree_bytes(out)
+        text = SMALL_USD.replace("eta1 = 0.03", "eta1 = 1e9\nomega_kind = constant-one")
+        assert cli.main(["distill", "--config", _cfg(tmp_path, text, "bad.cfg"), "--out-dir", str(out)]) == 3
+        assert _tree_bytes(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "out", "run.cfg"]
+
+    def test_success_merges_into_an_existing_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        (out / "metrics.csv").write_text("stale")
+        assert cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD), "--out-dir", str(out)]) == 0
+        assert (out / "keep.txt").read_text() == "kept"
+        assert (out / "metrics.csv").read_text().startswith("iter,entropy")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.cfg"]
 
     def test_seed_changes_output(self, tmp_path):
         cfg = _cfg(tmp_path, SMALL_USD)
@@ -427,7 +448,11 @@ class TestFileErrors:
 
     @staticmethod
     def _metrics(tmp_path, *args):
-        return cli.main(["metrics", *args, "--out-dir", str(tmp_path / "out")])
+        # a failure leaves no --out-dir and no staging directory behind
+        before = sorted(tmp_path.iterdir())
+        rc = cli.main(["metrics", *args, "--out-dir", str(tmp_path / "out")])
+        assert rc == 0 or sorted(tmp_path.iterdir()) == before
+        return rc
 
     def test_missing_probs_file(self, tmp_path, capsys):
         assert self._metrics(tmp_path, "--probs", str(tmp_path / "missing.csv")) == 2
@@ -474,6 +499,77 @@ class TestFileErrors:
                 assert cli.main(command + ["--out-dir", str(out)]) == 2, command
                 err = capsys.readouterr().err
                 assert _single_error_line(err) and str(blocker) in err, (command, err)
+                assert blocker.read_text() == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.cfg", "file", "probs.csv", "run.cfg"]
+
+    def test_existing_out_dir_unchanged_by_a_failed_metrics(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "metrics.csv").write_text("metric,value\n")
+        assert cli.main(["metrics", "--probs", str(tmp_path / "missing.csv"), "--out-dir", str(out)]) == 2
+        assert _tree_bytes(out) == {"metrics.csv": b"metric,value\n"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_existing_out_dir_under_a_read_only_parent(self, tmp_path, monkeypatch):
+        # the staging directory lives inside --out-dir: its parent is never
+        # written, so it may be read-only (or on another filesystem)
+        parent = tmp_path / "ro"
+        out = parent / "out"
+        out.mkdir(parents=True)
+        probs = tmp_path / "probs.csv"
+        probs.write_text("p_a,p_b\n0.5,0.5\n")
+        seen, write_rows = [], cli._write_rows
+        monkeypatch.setattr(cli, "_write_rows", lambda *a: (seen.append(sorted(parent.iterdir())), write_rows(*a))[1])
+        parent.chmod(0o555)
+        try:
+            rc = cli.main(["metrics", "--probs", str(probs), "--out-dir", str(out)])
+        finally:
+            parent.chmod(0o755)
+        assert rc == 0
+        assert seen == [[out]]
+        assert [p.name for p in out.iterdir()] == ["metrics.csv"]
+
+    def test_failure_keeps_what_a_concurrent_run_wrote(self, tmp_path, capsys, monkeypatch):
+        # two runs under one new directory: the one that fails removes only
+        # the empty directories it made, not the other run's output
+        run = cli.D.run
+
+        def alongside(*args):
+            (tmp_path / "runs" / "b").mkdir()
+            (tmp_path / "runs" / "b" / "particles.csv").write_text("kept")
+            return run(*args)
+
+        monkeypatch.setattr(cli.D, "run", alongside)
+        text = SMALL_USD.replace("eta1 = 0.03", "eta1 = 1e9\nomega_kind = constant-one")
+        assert cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "runs" / "a")]) == 3
+        assert _tree_bytes(tmp_path / "runs") == {"particles.csv": b"kept"}
+        assert [p.name for p in (tmp_path / "runs").iterdir()] == ["b"]
+
+    def test_name_clash_moves_nothing(self, tmp_path, capsys):
+        # a staged file over a directory, and a staged directory over a file,
+        # are found before any file moves
+        probs = tmp_path / "probs.csv"
+        probs.write_text("p_a,p_b\n0.5,0.5\n")
+        out = tmp_path / "m"
+        (out / "metrics.csv").mkdir(parents=True)
+        assert cli.main(["metrics", "--probs", str(probs), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and str(out / "metrics.csv") in err
+        assert [p.name for p in out.iterdir()] == ["metrics.csv"] and (out / "metrics.csv").is_dir()
+        # each of glyphs' three outputs in turn, so that whichever moves
+        # first, some clash comes after another output
+        for name in ("corpus", "templates", "labels.csv"):
+            out = tmp_path / f"g-{name}"
+            out.mkdir()
+            if name == "labels.csv":
+                (out / name / "sub").mkdir(parents=True)
+            else:
+                (out / name).write_text("a file")
+            before = sorted(p.relative_to(out) for p in out.rglob("*"))
+            assert cli.main(["glyphs", "--per-category", "1", "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert _single_error_line(err) and str(out / name) in err
+            assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_glyphs_needs_one_per_category(self, tmp_path, capsys, count):
@@ -553,3 +649,5 @@ class TestPresetMutations:
                     assert len(rows) > 1 and len({row.count(",") for row in rows}) == 1
             else:
                 assert rc in (2, 3) and _single_error_line(err)
+                # a failed run leaves nothing behind
+                assert sorted(p.name for p in pathlib.Path(tmp).iterdir()) == ["run.cfg"]

@@ -39,13 +39,13 @@ def _particles(values, seed=0):
     return D.ParticleSet(particles=np.asarray(values, dtype=float), renderer=Renderer(), seed=seed)
 
 
-def _draw(ps, m, schedule, cfg, iteration, rng):
-    return D._draw(ps.particles, ps.renderer, m, schedule, cfg, iteration, rng)
+def _draw(ps, m, schedule, cfg, iteration, rng, tables=None):
+    return D._draw(ps.particles, ps.renderer, m, schedule, cfg, iteration, rng, tables)
 
 
-def _gradient(ps, m, schedule, cfg, draws, marginal=None):
+def _gradient(ps, m, schedule, cfg, draws, marginal=None, tables=None):
     """The one gradient rule with the inputs cfg.method selects."""
-    return D.gradient(ps.particles, ps.renderer, m, schedule, cfg, draws, marginal)[0]
+    return D.gradient(ps.particles, ps.renderer, m, schedule, cfg, draws, marginal, tables)[0]
 
 
 class TestVariationalEps:
@@ -127,10 +127,11 @@ def _mean_gradient(method, m, schedule, theta, n_draws, seed, **cfg_kwargs):
     cfg = D.DistillConfig(method=method, iters=n_draws, bnf_n_i=1, **cfg_kwargs)
     ps = _particles([theta], seed=seed)
     rng = np.random.default_rng(seed)
+    tables = D.RunTables.build(m, schedule, cfg)
     grads = []
     for it in range(n_draws):
-        draws = _draw(ps, m, schedule, cfg, it, rng)
-        grads.append(_gradient(ps, m, schedule, cfg, draws)[0])
+        draws = _draw(ps, m, schedule, cfg, it, rng, tables)
+        grads.append(_gradient(ps, m, schedule, cfg, draws, tables=tables)[0])
     return np.array(grads)
 
 
@@ -336,6 +337,64 @@ class TestRun:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         header = (tmp_path / "a" / "particles.csv").read_text().splitlines()[0]
         assert header == "iter,particle,x0"
+
+
+class TestPoseDraw:
+    """_draw takes its poses with searchsorted on the run's normalised CDF,
+    which is how Generator.choice draws with probabilities: the same
+    indices, and the generator left in the same state.  That rests on
+    numpy's implementation of choice, so a numpy that changes it fails here."""
+
+    @pytest.mark.parametrize("probs", [None, [0.7, 0.3], [0.45, 0.0, 0.55], [0.1, 0.2, 0.3, 0.4]])
+    def test_same_draws_as_rng_choice(self, schedule, probs):
+        k = 3 if probs is None else len(probs)
+        m = PoseLabeledMixture(weights=np.full(k, 1.0 / k), means=np.arange(k, dtype=float)[:, None],
+                               covs=np.ones((k, 1, 1)), category_of=np.arange(k), num_categories=k)
+        cfg = D.DistillConfig(method="sds", iters=5, pose_probs=None if probs is None else np.array(probs))
+        p = np.full(k, 1.0 / k) if probs is None else np.array(probs)
+        tables = D.RunTables.build(m, schedule, cfg)
+        for seed in range(200):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for it, n in enumerate((1, 3, 16, 64, 7)):
+                draws = D._draw(np.zeros((n, 1)), Renderer(), m, schedule, cfg, it, rng, tables)
+                lo, hi = D.bnf_interval(it, cfg.iters, cfg.bnf_n_i, schedule.num_steps)
+                assert np.array_equal(draws.t, ref.integers(lo, hi + 1, size=n))
+                assert np.array_equal(draws.pose, ref.choice(k, size=n, p=p))
+                assert np.array_equal(draws.eps, ref.standard_normal((n, 1)))
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert probs is None or not np.any(p[draws.pose] == 0.0)
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.6], [0.5, np.nan], [1.0], [-0.5, 1.5]])
+    def test_invalid_pose_probs(self, schedule, narrow_biased, probs):
+        cfg = D.DistillConfig(method="sds", iters=5, pose_probs=np.array(probs))
+        with pytest.raises(ConfigurationError, match="pose_probs must be 2 non-negative"):
+            D.RunTables.build(narrow_biased, schedule, cfg)
+
+
+class TestRunTables:
+    @pytest.mark.parametrize("method, source", [
+        ("sds", None), ("ctrl", None), ("usd", "exact-mixture"), ("usd", "classifier-on-tweedie"),
+    ])
+    def test_built_once_per_run(self, schedule, narrow_biased, monkeypatch, method, source):
+        tabulated, weights = [], []
+        init, weight = worldmodel.TabulatedSchedule.__post_init__, D.loss_weight
+        monkeypatch.setattr(worldmodel.TabulatedSchedule, "__post_init__",
+                            lambda self: (tabulated.append(self), init(self))[1])
+        monkeypatch.setattr(D, "loss_weight", lambda *a: (weights.append(a), weight(*a))[1])
+        kwargs = dict(method=method, iters=12, snapshot_every=4)
+        if method == "ctrl":
+            kwargs["control_category"] = 1
+        if method == "usd":
+            kwargs["rectifier"] = Rectifier(target=TargetMarginal.uniform(2), posterior_source=source)
+        D.run(D.ParticleSet.initialise(4, 1, Renderer(), seed=3), narrow_biased, schedule, D.DistillConfig(**kwargs))
+        assert len(tabulated) == 1 and len(weights) == 1
+
+    def test_rows_are_the_per_step_values(self, schedule, narrow_biased):
+        cfg = D.DistillConfig(method="ctrl", control_category=0, iters=5, omega_kind="constant-one", n_t=4)
+        tables = D.RunTables.build(narrow_biased, schedule, cfg)
+        assert np.array_equal(tables.omega, loss_weight(schedule, "constant-one"))
+        assert np.array_equal(tables.pose_cdf, [0.5, 1.0])
+        assert np.array_equal(tables.control_log_w, [0.0, -np.inf])
 
 
 class TestConfigValidation:

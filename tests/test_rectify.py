@@ -238,13 +238,35 @@ class TestStackedFiniteDifferences:
                    rng.dirichlet(np.ones(3), size=5))
         assert calls == [(2 * dim + 1, 5, dim)] * passes
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_in_run_tweedie_pass_takes_the_shifted_blocks(self, schedule, monkeypatch, dim):
+        # in a run the shared pass at (t, xt) holds block 0's noise
+        # prediction, so the Tweedie pass evaluates the 2d shifted blocks only
+        rng = np.random.default_rng(dim)
+        m = random_mixture(rng, dim, 3)
+        rect = Rectifier(target=TargetMarginal.uniform(3), posterior_source="classifier-on-tweedie")
+        cfg = distill.DistillConfig(method="usd", iters=10, rectifier=rect)
+        particles = rng.standard_normal((5, dim))
+        tables = distill.RunTables.build(m, schedule, cfg)
+        draws = distill._draw(particles, worldmodel.Renderer(), m, schedule, cfg, 3, rng, tables)
+        calls = []
+        components = worldmodel._components
+
+        def counting(*args):
+            calls.append(np.shape(args[-1]))
+            return components(*args)
+
+        monkeypatch.setattr(worldmodel, "_components", counting)
+        distill.gradient(particles, worldmodel.Renderer(), m, schedule, cfg, draws, rng.dirichlet(np.ones(3)), tables)
+        assert calls == [(5, dim), (2 * dim, 5, dim), (2 * dim + 1, 5, dim)]
+
     def test_non_finite_names_the_axis(self, mixed_2d, schedule, monkeypatch):
         # log r is non-finite only where the second coordinate exceeds 1,
         # which only the point shifted up along axis 1 reaches
         posterior = rectify.posterior
 
-        def broken(rect, m, schedule, t, x):
-            return np.where(x[..., 1:] > 1.0, np.nan, posterior(rect, m, schedule, t, x))
+        def broken(rect, m, schedule, t, x, eps=None):
+            return np.where(x[..., 1:] > 1.0, np.nan, posterior(rect, m, schedule, t, x, eps))
 
         monkeypatch.setattr(rectify, "posterior", broken)
         rect = Rectifier(target=TargetMarginal.uniform(2), posterior_source="classifier-direct")

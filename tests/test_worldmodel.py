@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recdistill import worldmodel
 from recdistill.errors import ConfigurationError
@@ -246,3 +248,40 @@ class TestRenderer:
         with pytest.raises(ConfigurationError, match="finite"):
             Renderer(kind="rotation", angles=(0.0, np.inf))
         assert Renderer(kind="identity", angles=(np.nan,)).kind == "identity"   # unused by identity
+
+
+class TestTabulatedSchedule:
+    """A pass gathered from the run's table equals the public evaluators
+    called one point at a time, bit for bit; t = 0 is the clean mixture."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), k=st.integers(2, 4), n=st.integers(1, 6))
+    def test_gathered_pass_equals_per_point_evaluators(self, schedule, seed, dim, k, n):
+        rng = np.random.default_rng(seed)
+        m = random_mixture(rng, dim, k)
+        tabulated = worldmodel.TabulatedSchedule.of(schedule, m)
+        t = rng.integers(0, schedule.num_steps + 1, size=n)
+        t[rng.integers(n)] = 0
+        x = rng.uniform(-4.0, 4.0, size=(n, dim))
+        log_w = np.log(rng.dirichlet(np.ones(k), size=n))
+
+        def per_point(fn, *args):
+            # the clean mixture is schedule None; eps_pretrain needs sigma_0 = 0 from the schedule
+            return np.array([fn(m, None if ti == 0 and fn is not worldmodel.eps_pretrain else schedule, int(ti), *row)
+                             for ti, *row in zip(t, x, *args)])
+
+        for fn in (worldmodel.score, worldmodel.eps_pretrain, worldmodel.category_posterior,
+                   worldmodel.noisy_density):
+            assert np.array_equal(fn(m, tabulated, t, x), per_point(fn))
+        assert np.array_equal(worldmodel.grad_log_reweight(m, tabulated, t, x, log_w),
+                              per_point(worldmodel.grad_log_reweight, log_w))
+        gathered = worldmodel._components(m, tabulated, t, x)
+        for i in range(n):
+            alone = worldmodel._components(m, schedule if t[i] else None, int(t[i]), x[i])
+            assert all(np.array_equal(a[i], b) for a, b in zip(gathered, alone))
+
+    def test_belongs_to_its_mixture(self, schedule, biased_1d, balanced_1d):
+        tabulated = worldmodel.TabulatedSchedule.of(schedule, biased_1d)
+        assert tabulated.steps.covs.shape == (schedule.num_steps + 1, 2, 1, 1)
+        with pytest.raises(ValueError, match="tabulated for another mixture"):
+            worldmodel.score(balanced_1d, tabulated, 10, np.zeros(1))
