@@ -86,13 +86,16 @@ def _parse_mixture(section) -> PoseLabeledMixture:
     if not means:
         raise ConfigurationError("[mixture] components lists no component")
     d = means[0].size
-    return PoseLabeledMixture(
-        weights=np.array(weights),
-        means=np.stack(means),
-        covs=np.stack([c.reshape(d, d) for c in covs]),
-        category_of=np.array(cats),
-        num_categories=num_categories,
-    )
+    try:
+        return PoseLabeledMixture(
+            weights=np.array(weights),
+            means=np.stack(means),
+            covs=np.stack([c.reshape(d, d) for c in covs]),
+            category_of=np.array(cats),
+            num_categories=num_categories,
+        )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[mixture] {exc}") from exc
 
 
 def _parse_rectifier(section, k: int) -> Rectifier:
@@ -137,8 +140,8 @@ def _parse_distill(section, k: int, dim: int) -> dict:
         out["omega_kind"] = section["omega_kind"].strip()
     if "pose_probs" in section and section["pose_probs"].strip() != "uniform":
         probs = _value(section, "distill", "pose_probs", _floats)
-        if probs.size != k or np.any(probs < 0) or abs(np.sum(probs) - 1.0) > 1e-9:
-            raise ConfigurationError(f"[distill] pose_probs must be {k} non-negative probabilities summing to 1")
+        if probs.size != k or not np.all(probs >= 0) or not abs(np.sum(probs) - 1.0) <= 1e-9:   # NaN fails both
+            raise ConfigurationError(f"[distill] pose_probs must be {k} finite, non-negative probabilities summing to 1")
         out["pose_probs"] = probs
     angles = tuple(_value(section, "distill", "renderer_angles", _floats, ""))
     try:

@@ -22,7 +22,7 @@ from .estimator import IntervalEma, ema_lookup, ema_update
 from .metrics import categorical_entropy
 from .rectify import Rectifier
 from .schedule import DiffusionSchedule, loss_weight
-from .worldmodel import PoseLabeledMixture, Renderer, render, render_jacobian
+from .worldmodel import PoseLabeledMixture, Renderer, at_pose, render, render_jacobian, render_poses
 
 METHODS = ("sds", "vsd", "usd", "ctrl")
 
@@ -84,7 +84,7 @@ class DistillConfig:
 
 
 def variational_eps(particles: np.ndarray, renderer: Renderer, schedule: DiffusionSchedule,
-                    t, c, xt) -> np.ndarray:
+                    t, c, xt, rendered=None) -> np.ndarray:
     """Noise prediction of the particle-induced distribution at step t.
 
     The particles at pose c induce the mixture (1/n) sum_i
@@ -92,11 +92,15 @@ def variational_eps(particles: np.ndarray, renderer: Renderer, schedule: Diffusi
     -sigma_t * grad log of that mixture, the exact population minimizer of
     the usual noise-regression objective.  t and c are one step and pose
     with xt of shape (d,), or one per draw with xt of shape (m, d); every
-    draw is evaluated against all particles at once.
+    draw is evaluated against all particles at once, gathered from
+    `rendered`, the particles at every pose (`render_poses`, made here if
+    not given).
     """
     xt = np.asarray(xt, dtype=float)
+    if rendered is None:
+        rendered = render_poses(renderer, particles)
     a, s = schedule.alpha[t][..., None, None], schedule.sigma[t][..., None]
-    diffs = xt[..., None, :] - a * render(renderer, particles, np.asarray(c)[..., None])   # (..., n, d)
+    diffs = xt[..., None, :] - a * at_pose(renderer, rendered, np.asarray(c)[..., None])   # (..., n, d)
     log_w = -0.5 * np.sum(diffs**2, axis=-1) / s**2
     log_w -= log_w.max(axis=-1, keepdims=True)
     w = np.exp(log_w)
@@ -158,6 +162,7 @@ class _Draws:
     pose: np.ndarray       # (n,) ints
     eps: np.ndarray        # (n, d)
     xt: np.ndarray         # (n, d)
+    rendered: np.ndarray | None = None   # (K, n, d): the particles at every pose
 
 
 @dataclass(frozen=True)
@@ -198,8 +203,9 @@ def _draw(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, sche
     # how rng.choice(K, size=n, p=probs) draws: the same poses and generator state
     pose = tables.pose_cdf.searchsorted(rng.random(n), side="right")
     eps = rng.standard_normal((n, d))
-    xt = schedule.alpha[t][:, None] * render(renderer, particles, pose) + schedule.sigma[t][:, None] * eps
-    return _Draws(t=t, pose=pose, eps=eps, xt=xt)
+    rendered = render_poses(renderer, particles)
+    xt = schedule.alpha[t][:, None] * at_pose(renderer, rendered, pose) + schedule.sigma[t][:, None] * eps
+    return _Draws(t=t, pose=pose, eps=eps, xt=xt, rendered=rendered)
 
 
 def _control_log_weights(m: PoseLabeledMixture, category: int) -> np.ndarray:
@@ -230,26 +236,33 @@ def gradient(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, s
     commanded category's posterior for CTRL.  Subtracting the correction in
     a descent update ascends log r.
 
-    One pass over the mixture at the drawn points, gathered from the run's
-    tables (built here for a call on its own), gives eps_pre and the CTRL
-    correction, and `rectify.correction` takes the USD correction from it.
-    For USD the second return value holds the rectifier's posterior row at
-    every draw, for the EMA to observe; other methods return None there.
+    One pass over the mixture, gathered from the run's tables (built here
+    for a call on its own), gives eps_pre and the CTRL correction, and
+    `rectify.correction` takes the USD correction from it.  It runs at the
+    drawn points, or for USD at `rectify.points`' noisy points: for the
+    Tweedie source the whole finite-difference stack, whose block 0 (the
+    drawn points) gives eps_pre.  For USD the second return value holds
+    the rectifier's posterior row at every draw, for the EMA to observe;
+    other methods return None there.
     """
     if tables is None:
         tables = RunTables.build(m, schedule, cfg)
     schedule = tables.schedule
     t, pose, xt = draws.t, draws.pose, draws.xt
     omega = tables.omega[t][:, None]
-    eps_ref = draws.eps if cfg.method == "sds" else variational_eps(particles, renderer, schedule, t, pose, xt)
+    eps_ref = draws.eps if cfg.method == "sds" else variational_eps(particles, renderer, schedule, t, pose, xt,
+                                                                    draws.rendered)
     jac = render_jacobian(renderer, particles, pose)
-    components = worldmodel._components(m, schedule, t, xt)
-    out = omega * np.einsum("nji,nj->ni", jac, worldmodel._eps_pretrain(schedule, t, components) - eps_ref)
+    at = rectify.points(cfg.rectifier, xt) if cfg.method == "usd" else None
+    components = worldmodel._components(m, schedule, t, xt if at is None else at.noisy)
+    stacked = at is not None and at.noisy is at.stack                         # block 0 is the drawn points
+    first = worldmodel._Pass(*(a[0] for a in components)) if stacked else components
+    out = omega * np.einsum("nji,nj->ni", jac, worldmodel._eps_pretrain(schedule, t, first) - eps_ref)
     rows = None
     if cfg.method == "ctrl":
         g = worldmodel._grad_log_reweight(m, components, tables.control_log_w)
     elif cfg.method == "usd":
-        g, rows = rectify.correction(cfg.rectifier, m, schedule, t, xt, marginal, components)
+        g, rows = rectify.correction(cfg.rectifier, m, schedule, t, xt, marginal, components, at)
     else:
         return out, None
     correction = omega * schedule.sigma[t][:, None] * np.einsum("nji,nj->ni", jac, g)

@@ -10,6 +10,7 @@ the distillation gradient by the marginal-rectified method.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,8 @@ class TargetMarginal:
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", p)
-        if np.any(p < 0) or abs(np.sum(p) - 1.0) > 1e-12:
-            raise ValueError("target marginal must be a probability vector")
+        if not np.all(p >= 0) or not abs(np.sum(p) - 1.0) <= 1e-12:         # NaN fails both
+            raise ValueError(f"target marginal must be a finite probability vector, got {p.tolist()}")
 
     @classmethod
     def uniform(cls, k: int) -> "TargetMarginal":
@@ -121,43 +122,60 @@ def posterior(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, eps=None)
     return worldmodel.category_posterior(m, None, 0, xt)
 
 
+class Points(NamedTuple):
+    """Where `correction` evaluates the prior at rows xt (see `points`)."""
+
+    stack: np.ndarray | None   # (2d+1, ..., d): xt, xt + h e_j, then xt - h e_j; None for the exact posterior
+    h: np.ndarray | None       # (...,) the finite-difference steps fd_step (1 + |xt|)
+    noisy: np.ndarray          # where the prior's noisy pass is needed
+
+
+def points(rect: Rectifier, xt) -> Points:
+    """The classifier sources' finite-difference stack at rows xt, and where
+    the source needs the noisy pass: 'classifier-on-tweedie' denoises every
+    point of the stack, the other sources need it at xt only."""
+    xt = np.asarray(xt, dtype=float)
+    if rect.posterior_source == "exact-mixture":
+        return Points(None, None, xt)
+    d = xt.shape[-1]
+    h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
+    step = np.moveaxis(h[..., None, None] * np.eye(d), -2, 0)             # (d, ..., d): h e_j
+    stack = np.concatenate([xt[None], xt + step, xt - step])
+    return Points(stack, h, stack if rect.posterior_source == "classifier-on-tweedie" else xt)
+
+
 def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal,
-               components=None) -> tuple[np.ndarray, np.ndarray]:
+               components=None, at: Points | None = None) -> tuple[np.ndarray, np.ndarray]:
     """grad log r at the noisy point(s), and the posterior rows there.
 
     t, xt and marginal are one step, point (d,) and marginal (K,), or one
-    of each per row.  With the exact mixture posterior both come from
-    `components`, the `worldmodel._components` pass at (t, xt) (made here
-    if not given): grad log r is the category-reweighted mixture's score
-    minus this mixture's.  The classifier-backed sources take central
-    differences of log r: xt, the 2d points xt + h e_j, then xt - h e_j,
-    for every axis j and row, go through one stacked `posterior` call
-    whose first block is the rows; given `components`, the Tweedie source
-    takes that block's noise prediction from it and evaluates the prior
-    at the 2d shifted blocks only.  A difference within a few ulps of log
-    r is rounding noise from a saturated posterior and counts as zero, so
-    that gradient-norm alignment cannot scale it up.  A non-finite
-    gradient is a NumericError naming its first row.
+    of each per row.  `at` is `points(rect, xt)` and `components` the
+    `worldmodel._components` pass at `at.noisy` (both made here if not
+    given).  With the exact mixture posterior, grad log r is the
+    category-reweighted mixture's score minus this mixture's, from that
+    pass.  The classifier-backed sources take central differences of log r
+    from one `posterior` call over `at.stack`, whose first block is the
+    rows; the Tweedie source takes every block's noise prediction from the
+    pass.  A difference within a few ulps of log r is rounding noise from a
+    saturated posterior and counts as zero, so that gradient-norm alignment
+    cannot scale it up.  A non-finite gradient is a NumericError naming its
+    first row.
     """
     xt = np.asarray(xt, dtype=float)
+    if at is None:
+        at = points(rect, xt)
+    if components is None and rect.posterior_source != "classifier-direct":
+        components = worldmodel._components(m, schedule, t, at.noisy)
     w = weight_function(rect.target, marginal, rect.epsilon_floor)
     if rect.posterior_source == "exact-mixture":
-        if components is None:
-            components = worldmodel._components(m, schedule, t, xt)
         with np.errstate(divide="ignore"):          # a zero target weight is log 0 = -inf
             log_w = np.log(w)
         out = worldmodel._grad_log_reweight(m, components, log_w)
         rows = worldmodel._category_posterior(m, components)
     else:
         d = xt.shape[-1]
-        h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
-        step = np.moveaxis(h[..., None, None] * np.eye(d), -2, 0)             # (d, ..., d): h e_j
-        stack = np.concatenate([xt[None], xt + step, xt - step])
-        eps = None
-        if rect.posterior_source == "classifier-on-tweedie" and components is not None:
-            eps = np.concatenate([worldmodel._eps_pretrain(schedule, t, components)[None],
-                                  worldmodel.eps_pretrain(m, schedule, t, stack[1:])])
-        post = posterior(rect, m, schedule, t, stack, eps)
+        eps = worldmodel._eps_pretrain(schedule, t, components) if at.noisy is at.stack else None   # Tweedie
+        post = posterior(rect, m, schedule, t, at.stack, eps)
         log_r = np.log(np.sum(w * post[1:], axis=-1))
         fp, fm = log_r[:d], log_r[d:]                                         # (d, ...)
         finite = np.isfinite(fp) & np.isfinite(fm)
@@ -166,7 +184,7 @@ def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
             j = int(np.argmin(finite.reshape(d, -1)[:, np.argmax(bad)]))
             raise NumericError(f"non-finite log r along axis {j} at {first_row(bad, t, xt)}")
         rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(fp) + np.abs(fm))
-        out = np.moveaxis(np.where(np.abs(fp - fm) <= rounding, 0.0, fp - fm) / (2.0 * h), 0, -1)
+        out = np.moveaxis(np.where(np.abs(fp - fm) <= rounding, 0.0, fp - fm) / (2.0 * at.h), 0, -1)
         rows = post[0]
     bad = ~np.all(np.isfinite(out), axis=-1)
     if np.any(bad):

@@ -34,6 +34,7 @@ class PoseLabeledMixture:
     category_of: np.ndarray    # (n_comp,) ints in [0, num_categories)
     num_categories: int
     _chols: np.ndarray = field(init=False, repr=False, compare=False)
+    _clean: "_Steps" = field(init=False, repr=False, compare=False)          # the components at t = 0
     _log_weights: np.ndarray = field(init=False, repr=False, compare=False)   # (n_comp,)
     _members: np.ndarray = field(init=False, repr=False, compare=False)       # (K, n_comp) bools
 
@@ -54,6 +55,8 @@ class PoseLabeledMixture:
         object.__setattr__(self, "category_of", cat)
         if not (w.size == mu.shape[0] == cov.shape[0] == cat.size):
             raise ConfigurationError("component arrays have mismatched lengths")
+        if not all(np.all(np.isfinite(a)) for a in (w, mu, cov)):
+            raise ConfigurationError("component weights, means and covariances must be finite")
         if np.any(w <= 0) or abs(np.sum(w) - 1.0) > 1e-12:
             raise ConfigurationError("component weights must be positive and sum to 1")
         covered = set(cat.tolist())
@@ -68,6 +71,7 @@ class PoseLabeledMixture:
         except np.linalg.LinAlgError as exc:
             raise ConfigurationError("all component covariances must be positive-definite") from exc
         object.__setattr__(self, "_chols", chols)
+        object.__setattr__(self, "_clean", _form(self, np.ones(()), np.zeros(())))
         object.__setattr__(self, "_log_weights", np.log(w))
         object.__setattr__(self, "_members", cat == np.arange(self.num_categories)[:, None])
 
@@ -116,15 +120,20 @@ class _Steps(NamedTuple):
 
 def _steps(m: PoseLabeledMixture, schedule, t) -> _Steps:
     """The noisy components at step(s) t, gathered from a `TabulatedSchedule`
-    or formed here; t = 0 (or no schedule) is the clean mixture."""
+    or formed here; t = 0 with no schedule is the clean mixture, built with it."""
     if isinstance(schedule, TabulatedSchedule):
         if schedule.mixture is not m:
             raise ValueError("the schedule was tabulated for another mixture")
         return _Steps(*(rows[t] for rows in schedule.steps))
-    t = np.asarray(t)
-    if schedule is None and np.any(t != 0):
-        raise ValueError("a noisy step needs a schedule")
-    a, s = (np.ones(t.shape), np.zeros(t.shape)) if schedule is None else (schedule.alpha[t], schedule.sigma[t])
+    if schedule is None:
+        if np.any(np.asarray(t) != 0):
+            raise ValueError("a noisy step needs a schedule")
+        return m._clean
+    return _form(m, schedule.alpha[t], schedule.sigma[t])
+
+
+def _form(m: PoseLabeledMixture, a, s) -> _Steps:
+    """N(a mu_k, a^2 Sigma_k + s^2 I) for scale(s) a and noise level(s) s."""
     a, s = a[..., None, None], s[..., None, None]
     covs = a[..., None] ** 2 * m.covs + s[..., None] ** 2 * np.eye(m.dim)
     return _Steps(a * m.means, covs, np.linalg.slogdet(covs)[1])
@@ -288,16 +297,41 @@ def render(r: Renderer, theta, c) -> np.ndarray:
     return np.einsum("...ij,...j->...i", render_jacobian(r, theta, c), theta)
 
 
+def render_poses(r: Renderer, theta) -> np.ndarray:
+    """Parameters (n, d) rendered at every pose, (K, n, d): one einsum over
+    the poses' rotations, the same products `render` takes per pair.  The
+    identity renderer's one pose is the parameters themselves, (1, n, d)."""
+    theta = np.asarray(theta, dtype=float)
+    if r.kind == "identity":
+        return theta[None]
+    if theta.shape[-1] != 2:
+        raise ValueError("rotation renderer needs 2D parameters")
+    return np.einsum("kij,nj->kni", r._rotations, theta)
+
+
+def at_pose(r: Renderer, rendered: np.ndarray, c) -> np.ndarray:
+    """`render(r, theta, c)` gathered from `rendered = render_poses(r, theta)`:
+    pose(s) c broadcast against the particle axis."""
+    if r.kind == "identity":
+        return rendered[0]
+    return rendered[_poses(r, c), np.arange(rendered.shape[1])]
+
+
+def _poses(r: Renderer, c) -> np.ndarray:
+    c = np.asarray(c)
+    bad = (c < 0) | (c >= len(r.angles))
+    if np.any(bad):
+        raise ValueError(f"pose {c[bad].flat[0]} outside configured categories [0, {len(r.angles)})")
+    return c
+
+
 def render_jacobian(r: Renderer, theta, c) -> np.ndarray:
     """d(render)/d(theta), shape (..., d, d): the identity or each pose's rotation matrix."""
     theta = np.asarray(theta, dtype=float)
     d = theta.shape[-1]
     if r.kind == "identity":
         return np.broadcast_to(np.eye(d), theta.shape + (d,))
-    c = np.asarray(c)
-    bad = (c < 0) | (c >= len(r.angles))
-    if np.any(bad):
-        raise ValueError(f"pose {c[bad].flat[0]} outside configured categories [0, {len(r.angles)})")
+    c = _poses(r, c)
     if d != 2:
         raise ValueError("rotation renderer needs 2D parameters")
     return np.broadcast_to(r._rotations[c], np.broadcast_shapes(c.shape, theta.shape[:-1]) + (2, 2))

@@ -188,13 +188,14 @@ class TestBatchedGradient:
 
     @pytest.mark.parametrize("method, source, passes", [
         ("sds", None, 1), ("vsd", None, 1), ("ctrl", None, 1), ("usd", "exact-mixture", 1),
-        ("usd", "classifier-on-tweedie", 3), ("usd", "classifier-direct", 2),
+        ("usd", "classifier-on-tweedie", 2), ("usd", "classifier-direct", 2),
     ])
     def test_mixture_passes_per_iteration(self, schedule, monkeypatch, method, source, passes):
-        # one pass gives eps_pre, the CTRL or exact-mixture correction and
-        # the EMA's posterior row; a classifier source adds one stack of its
-        # posterior rows and finite differences (two passes through Tweedie,
-        # one without)
+        # one noisy pass gives eps_pre, the CTRL or exact-mixture correction
+        # and the EMA's posterior row; a classifier source adds one clean
+        # pass over its finite-difference stack of 2d + 1 = 5 blocks (for
+        # Tweedie the noisy pass runs over that stack too).  A run makes one
+        # slogdet, for its table: the clean components come with the mixture
         rng = np.random.default_rng(5)
         m = random_mixture(rng, 2, 3)
         kwargs = dict(method=method, iters=6, snapshot_every=100)
@@ -204,13 +205,21 @@ class TestBatchedGradient:
             kwargs["rectifier"] = Rectifier(target=TargetMarginal.uniform(3), posterior_source=source)
         ps = D.ParticleSet.initialise(8, 2, Renderer(), seed=0)
         events = []
-        components, draw = worldmodel._components, D._draw
-        monkeypatch.setattr(worldmodel, "_components", lambda *a: (events.append("pass"), components(*a))[1])
+        components, draw, slogdet = worldmodel._components, D._draw, np.linalg.slogdet
+        monkeypatch.setattr(worldmodel, "_components", lambda *a: (events.append(np.shape(a[-1])), components(*a))[1])
         monkeypatch.setattr(D, "_draw", lambda *a: (events.append("draw"), draw(*a))[1])
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (events.append("slogdet"), slogdet(a))[1])
         D.run(ps, m, schedule, D.DistillConfig(**kwargs))
-        per_iteration = [block.count("pass") for block in " ".join(events).split("draw")[1:]]
+        assert events.count("slogdet") == 1
+        iterations = []
+        for event in events:
+            if event == "draw":
+                iterations.append([])
+            elif iterations and event != "slogdet":
+                iterations[-1].append(event)
+        noisy = (5, 8, 2) if source == "classifier-on-tweedie" else (8, 2)
         # iterations 0 and 5 take a snapshot, whose metrics row costs a pass
-        assert per_iteration[1:-1] == [passes] * 4
+        assert iterations[1:-1] == [[noisy] + [(5, 8, 2)] * (passes - 1)] * 4
 
 
 class TestSaturatedFiniteDifferences:

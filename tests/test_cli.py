@@ -175,6 +175,26 @@ class TestConfigErrors:
         assert _single_error_line(err) and named in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("dim = 1", "pose_probs = nan nan\ndim = 1", "[distill] pose_probs must be 2 finite"),
+        ("dim = 1", "pose_probs = inf 0\ndim = 1", "[distill] pose_probs must be 2 finite"),
+        ("target = uniform", "target = nan nan", "[rectifier] target marginal must be a finite"),
+        ("target = uniform", "target = 0.5 inf", "[rectifier] target marginal must be a finite"),
+        ("0.8 |  2.0 | 0.01 | 0", "nan |  2.0 | 0.01 | 0", "[mixture] component weights, means and covariances"),
+        ("0.8 |  2.0 | 0.01 | 0", "0.8 |  nan | 0.01 | 0", "[mixture] component weights, means and covariances"),
+        ("0.8 |  2.0 | 0.01 | 0", "0.8 |  2.0 | nan | 0", "[mixture] component weights, means and covariances"),
+        ("0.8 |  2.0 | 0.01 | 0", "0.8 |  -inf | 0.01 | 0", "[mixture] component weights, means and covariances"),
+    ])
+    def test_non_finite_value_rejected_at_parse_time(self, tmp_path, capsys, old, new, named):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD.replace(old, new)),
+                           "--out-dir", str(tmp_path / "out")])
+        assert rc == 2 and not caught
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and named in err
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_key_is_a_config_error(self, tmp_path, capsys):
         rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD + "iters = 10\n"),
                        "--out-dir", str(tmp_path / "out")])

@@ -240,8 +240,9 @@ class TestStackedFiniteDifferences:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_in_run_tweedie_pass_takes_the_shifted_blocks(self, schedule, monkeypatch, dim):
-        # in a run the shared pass at (t, xt) holds block 0's noise
-        # prediction, so the Tweedie pass evaluates the 2d shifted blocks only
+        # in a run the one noisy pass covers the whole stack: block 0 (the
+        # drawn points) gives eps_pre, every block its Tweedie estimate;
+        # then one clean pass over the denoised stack
         rng = np.random.default_rng(dim)
         m = random_mixture(rng, dim, 3)
         rect = Rectifier(target=TargetMarginal.uniform(3), posterior_source="classifier-on-tweedie")
@@ -258,7 +259,7 @@ class TestStackedFiniteDifferences:
 
         monkeypatch.setattr(worldmodel, "_components", counting)
         distill.gradient(particles, worldmodel.Renderer(), m, schedule, cfg, draws, rng.dirichlet(np.ones(3)), tables)
-        assert calls == [(5, dim), (2 * dim, 5, dim), (2 * dim + 1, 5, dim)]
+        assert calls == [(2 * dim + 1, 5, dim), (2 * dim + 1, 5, dim)]
 
     def test_non_finite_names_the_axis(self, mixed_2d, schedule, monkeypatch):
         # log r is non-finite only where the second coordinate exceeds 1,

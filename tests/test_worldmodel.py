@@ -244,6 +244,26 @@ class TestRenderer:
             assert np.array_equal(got, reference(c, theta.shape[:-1]))
             assert np.array_equal(render(r, theta, c), np.einsum("...ij,...j->...i", got, theta))
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_per_pose_render_equals_render(self, k):
+        # the one einsum over every pose, and the gathers from it, equal
+        # render per (particle, pose) pair bit for bit
+        rng = np.random.default_rng(k)
+        r = Renderer(kind="rotation", angles=tuple(rng.uniform(-2 * np.pi, 2 * np.pi, k)))
+        for n in (1, 5, 16):
+            theta = 3.0 * rng.standard_normal((n, 2))
+            rendered = worldmodel.render_poses(r, theta)
+            assert rendered.shape == (k, n, 2)
+            for c in (*range(k), rng.integers(k, size=n), rng.integers(k, size=(4, 1))):
+                assert np.array_equal(worldmodel.at_pose(r, rendered, c), render(r, theta, c))
+            with pytest.raises(ValueError, match="outside configured categories"):
+                worldmodel.at_pose(r, rendered, -1)
+        identity = Renderer()
+        theta = rng.standard_normal((5, 3))
+        rendered = worldmodel.render_poses(identity, theta)
+        assert rendered.shape == (1, 5, 3)
+        assert np.array_equal(worldmodel.at_pose(identity, rendered, np.array([0, 1, 1, 0, 1])), theta)
+
     def test_angles_must_be_finite(self):
         with pytest.raises(ConfigurationError, match="finite"):
             Renderer(kind="rotation", angles=(0.0, np.inf))
