@@ -43,13 +43,6 @@ from .oracle import grid_integrate
 from .schedule import build_schedule
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -73,13 +66,13 @@ def cmd_rectify_demo(args, out) -> int:
     x = grid[:, None]
     rows = [[_fmt(g), _fmt(p), _fmt(q)] for g, p, q in zip(
         grid, worldmodel.density(m, x), rectify.rectified_density(m, rect.target, x))]
-    _write_rows(out / "density_clean.csv", ["x", "p", "p_rectified"], rows)
+    D.write_rows(out / "density_clean.csv", ["x", "p", "p_rectified"], rows)
     for t in demo["times"]:
         rows = [[_fmt(g), _fmt(p), _fmt(q)] for g, p, q in zip(
             grid,
             worldmodel.noisy_density(m, schedule, t, x),
             rectify.rectified_noisy_density(m, schedule, t, rect.target, x))]
-        _write_rows(out / f"density_t{t}.csv", ["x", "p", "p_rectified"], rows)
+        D.write_rows(out / f"density_t{t}.csv", ["x", "p", "p_rectified"], rows)
     # category marginal of the rectified joint w(c) * p(c|x) * p(x)
     w = rectify.weight_function(rect.target, m.category_weights())
     box = [(demo["grid_lo"], demo["grid_hi"])]
@@ -92,9 +85,9 @@ def cmd_rectify_demo(args, out) -> int:
         mass[c] = grid_integrate(cat_mass, box, npts)
     mass /= mass.sum()
     tv = marginal_tv(mass, rect.target.probs)
-    _write_rows(out / "marginal_report.csv",
-                ["category", "rectified_marginal", "target"],
-                [[c, _fmt(mass[c]), _fmt(rect.target.probs[c])] for c in range(m.num_categories)])
+    D.write_rows(out / "marginal_report.csv",
+                 ["category", "rectified_marginal", "target"],
+                 [[c, _fmt(mass[c]), _fmt(rect.target.probs[c])] for c in range(m.num_categories)])
     print(f"rectified marginal TV to target: {tv:.3e}")
     return 0
 
@@ -186,8 +179,8 @@ def cmd_classify(args, out) -> int:
     for path, p in zip(paths, probs):
         pred = pc.categories[int(np.argmax(p))]
         rows.append([path.name] + [_fmt(v) for v in p] + [pred])
-    _write_rows(out / "probabilities.csv",
-                ["image"] + [f"p_{c}" for c in pc.categories] + ["predicted"], rows)
+    D.write_rows(out / "probabilities.csv",
+                 ["image"] + [f"p_{c}" for c in pc.categories] + ["predicted"], rows)
     # labelled evaluation when filenames carry a category prefix like front_012.pgm
     labelled = [(p, pr) for p, pr in zip(paths, probs) if p.name.split("_")[0] in C.CATEGORIES]
     if labelled:
@@ -195,9 +188,9 @@ def cmd_classify(args, out) -> int:
         conf = np.zeros((k, k), dtype=int)
         for path, p in labelled:
             conf[pc.categories.index(path.name.split("_")[0]), int(np.argmax(p))] += 1
-        _write_rows(out / "confusion.csv",
-                    ["true\\pred"] + list(pc.categories),
-                    [[pc.categories[i]] + conf[i].tolist() for i in range(k)])
+        D.write_rows(out / "confusion.csv",
+                     ["true\\pred"] + list(pc.categories),
+                     [[pc.categories[i]] + conf[i].tolist() for i in range(k)])
         support = conf.sum(axis=1)
         predicted = conf.sum(axis=0)
         diag = np.diag(conf)
@@ -208,7 +201,7 @@ def cmd_classify(args, out) -> int:
             f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
             rows.append([cat, _fmt(precision), _fmt(recall), _fmt(f1), int(support[i])])
         rows.append(["accuracy", _fmt(diag.sum() / conf.sum()), "", "", int(conf.sum())])
-        _write_rows(out / "summary.csv", ["category", "precision", "recall", "f1", "support"], rows)
+        D.write_rows(out / "summary.csv", ["category", "precision", "recall", "f1", "support"], rows)
         print(f"accuracy {diag.sum() / conf.sum():.4f} over {conf.sum()} labelled images")
     return 0
 
@@ -229,7 +222,7 @@ def cmd_glyphs(args, out) -> int:
         name = f"{img.true_category}_{idx:03d}.pgm"
         C.write_pgm(out / "corpus" / name, img.pixels)
         rows.append([name, img.true_category])
-    _write_rows(out / "labels.csv", ["image", "category"], rows)
+    D.write_rows(out / "labels.csv", ["image", "category"], rows)
     print(f"wrote {len(corpus)} corpus glyphs and {len(C.CATEGORIES)} templates under {pathlib.Path(args.out_dir)}")
     return 0
 
@@ -289,7 +282,7 @@ def cmd_metrics(args, out) -> int:
         rows.append(["marginal_tv", _fmt(marginal_tv(p, q))])
     if not rows:
         raise ConfigurationError("metrics: no inputs given (see --probs/--particles-a/--marginal)")
-    _write_rows(out / "metrics.csv", ["metric", "value"], rows)
+    D.write_rows(out / "metrics.csv", ["metric", "value"], rows)
     for name, value in rows:
         print(f"{name} = {value}")
     return 0

@@ -101,10 +101,7 @@ def variational_eps(particles: np.ndarray, renderer: Renderer, schedule: Diffusi
         rendered = render_poses(renderer, particles)
     a, s = schedule.alpha[t][..., None, None], schedule.sigma[t][..., None]
     diffs = xt[..., None, :] - a * at_pose(renderer, rendered, np.asarray(c)[..., None])   # (..., n, d)
-    log_w = -0.5 * np.sum(diffs**2, axis=-1) / s**2
-    log_w -= log_w.max(axis=-1, keepdims=True)
-    w = np.exp(log_w)
-    w /= w.sum(axis=-1, keepdims=True)
+    w = worldmodel._softmax(-0.5 * np.sum(diffs**2, axis=-1) / s**2)
     return np.sum(w[..., None] * diffs, axis=-2) / s
 
 
@@ -167,10 +164,12 @@ class _Draws:
 
 @dataclass(frozen=True)
 class RunTables:
-    """What a run needs that depends only on its prior, schedule and config,
-    built once per run; the iterations gather from it by t."""
+    """One run's prior, schedule and config, and their per-step tables, built once."""
 
-    schedule: worldmodel.TabulatedSchedule   # the prior's noisy components at every step
+    mixture: PoseLabeledMixture
+    schedule: DiffusionSchedule
+    cfg: DistillConfig
+    steps: worldmodel._Steps                 # the prior's noisy components at t = 0..T
     omega: np.ndarray                        # (T+1,) the loss weight of each step
     pose_cdf: np.ndarray                     # (K,) cumulative pose probabilities, normalised
     control_log_w: np.ndarray | None         # CTRL's log weights
@@ -185,19 +184,22 @@ class RunTables:
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         return cls(
-            schedule=worldmodel.TabulatedSchedule.of(schedule, m),
+            mixture=m, schedule=schedule, cfg=cfg,
+            steps=worldmodel._steps(m, schedule, np.arange(schedule.num_steps + 1)),
             omega=loss_weight(schedule, cfg.omega_kind),
             pose_cdf=cdf,
             control_log_w=None if cfg.control_category is None else _control_log_weights(m, cfg.control_category),
         )
 
+    def at(self, t) -> worldmodel._Steps:
+        """The noisy components at step(s) t: the rows `worldmodel._steps` forms."""
+        return worldmodel._Steps(*(rows[t] for rows in self.steps))
 
-def _draw(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, schedule: DiffusionSchedule,
-          cfg: DistillConfig, iteration: int, rng: np.random.Generator, tables: RunTables | None = None) -> _Draws:
-    """The iteration's draws; `run` passes its tables, a call on its own builds them."""
-    if tables is None:
-        tables = RunTables.build(m, schedule, cfg)
-    n, d = particles.shape
+
+def _draw(tables: RunTables, particles: np.ndarray, renderer: Renderer, iteration: int,
+          rng: np.random.Generator) -> _Draws:
+    """The iteration's (t, pose, noise) draws and noisy points."""
+    (n, d), schedule, cfg = particles.shape, tables.schedule, tables.cfg
     lo, hi = bnf_interval(iteration, cfg.iters, cfg.bnf_n_i, schedule.num_steps)
     t = rng.integers(lo, hi + 1, size=n)
     # how rng.choice(K, size=n, p=probs) draws: the same poses and generator state
@@ -219,42 +221,40 @@ def _control_grad_log_posterior(m: PoseLabeledMixture, schedule: DiffusionSchedu
     return worldmodel.grad_log_reweight(m, schedule, t, xt, _control_log_weights(m, category))
 
 
-def gradient(particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture, schedule: DiffusionSchedule,
-             cfg: DistillConfig, draws: _Draws, marginal=None,
-             tables: RunTables | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+def gradient(tables: RunTables, particles: np.ndarray, renderer: Renderer, draws: _Draws,
+             marginal=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Distillation gradient of every particle, the one rule behind every method:
 
         omega(t) J^T (eps_pre - eps_ref) - align(omega(t) sigma_t J^T grad log r)
 
     evaluated for all particles at once.  J is the render Jacobian at the
     drawn pose, eps_pre the prior's noise prediction, and align rescales
-    each particle's correction to its first term's norm when
-    cfg.grad_norm_align is set.  Only two inputs depend on the method:
+    each particle's correction to its first term's norm when the run's
+    config sets grad_norm_align.  Only two inputs depend on the method:
     eps_ref is the drawn noise for SDS and the particle-mixture prediction
     otherwise; r is 1 for SDS and VSD, the rectifier for USD (with the
     category marginal `marginal`, (K,) or one row per draw), and the
     commanded category's posterior for CTRL.  Subtracting the correction in
     a descent update ascends log r.
 
-    One pass over the mixture, gathered from the run's tables (built here
-    for a call on its own), gives eps_pre and the CTRL correction, and
-    `rectify.correction` takes the USD correction from it.  It runs at the
-    drawn points, or for USD at `rectify.points`' noisy points: for the
-    Tweedie source the whole finite-difference stack, whose block 0 (the
-    drawn points) gives eps_pre.  For USD the second return value holds
-    the rectifier's posterior row at every draw, for the EMA to observe;
-    other methods return None there.
+    One pass over the mixture, its noisy components gathered from the run's
+    `tables` at the drawn steps, gives eps_pre and the CTRL correction, and
+    `rectify.correction` takes the USD correction from it.  The pass runs
+    at the drawn points, or for USD at `rectify.points`' noisy points: for
+    the Tweedie source the whole finite-difference stack, whose block 0
+    (the drawn points) gives eps_pre.  For USD the second return value
+    holds the rectifier's posterior row at every draw, for the EMA to
+    observe; other methods return None there.  The tables are only read,
+    so the result is a function of them, the particles, draws and marginal.
     """
-    if tables is None:
-        tables = RunTables.build(m, schedule, cfg)
-    schedule = tables.schedule
+    m, schedule, cfg = tables.mixture, tables.schedule, tables.cfg
     t, pose, xt = draws.t, draws.pose, draws.xt
     omega = tables.omega[t][:, None]
     eps_ref = draws.eps if cfg.method == "sds" else variational_eps(particles, renderer, schedule, t, pose, xt,
                                                                     draws.rendered)
     jac = render_jacobian(renderer, particles, pose)
     at = rectify.points(cfg.rectifier, xt) if cfg.method == "usd" else None
-    components = worldmodel._components(m, schedule, t, xt if at is None else at.noisy)
+    components = worldmodel._components(m, tables.at(t), xt if at is None else at.noisy)
     stacked = at is not None and at.noisy is at.stack                         # block 0 is the drawn points
     first = worldmodel._Pass(*(a[0] for a in components)) if stacked else components
     out = omega * np.einsum("nji,nj->ni", jac, worldmodel._eps_pretrain(schedule, t, first) - eps_ref)
@@ -321,9 +321,9 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
         marginal = np.mean(rows, axis=0)
     snapshots, ema_trace, metrics = [], [], []
     for it in range(cfg.iters):
-        draws = _draw(particles, ps.renderer, m, schedule, cfg, it, rng, tables)
-        grads, rows = gradient(particles, ps.renderer, m, schedule, cfg, draws,
-                               ema_lookup(state, draws.t) if source == "ema" else marginal, tables)
+        draws = _draw(tables, particles, ps.renderer, it, rng)
+        grads, rows = gradient(tables, particles, ps.renderer, draws,
+                               ema_lookup(state, draws.t) if source == "ema" else marginal)
         particles = particles - cfg.eta1 * grads
         if np.any(np.abs(particles) > 1e6) or not np.all(np.isfinite(particles)):
             raise DivergenceError(
@@ -346,27 +346,32 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
     )
 
 
+def write_rows(path, header, rows) -> None:
+    """Write the header and then the rows as CSV, every line ending in a bare line feed."""
+    with open(path, "w", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_report(report: RunReport, out_dir) -> None:
     """Write particles.csv, ema.csv and metrics.csv under out_dir."""
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dim = report.final_particles.shape[1]
-    with open(out / "particles.csv", "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["iter", "particle"] + [f"x{j}" for j in range(dim)])
-        for it, parts in report.snapshots:
-            for i, th in enumerate(parts):
-                w.writerow([it, i] + [repr(float(v)) for v in th])
-    with open(out / "ema.csv", "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["iter", "interval", "category", "value"])
-        for it, values in report.ema_trace:
-            for interval in range(values.shape[0]):
-                for cat in range(values.shape[1]):
-                    w.writerow([it, interval, cat, repr(float(values[interval, cat]))])
+    rows = []
+    for it, parts in report.snapshots:
+        for i, th in enumerate(parts):
+            rows.append([it, i] + [repr(float(v)) for v in th])
+    write_rows(out / "particles.csv", ["iter", "particle"] + [f"x{j}" for j in range(dim)], rows)
+    rows = []
+    for it, values in report.ema_trace:
+        for interval in range(values.shape[0]):
+            for cat in range(values.shape[1]):
+                rows.append([it, interval, cat, repr(float(values[interval, cat]))])
+    write_rows(out / "ema.csv", ["iter", "interval", "category", "value"], rows)
     k = len(report.metrics[0][1])
-    with open(out / "metrics.csv", "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["iter", "entropy"] + [f"split_{c}" for c in range(k)])
-        for it, split, entropy in report.metrics:
-            w.writerow([it, repr(float(entropy))] + [repr(float(v)) for v in split])
+    rows = []
+    for it, split, entropy in report.metrics:
+        rows.append([it, repr(float(entropy))] + [repr(float(v)) for v in split])
+    write_rows(out / "metrics.csv", ["iter", "entropy"] + [f"split_{c}" for c in range(k)], rows)

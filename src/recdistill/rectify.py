@@ -81,9 +81,7 @@ def weight_function(target: TargetMarginal, marginal, epsilon_floor: float = 1e-
 
 def rectified_density(m: PoseLabeledMixture, target: TargetMarginal, x) -> np.ndarray:
     """Reweighted clean density whose category marginal equals the target."""
-    w = weight_function(target, m.category_weights())
-    posterior = worldmodel.category_posterior(m, None, 0, x)
-    return worldmodel.density(m, x) * np.sum(w * posterior, axis=-1)
+    return rectified_noisy_density(m, None, 0, target, x)
 
 
 def rectified_noisy_density(m: PoseLabeledMixture, schedule, t: int, target: TargetMarginal, xt) -> np.ndarray:
@@ -165,7 +163,7 @@ def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
     if at is None:
         at = points(rect, xt)
     if components is None and rect.posterior_source != "classifier-direct":
-        components = worldmodel._components(m, schedule, t, at.noisy)
+        components = worldmodel._components(m, worldmodel._steps(m, schedule, t), at.noisy)
     w = weight_function(rect.target, marginal, rect.epsilon_floor)
     if rect.posterior_source == "exact-mixture":
         with np.errstate(divide="ignore"):          # a zero target weight is log 0 = -inf

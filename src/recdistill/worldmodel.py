@@ -119,12 +119,7 @@ class _Steps(NamedTuple):
 
 
 def _steps(m: PoseLabeledMixture, schedule, t) -> _Steps:
-    """The noisy components at step(s) t, gathered from a `TabulatedSchedule`
-    or formed here; t = 0 with no schedule is the clean mixture, built with it."""
-    if isinstance(schedule, TabulatedSchedule):
-        if schedule.mixture is not m:
-            raise ValueError("the schedule was tabulated for another mixture")
-        return _Steps(*(rows[t] for rows in schedule.steps))
+    """The noisy components at step(s) t; t = 0 with no schedule is the clean mixture, built with it."""
     if schedule is None:
         if np.any(np.asarray(t) != 0):
             raise ValueError("a noisy step needs a schedule")
@@ -139,32 +134,12 @@ def _form(m: PoseLabeledMixture, a, s) -> _Steps:
     return _Steps(a * m.means, covs, np.linalg.slogdet(covs)[1])
 
 
-@dataclass(frozen=True)
-class TabulatedSchedule(DiffusionSchedule):
-    """A schedule with one mixture's noisy components at every step 0..T.
+def _components(m: PoseLabeledMixture, steps: _Steps, xt) -> _Pass:
+    """One pass over the components, whose noisy rows `steps` are given.
 
-    It stands in for the schedule wherever that mixture is evaluated: a
-    pass gathers its steps' rows from the table instead of forming the
-    covariances and their log-determinants again, so it makes the same
-    solve on the same numbers.  A run builds one; it costs one `slogdet`
-    over (T + 1) * n_comp matrices.
-    """
-
-    mixture: PoseLabeledMixture
-    steps: _Steps = field(repr=False, compare=False)   # rows t = 0..T
-
-    @classmethod
-    def of(cls, schedule: DiffusionSchedule, m: PoseLabeledMixture) -> "TabulatedSchedule":
-        steps = _steps(m, schedule, np.arange(schedule.num_steps + 1))
-        return cls(schedule.num_steps, schedule.alpha, schedule.sigma, m, steps)
-
-
-def _components(m: PoseLabeledMixture, schedule, t, xt) -> _Pass:
-    """One pass over the components; t = 0 (or no schedule) is the clean mixture.
-
-    t is one step, or one step per point: shape (n,) with xt of shape
-    (n, d).  A `TabulatedSchedule` supplies the steps' noisy components,
-    which are otherwise formed here.  The logits need the same solve as
+    steps are one step's rows with xt of shape (..., d), or one step's rows
+    per point, leading shape (n,), with xt of shape (n, d): `_steps` of a
+    schedule, or a run's `RunTables.at`.  The logits need the same solve as
     the Gaussian scores, so the scores cost nothing extra, and the
     responsibilities are taken once here; density, score, posterior and
     the reweighting gradient all derive from this pass.
@@ -172,7 +147,6 @@ def _components(m: PoseLabeledMixture, schedule, t, xt) -> _Pass:
     xt = np.asarray(xt, dtype=float)
     if xt.shape[-1] != m.dim:
         raise ValueError(f"point dimension {xt.shape[-1]} != mixture dimension {m.dim}")
-    steps = _steps(m, schedule, t)
     diff = xt[..., None, :] - steps.means                                    # (..., n_comp, d)
     sol = np.linalg.solve(steps.covs, diff[..., None])[..., 0]
     logits = m._log_weights - 0.5 * (np.sum(diff * sol, axis=-1) + m.dim * np.log(2.0 * np.pi) + steps.logdet)
@@ -215,7 +189,7 @@ def density(m: PoseLabeledMixture, x) -> np.ndarray:
 
 def noisy_density(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
     """Time-t marginal density; reduces to `density` exactly at t=0."""
-    return np.exp(_logsumexp(_components(m, schedule, t, xt).logits, axis=-1))
+    return np.exp(_logsumexp(_components(m, _steps(m, schedule, t), xt).logits, axis=-1))
 
 
 def score(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
@@ -224,12 +198,12 @@ def score(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
     Like every evaluator here, it takes one step t with points (..., d), or
     steps of shape (n,) with points of shape (n, d).
     """
-    return _score(_components(m, schedule, t, xt))
+    return _score(_components(m, _steps(m, schedule, t), xt))
 
 
 def eps_pretrain(m: PoseLabeledMixture, schedule: DiffusionSchedule, t, xt) -> np.ndarray:
     """Exact noise prediction: -sigma_t times the score."""
-    return _eps_pretrain(schedule, t, _components(m, schedule, t, xt))
+    return _eps_pretrain(schedule, t, _components(m, _steps(m, schedule, t), xt))
 
 
 def category_posterior(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
@@ -240,7 +214,7 @@ def category_posterior(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
     a row of a batch must equal the call for that row alone, since central
     differences of log r divide that rounding by the step.
     """
-    return _category_posterior(m, _components(m, schedule, t, xt))
+    return _category_posterior(m, _components(m, _steps(m, schedule, t), xt))
 
 
 def grad_log_reweight(m: PoseLabeledMixture, schedule, t, xt, log_w) -> np.ndarray:
@@ -253,7 +227,7 @@ def grad_log_reweight(m: PoseLabeledMixture, schedule, t, xt, log_w) -> np.ndarr
     or one row per point, and may hold -inf for categories that get zero
     weight (at least one must stay finite).
     """
-    return _grad_log_reweight(m, _components(m, schedule, t, xt), log_w)
+    return _grad_log_reweight(m, _components(m, _steps(m, schedule, t), xt), log_w)
 
 
 def category_marginal(m: PoseLabeledMixture, schedule: DiffusionSchedule, t: int, n_samples: int, seed: int) -> np.ndarray:

@@ -171,12 +171,13 @@ class TestBatchedGradient:
         state = IntervalEma.create(1000, 10, k)
         state.values[:] = rng.dirichlet(np.ones(k), size=10)
         fixed = rng.dirichlet(np.ones(k))
-        draws = D._draw(particles, renderer, m, schedule, cfg, int(rng.integers(10)), rng)
+        tables = D.RunTables.build(m, schedule, cfg)
+        draws = D._draw(tables, particles, renderer, int(rng.integers(10)), rng)
         marginal = None
         if method == "usd":
             marginal = {"ema": ema_lookup(state, draws.t), "exact-mc": m.category_weights(),
                         "fixed-presampled": fixed}[marginal_source]
-        got, rows = D.gradient(particles, renderer, m, schedule, cfg, draws, marginal)
+        got, rows = D.gradient(tables, particles, renderer, draws, marginal)
         assert _close(got, _reference_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed))
         # the shared pass changes no bit of the result
         assert np.array_equal(got, _three_pass_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed))
@@ -255,7 +256,7 @@ class TestSaturatedFiniteDifferences:
                          xt=np.array([x, [0.05, 0.0]]))
         usd = D.DistillConfig(method="usd", iters=10, rectifier=rect)
         vsd = D.DistillConfig(method="vsd", iters=10)
-        u, _ = D.gradient(particles, Renderer(), m, schedule, usd, draws, marginal)
-        v, _ = D.gradient(particles, Renderer(), m, schedule, vsd, draws)
+        u, _ = D.gradient(D.RunTables.build(m, schedule, usd), particles, Renderer(), draws, marginal)
+        v, _ = D.gradient(D.RunTables.build(m, schedule, vsd), particles, Renderer(), draws)
         assert np.array_equal(u[0], v[0])
         assert not np.array_equal(u[1], v[1])     # the unsaturated particle is corrected

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recdistill import cli, rectify, worldmodel
+from recdistill import cli, distill, rectify, worldmodel
 from recdistill.config import _KNOWN_KEYS
+from recdistill.schedule import DiffusionSchedule
 
 SMALL_USD = """\
 [mixture]
@@ -538,8 +539,8 @@ class TestFileErrors:
         out.mkdir(parents=True)
         probs = tmp_path / "probs.csv"
         probs.write_text("p_a,p_b\n0.5,0.5\n")
-        seen, write_rows = [], cli._write_rows
-        monkeypatch.setattr(cli, "_write_rows", lambda *a: (seen.append(sorted(parent.iterdir())), write_rows(*a))[1])
+        seen, write_rows = [], cli.D.write_rows
+        monkeypatch.setattr(cli.D, "write_rows", lambda *a: (seen.append(sorted(parent.iterdir())), write_rows(*a))[1])
         parent.chmod(0o555)
         try:
             rc = cli.main(["metrics", "--probs", str(probs), "--out-dir", str(out)])
@@ -671,3 +672,40 @@ class TestPresetMutations:
                 assert rc in (2, 3) and _single_error_line(err)
                 # a failed run leaves nothing behind
                 assert sorted(p.name for p in pathlib.Path(tmp).iterdir()) == ["run.cfg"]
+
+
+class TestBenchmarkHooks:
+    """perfbench calibrates on `distill.bnf_interval`, reached through the
+    module attribute once per iteration, times `distill.run` as
+    run(ps, m, schedule, cfg), and wraps distill's module attributes by
+    name; a refactor that moves one of these disables that instrument
+    without failing anything else."""
+
+    def test_bnf_interval_looked_up_once_per_iteration(self, monkeypatch, schedule):
+        calls, bnf = [], distill.bnf_interval
+        monkeypatch.setattr(distill, "bnf_interval", lambda *a: (calls.append(a), bnf(*a))[1])
+        m = worldmodel.PoseLabeledMixture(weights=np.array([0.8, 0.2]), means=np.array([[2.0], [-2.0]]),
+                                          covs=np.full((2, 1, 1), 0.01), category_of=np.array([0, 1]),
+                                          num_categories=2)
+        ps = distill.ParticleSet.initialise(4, 1, worldmodel.Renderer(), seed=0)
+        distill.run(ps, m, schedule, distill.DistillConfig(method="vsd", iters=7))
+        assert len(calls) == 7
+
+    def test_cli_reaches_run_with_four_positional_arguments(self, tmp_path, monkeypatch):
+        seen, run = [], distill.run
+
+        def positional(ps, m, schedule, cfg, /):
+            seen.append((ps, m, schedule, cfg))
+            return run(ps, m, schedule, cfg)
+
+        monkeypatch.setattr(distill, "run", positional)
+        assert cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD), "--out-dir", str(tmp_path / "out")]) == 0
+        [(ps, m, schedule, cfg)] = seen
+        assert isinstance(ps, distill.ParticleSet) and isinstance(m, worldmodel.PoseLabeledMixture)
+        assert isinstance(schedule, DiffusionSchedule) and isinstance(cfg, distill.DistillConfig)
+
+    def test_wrapped_names_are_module_attributes(self):
+        for name in ("loss_weight", "render", "render_jacobian", "variational_eps", "ema_update",
+                     "particle_split", "write_report", "run", "bnf_interval", "_control_grad_log_posterior"):
+            assert callable(getattr(distill, name)), name
+        assert callable(worldmodel.score) and callable(rectify.grad_log_r)

@@ -11,6 +11,8 @@ from recdistill.rectify import Rectifier, TargetMarginal
 from recdistill.schedule import build_schedule, loss_weight
 from recdistill.worldmodel import PoseLabeledMixture, Renderer
 
+from conftest import random_mixture
+
 
 @pytest.fixture(scope="module")
 def narrow_biased():
@@ -39,13 +41,17 @@ def _particles(values, seed=0):
     return D.ParticleSet(particles=np.asarray(values, dtype=float), renderer=Renderer(), seed=seed)
 
 
-def _draw(ps, m, schedule, cfg, iteration, rng, tables=None):
-    return D._draw(ps.particles, ps.renderer, m, schedule, cfg, iteration, rng, tables)
+def _draw(ps, tables, iteration, rng):
+    return D._draw(tables, ps.particles, ps.renderer, iteration, rng)
 
 
-def _gradient(ps, m, schedule, cfg, draws, marginal=None, tables=None):
-    """The one gradient rule with the inputs cfg.method selects."""
-    return D.gradient(ps.particles, ps.renderer, m, schedule, cfg, draws, marginal, tables)[0]
+def _gradient(ps, tables, draws, marginal=None):
+    """The one gradient rule with the inputs the run's config selects."""
+    return D.gradient(tables, ps.particles, ps.renderer, draws, marginal)[0]
+
+
+def _tables(m, schedule, *cfgs):
+    return [D.RunTables.build(m, schedule, cfg) for cfg in cfgs]
 
 
 class TestVariationalEps:
@@ -130,8 +136,8 @@ def _mean_gradient(method, m, schedule, theta, n_draws, seed, **cfg_kwargs):
     tables = D.RunTables.build(m, schedule, cfg)
     grads = []
     for it in range(n_draws):
-        draws = _draw(ps, m, schedule, cfg, it, rng, tables)
-        grads.append(_gradient(ps, m, schedule, cfg, draws, tables=tables)[0])
+        draws = _draw(ps, tables, it, rng)
+        grads.append(_gradient(ps, tables, draws)[0])
     return np.array(grads)
 
 
@@ -171,11 +177,12 @@ class TestVsdStep:
         ps = _particles([[0.3]])
         cfg_s = D.DistillConfig(method="sds", iters=100)
         cfg_v = D.DistillConfig(method="vsd", iters=100)
+        sds, vsd = _tables(narrow_biased, schedule, cfg_s, cfg_v)
         rng = np.random.default_rng(5)
         for it in range(20):
-            draws = _draw(ps, narrow_biased, schedule, cfg_s, it, rng)
-            a = _gradient(ps, narrow_biased, schedule, cfg_s, draws)
-            b = _gradient(ps, narrow_biased, schedule, cfg_v, draws)
+            draws = _draw(ps, sds, it, rng)
+            a = _gradient(ps, sds, draws)
+            b = _gradient(ps, vsd, draws)
             assert np.allclose(a, b, atol=1e-10)
 
     def test_no_drift_when_particles_match_prior(self, schedule):
@@ -190,10 +197,11 @@ class TestVsdStep:
         # gradients within one round share a particle set, so aggregate to
         # one independent mean per round before testing
         round_means = []
+        tables = D.RunTables.build(m, schedule, cfg)
         for it in range(50):
             ps = _particles(m.sample(16, rng))
-            draws = _draw(ps, m, schedule, cfg, it, rng)
-            round_means.append(_gradient(ps, m, schedule, cfg, draws).mean())
+            draws = _draw(ps, tables, it, rng)
+            round_means.append(_gradient(ps, tables, draws).mean())
         round_means = np.array(round_means)
         se = round_means.std(ddof=1) / np.sqrt(len(round_means))
         assert abs(round_means.mean()) < 3 * se
@@ -207,11 +215,12 @@ class TestUsdStep:
         cfg_u = D.DistillConfig(method="usd", iters=100, rectifier=rect)
         cfg_v = D.DistillConfig(method="vsd", iters=100)
         ps = _particles([[1.8], [-2.2], [0.4]])
+        usd, vsd = _tables(narrow_balanced, schedule, cfg_u, cfg_v)
         rng = np.random.default_rng(9)
         for it in range(20):
-            draws = _draw(ps, narrow_balanced, schedule, cfg_u, it, rng)
-            u = _gradient(ps, narrow_balanced, schedule, cfg_u, draws, narrow_balanced.category_weights())
-            v = _gradient(ps, narrow_balanced, schedule, cfg_v, draws)
+            draws = _draw(ps, usd, it, rng)
+            u = _gradient(ps, usd, draws, narrow_balanced.category_weights())
+            v = _gradient(ps, vsd, draws)
             assert np.array_equal(u, v)
 
     def test_decomposition_identity(self, schedule, narrow_biased):
@@ -224,10 +233,11 @@ class TestUsdStep:
         rng = np.random.default_rng(10)
         from recdistill.rectify import grad_log_r
 
+        usd, vsd = _tables(narrow_biased, schedule, cfg, cfg_v)
         for it in range(20):
-            draws = _draw(ps, narrow_biased, schedule, cfg, it, rng)
-            u = _gradient(ps, narrow_biased, schedule, cfg, draws, narrow_biased.category_weights())
-            v = _gradient(ps, narrow_biased, schedule, cfg_v, draws)
+            draws = _draw(ps, usd, it, rng)
+            u = _gradient(ps, usd, draws, narrow_biased.category_weights())
+            v = _gradient(ps, vsd, draws)
             for i in range(2):
                 t = int(draws.t[i])
                 g_r = grad_log_r(rect, narrow_biased, schedule, t, draws.xt[i],
@@ -270,8 +280,9 @@ class TestCtrlStep:
         t = np.array([30])
         draws = D._Draws(t=t, pose=np.array([0]), eps=np.array([[0.05]]),
                          xt=np.array([[schedule.alpha[30] * 2.0 + schedule.sigma[30] * 0.05]]))
-        c = _gradient(ps, narrow_balanced, schedule, cfg, draws)
-        v = _gradient(ps, narrow_balanced, schedule, cfg_v, draws)
+        ctrl, vsd = _tables(narrow_balanced, schedule, cfg, cfg_v)
+        c = _gradient(ps, ctrl, draws)
+        v = _gradient(ps, vsd, draws)
         assert np.max(np.abs(c - v)) < 1e-6
 
     def test_commanded_basin_wins(self, schedule, narrow_balanced):
@@ -356,7 +367,7 @@ class TestPoseDraw:
         for seed in range(200):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for it, n in enumerate((1, 3, 16, 64, 7)):
-                draws = D._draw(np.zeros((n, 1)), Renderer(), m, schedule, cfg, it, rng, tables)
+                draws = D._draw(tables, np.zeros((n, 1)), Renderer(), it, rng)
                 lo, hi = D.bnf_interval(it, cfg.iters, cfg.bnf_n_i, schedule.num_steps)
                 assert np.array_equal(draws.t, ref.integers(lo, hi + 1, size=n))
                 assert np.array_equal(draws.pose, ref.choice(k, size=n, p=p))
@@ -376,10 +387,11 @@ class TestRunTables:
         ("sds", None), ("ctrl", None), ("usd", "exact-mixture"), ("usd", "classifier-on-tweedie"),
     ])
     def test_built_once_per_run(self, schedule, narrow_biased, monkeypatch, method, source):
-        tabulated, weights = [], []
-        init, weight = worldmodel.TabulatedSchedule.__post_init__, D.loss_weight
-        monkeypatch.setattr(worldmodel.TabulatedSchedule, "__post_init__",
-                            lambda self: (tabulated.append(self), init(self))[1])
+        # the mixture formed its clean components when it was built; a run
+        # forms the noisy ones once, for its table
+        formed, weights = [], []
+        form, weight = worldmodel._form, D.loss_weight
+        monkeypatch.setattr(worldmodel, "_form", lambda *a: (formed.append(a), form(*a))[1])
         monkeypatch.setattr(D, "loss_weight", lambda *a: (weights.append(a), weight(*a))[1])
         kwargs = dict(method=method, iters=12, snapshot_every=4)
         if method == "ctrl":
@@ -387,7 +399,7 @@ class TestRunTables:
         if method == "usd":
             kwargs["rectifier"] = Rectifier(target=TargetMarginal.uniform(2), posterior_source=source)
         D.run(D.ParticleSet.initialise(4, 1, Renderer(), seed=3), narrow_biased, schedule, D.DistillConfig(**kwargs))
-        assert len(tabulated) == 1 and len(weights) == 1
+        assert len(formed) == 1 and len(weights) == 1
 
     def test_rows_are_the_per_step_values(self, schedule, narrow_biased):
         cfg = D.DistillConfig(method="ctrl", control_category=0, iters=5, omega_kind="constant-one", n_t=4)
@@ -395,6 +407,38 @@ class TestRunTables:
         assert np.array_equal(tables.omega, loss_weight(schedule, "constant-one"))
         assert np.array_equal(tables.pose_cdf, [0.5, 1.0])
         assert np.array_equal(tables.control_log_w, [0.0, -np.inf])
+
+    @pytest.mark.parametrize("method, source", [
+        ("sds", None), ("vsd", None), ("ctrl", None), ("usd", "exact-mixture"),
+        ("usd", "classifier-on-tweedie"), ("usd", "classifier-direct"),
+    ])
+    def test_one_context_serves_any_particle_set(self, schedule, method, source):
+        # the draws and the gradient are functions of the tables, the
+        # particles, the generator and the marginal: one context drives two
+        # particle sets bit for bit as fresh tables do, and is left unchanged
+        rng = np.random.default_rng(17)
+        m = random_mixture(rng, 2, 3)
+        renderer = Renderer("rotation", (0.3, 2.0, 4.1))
+        kwargs = dict(method=method, iters=10)
+        if method == "ctrl":
+            kwargs["control_category"] = 2
+        if method == "usd":
+            kwargs["rectifier"] = Rectifier(target=TargetMarginal.uniform(3), posterior_source=source)
+        cfg = D.DistillConfig(**kwargs)
+        shared = D.RunTables.build(m, schedule, cfg)
+        arrays = (*shared.steps, shared.omega, shared.pose_cdf, shared.control_log_w)
+        before = [None if a is None else a.copy() for a in arrays]
+        for seed, n in ((1, 5), (2, 9)):
+            particles = 2.0 * np.random.default_rng(seed).standard_normal((n, 2))
+            marginal = rng.dirichlet(np.ones(3), size=n) if method == "usd" else None
+            results = []
+            for tables in (shared, D.RunTables.build(m, schedule, cfg)):
+                draws = D._draw(tables, particles, renderer, 4, np.random.default_rng(seed))
+                grads, rows = D.gradient(tables, particles, renderer, draws, marginal)
+                results.append([draws.t, draws.pose, draws.eps, draws.xt, draws.rendered, grads, rows])
+            assert all(np.array_equal(a, b) for a, b in zip(*results))
+        for a, b in zip(arrays, before):
+            assert a is b is None or np.array_equal(a, b)
 
 
 class TestConfigValidation:

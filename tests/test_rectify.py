@@ -249,7 +249,7 @@ class TestStackedFiniteDifferences:
         cfg = distill.DistillConfig(method="usd", iters=10, rectifier=rect)
         particles = rng.standard_normal((5, dim))
         tables = distill.RunTables.build(m, schedule, cfg)
-        draws = distill._draw(particles, worldmodel.Renderer(), m, schedule, cfg, 3, rng, tables)
+        draws = distill._draw(tables, particles, worldmodel.Renderer(), 3, rng)
         calls = []
         components = worldmodel._components
 
@@ -258,7 +258,7 @@ class TestStackedFiniteDifferences:
             return components(*args)
 
         monkeypatch.setattr(worldmodel, "_components", counting)
-        distill.gradient(particles, worldmodel.Renderer(), m, schedule, cfg, draws, rng.dirichlet(np.ones(3)), tables)
+        distill.gradient(tables, particles, worldmodel.Renderer(), draws, rng.dirichlet(np.ones(3)))
         assert calls == [(2 * dim + 1, 5, dim), (2 * dim + 1, 5, dim)]
 
     def test_non_finite_names_the_axis(self, mixed_2d, schedule, monkeypatch):

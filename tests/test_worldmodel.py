@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recdistill import worldmodel
+from recdistill import distill, worldmodel
 from recdistill.errors import ConfigurationError
 from recdistill.oracle import finite_difference_grad, grid_integrate, mc_posterior_mean
 from recdistill.worldmodel import PoseLabeledMixture, Renderer, render, render_jacobian
@@ -270,16 +270,17 @@ class TestRenderer:
         assert Renderer(kind="identity", angles=(np.nan,)).kind == "identity"   # unused by identity
 
 
-class TestTabulatedSchedule:
-    """A pass gathered from the run's table equals the public evaluators
-    called one point at a time, bit for bit; t = 0 is the clean mixture."""
+class TestRunTablesAt:
+    """A pass over the rows a run's tables gather equals the public
+    evaluators called one point at a time, bit for bit; t = 0 is the clean
+    mixture."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), k=st.integers(2, 4), n=st.integers(1, 6))
     def test_gathered_pass_equals_per_point_evaluators(self, schedule, seed, dim, k, n):
         rng = np.random.default_rng(seed)
         m = random_mixture(rng, dim, k)
-        tabulated = worldmodel.TabulatedSchedule.of(schedule, m)
+        tables = distill.RunTables.build(m, schedule, distill.DistillConfig(method="sds", iters=1))
         t = rng.integers(0, schedule.num_steps + 1, size=n)
         t[rng.integers(n)] = 0
         x = rng.uniform(-4.0, 4.0, size=(n, dim))
@@ -290,18 +291,19 @@ class TestTabulatedSchedule:
             return np.array([fn(m, None if ti == 0 and fn is not worldmodel.eps_pretrain else schedule, int(ti), *row)
                              for ti, *row in zip(t, x, *args)])
 
-        for fn in (worldmodel.score, worldmodel.eps_pretrain, worldmodel.category_posterior,
-                   worldmodel.noisy_density):
-            assert np.array_equal(fn(m, tabulated, t, x), per_point(fn))
-        assert np.array_equal(worldmodel.grad_log_reweight(m, tabulated, t, x, log_w),
+        gathered = worldmodel._components(m, tables.at(t), x)
+        assert np.array_equal(worldmodel._score(gathered), per_point(worldmodel.score))
+        assert np.array_equal(worldmodel._eps_pretrain(schedule, t, gathered), per_point(worldmodel.eps_pretrain))
+        assert np.array_equal(worldmodel._category_posterior(m, gathered), per_point(worldmodel.category_posterior))
+        assert np.array_equal(np.exp(worldmodel._logsumexp(gathered.logits, axis=-1)),
+                              per_point(worldmodel.noisy_density))
+        assert np.array_equal(worldmodel._grad_log_reweight(m, gathered, log_w),
                               per_point(worldmodel.grad_log_reweight, log_w))
-        gathered = worldmodel._components(m, tabulated, t, x)
         for i in range(n):
-            alone = worldmodel._components(m, schedule if t[i] else None, int(t[i]), x[i])
+            alone = worldmodel._components(m, worldmodel._steps(m, schedule if t[i] else None, int(t[i])), x[i])
             assert all(np.array_equal(a[i], b) for a, b in zip(gathered, alone))
 
-    def test_belongs_to_its_mixture(self, schedule, biased_1d, balanced_1d):
-        tabulated = worldmodel.TabulatedSchedule.of(schedule, biased_1d)
-        assert tabulated.steps.covs.shape == (schedule.num_steps + 1, 2, 1, 1)
-        with pytest.raises(ValueError, match="tabulated for another mixture"):
-            worldmodel.score(balanced_1d, tabulated, 10, np.zeros(1))
+    def test_table_holds_every_step(self, schedule, biased_1d):
+        tables = distill.RunTables.build(biased_1d, schedule, distill.DistillConfig(method="sds", iters=1))
+        assert tables.steps.covs.shape == (schedule.num_steps + 1, 2, 1, 1)
+        assert tables.mixture is biased_1d and tables.schedule is schedule
