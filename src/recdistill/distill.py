@@ -22,7 +22,7 @@ from .estimator import IntervalEma, ema_lookup, ema_update
 from .metrics import categorical_entropy
 from .rectify import Rectifier
 from .schedule import DiffusionSchedule, loss_weight
-from .worldmodel import PoseLabeledMixture, Renderer, at_pose, render, render_jacobian, render_poses
+from .worldmodel import PoseLabeledMixture, Renderer, render, render_jacobian, render_poses  # noqa: F401 (traced)
 
 METHODS = ("sds", "vsd", "usd", "ctrl")
 
@@ -94,15 +94,17 @@ def variational_eps(particles: np.ndarray, renderer: Renderer, schedule: Diffusi
     with xt of shape (d,), or one per draw with xt of shape (m, d); every
     draw is evaluated against all particles at once, gathered from
     `rendered`, the particles at every pose (`render_poses`, made here if
-    not given).
+    not given).  The poses are checked against the renderer when
+    `rendered` is made here; a caller that passes it passes checked poses,
+    as `gradient` does with a run's draws.
     """
     xt = np.asarray(xt, dtype=float)
     if rendered is None:
-        rendered = render_poses(renderer, particles)
+        rendered, c = render_poses(renderer, particles), worldmodel._poses(renderer, c)
     a, s = schedule.alpha[t][..., None, None], schedule.sigma[t][..., None]
-    diffs = xt[..., None, :] - a * at_pose(renderer, rendered, np.asarray(c)[..., None])   # (..., n, d)
-    w = worldmodel._softmax(-0.5 * np.sum(diffs**2, axis=-1) / s**2)
-    return np.sum(w[..., None] * diffs, axis=-2) / s
+    diffs = xt[..., None, :] - a * worldmodel._at_pose(renderer, rendered, np.asarray(c)[..., None])   # (..., n, d)
+    w = worldmodel._softmax(-0.5 * (diffs**2).sum(axis=-1) / s**2)
+    return (w[..., None] * diffs).sum(axis=-2) / s
 
 
 def bnf_interval(iteration: int, total_iters: int, n_i: int, num_steps: int) -> tuple[int, int]:
@@ -139,11 +141,12 @@ def grad_norm_align(primary_grad, secondary_grad) -> np.ndarray:
     """
     primary = np.asarray(primary_grad, dtype=float)
     secondary = np.asarray(secondary_grad, dtype=float)
-    if not np.all(np.isfinite(primary)):
+    if not np.isfinite(primary).all():
         raise ValueError("primary gradient must be finite")
-    norm_s = np.linalg.norm(secondary, axis=-1, keepdims=True)
-    norm_p = np.linalg.norm(primary, axis=-1, keepdims=True)
-    return secondary * np.divide(norm_p, norm_s, out=np.zeros_like(norm_s), where=norm_s > 0.0)
+    # np.linalg.norm's own reduce for real vectors, without its dispatch
+    norm_s = np.sqrt(np.add.reduce(secondary * secondary, axis=-1, keepdims=True))
+    norm_p = np.sqrt(np.add.reduce(primary * primary, axis=-1, keepdims=True))
+    return secondary * np.divide(norm_p, norm_s, out=np.zeros(norm_s.shape), where=norm_s > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +196,7 @@ class RunTables:
 
     def at(self, t) -> worldmodel._Steps:
         """The noisy components at step(s) t: the rows `worldmodel._steps` forms."""
-        return worldmodel._Steps(*(rows[t] for rows in self.steps))
+        return worldmodel._Steps(self.steps.means[t], self.steps.covs[t], self.steps.logdet[t])
 
 
 def _draw(tables: RunTables, particles: np.ndarray, renderer: Renderer, iteration: int,
@@ -206,7 +209,7 @@ def _draw(tables: RunTables, particles: np.ndarray, renderer: Renderer, iteratio
     pose = tables.pose_cdf.searchsorted(rng.random(n), side="right")
     eps = rng.standard_normal((n, d))
     rendered = render_poses(renderer, particles)
-    xt = schedule.alpha[t][:, None] * at_pose(renderer, rendered, pose) + schedule.sigma[t][:, None] * eps
+    xt = schedule.alpha[t][:, None] * worldmodel._at_pose(renderer, rendered, pose) + schedule.sigma[t][:, None] * eps
     return _Draws(t=t, pose=pose, eps=eps, xt=xt, rendered=rendered)
 
 
@@ -252,7 +255,7 @@ def gradient(tables: RunTables, particles: np.ndarray, renderer: Renderer, draws
     omega = tables.omega[t][:, None]
     eps_ref = draws.eps if cfg.method == "sds" else variational_eps(particles, renderer, schedule, t, pose, xt,
                                                                     draws.rendered)
-    jac = render_jacobian(renderer, particles, pose)
+    jac = worldmodel._jacobian(renderer, particles, pose)
     at = rectify.points(cfg.rectifier, xt) if cfg.method == "usd" else None
     components = worldmodel._components(m, tables.at(t), xt if at is None else at.noisy)
     stacked = at is not None and at.noisy is at.stack                         # block 0 is the drawn points
@@ -306,7 +309,11 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
     EMA marginal tracker observes one posterior row per iteration, the one
     `gradient` returns at a rotating particle's draw, so no extra randomness
     is consumed (methods stay trajectory-comparable under a shared seed).
+    The draws' poses lie in [0, K) by construction, so the renderer is
+    checked against the mixture's K here, once, and not per iteration.
     """
+    if ps.renderer.kind == "rotation" and len(ps.renderer.angles) != m.num_categories:
+        raise ConfigurationError(f"rotation renderer has {len(ps.renderer.angles)} angles, need {m.num_categories}")
     rng = np.random.default_rng(ps.seed)
     particles = ps.particles.copy()
     state = IntervalEma.create(schedule.num_steps, cfg.n_t, m.num_categories, cfg.n_ema)
@@ -325,7 +332,7 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
         grads, rows = gradient(tables, particles, ps.renderer, draws,
                                ema_lookup(state, draws.t) if source == "ema" else marginal)
         particles = particles - cfg.eta1 * grads
-        if np.any(np.abs(particles) > 1e6) or not np.all(np.isfinite(particles)):
+        if not np.abs(particles).max() <= 1e6:                                # NaN fails too
             raise DivergenceError(
                 f"particle parameters diverged at iteration {it} (method {cfg.method!r})"
             )

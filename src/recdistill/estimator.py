@@ -75,7 +75,7 @@ class IntervalEma:
 
     def interval_of(self, t):
         """Interval index of step t (or of each step in an array of steps)."""
-        return np.minimum(np.asarray(t) // self.n_s, self.n_t - 1)
+        return np.minimum(t // self.n_s, self.n_t - 1)
 
     def snapshot(self) -> np.ndarray:
         return self.values.copy()
@@ -86,7 +86,7 @@ def ema_update(state: IntervalEma, t: int, observed) -> IntervalEma:
     if not 1 <= t <= state.num_steps:
         raise ValueError(f"t={t} outside [1, {state.num_steps}]")
     observed = np.asarray(observed, dtype=float)
-    if observed.shape != state.values.shape[1:] or abs(np.sum(observed) - 1.0) > 1e-9:
+    if observed.shape != state.values.shape[1:] or abs(observed.sum() - 1.0) > 1e-9:
         raise ValueError("observed vector must be on the probability simplex")
     i = state.interval_of(t)
     state.values[i] = state.alpha_ema * observed + (1.0 - state.alpha_ema) * state.values[i]

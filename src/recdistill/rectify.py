@@ -136,7 +136,7 @@ def points(rect: Rectifier, xt) -> Points:
     if rect.posterior_source == "exact-mixture":
         return Points(None, None, xt)
     d = xt.shape[-1]
-    h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
+    h = rect.fd_step * (1.0 + np.sqrt(np.add.reduce(xt * xt, axis=-1)))     # np.linalg.norm's reduce
     step = np.moveaxis(h[..., None, None] * np.eye(d), -2, 0)             # (d, ..., d): h e_j
     stack = np.concatenate([xt[None], xt + step, xt - step])
     return Points(stack, h, stack if rect.posterior_source == "classifier-on-tweedie" else xt)
@@ -174,19 +174,18 @@ def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
         d = xt.shape[-1]
         eps = worldmodel._eps_pretrain(schedule, t, components) if at.noisy is at.stack else None   # Tweedie
         post = posterior(rect, m, schedule, t, at.stack, eps)
-        log_r = np.log(np.sum(w * post[1:], axis=-1))
+        log_r = np.log((w * post[1:]).sum(axis=-1))
         fp, fm = log_r[:d], log_r[d:]                                         # (d, ...)
         finite = np.isfinite(fp) & np.isfinite(fm)
-        if not np.all(finite):
-            bad = ~np.all(finite, axis=0)
+        if not finite.all():
+            bad = ~finite.all(axis=0)
             j = int(np.argmin(finite.reshape(d, -1)[:, np.argmax(bad)]))
             raise NumericError(f"non-finite log r along axis {j} at {first_row(bad, t, xt)}")
         rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(fp) + np.abs(fm))
         out = np.moveaxis(np.where(np.abs(fp - fm) <= rounding, 0.0, fp - fm) / (2.0 * at.h), 0, -1)
         rows = post[0]
-    bad = ~np.all(np.isfinite(out), axis=-1)
-    if np.any(bad):
-        raise NumericError(f"non-finite grad log r at {first_row(bad, t, xt)}")
+    if not np.isfinite(out).all():
+        raise NumericError(f"non-finite grad log r at {first_row(~np.isfinite(out).all(axis=-1), t, xt)}")
     return out, rows
 
 

@@ -148,15 +148,16 @@ def _components(m: PoseLabeledMixture, steps: _Steps, xt) -> _Pass:
     if xt.shape[-1] != m.dim:
         raise ValueError(f"point dimension {xt.shape[-1]} != mixture dimension {m.dim}")
     diff = xt[..., None, :] - steps.means                                    # (..., n_comp, d)
-    sol = np.linalg.solve(steps.covs, diff[..., None])[..., 0]
-    logits = m._log_weights - 0.5 * (np.sum(diff * sol, axis=-1) + m.dim * np.log(2.0 * np.pi) + steps.logdet)
+    # a 1x1 solve is a division, bit for bit (a reciprocal multiply is not)
+    sol = diff / steps.covs[..., 0] if m.dim == 1 else np.linalg.solve(steps.covs, diff[..., None])[..., 0]
+    logits = m._log_weights - 0.5 * ((diff * sol).sum(axis=-1) + m.dim * np.log(2.0 * np.pi) + steps.logdet)
     return _Pass(logits, _softmax(logits), -sol)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Normalised exp over the last axis; entries of -inf get zero weight."""
-    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # The score, noise prediction, category posterior and reweighting gradient
@@ -166,7 +167,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _score(p: _Pass) -> np.ndarray:
-    return np.sum(p.resp[..., None] * p.scores, axis=-2)
+    return (p.resp[..., None] * p.scores).sum(axis=-2)
 
 
 def _eps_pretrain(schedule: DiffusionSchedule, t, p: _Pass) -> np.ndarray:
@@ -174,12 +175,12 @@ def _eps_pretrain(schedule: DiffusionSchedule, t, p: _Pass) -> np.ndarray:
 
 
 def _category_posterior(m: PoseLabeledMixture, p: _Pass) -> np.ndarray:
-    return np.sum(p.resp[..., None, :] * m._members, axis=-1)
+    return (p.resp[..., None, :] * m._members).sum(axis=-1)
 
 
 def _grad_log_reweight(m: PoseLabeledMixture, p: _Pass, log_w) -> np.ndarray:
     shift = _softmax(p.logits + log_w[..., m.category_of]) - p.resp
-    return np.sum(shift[..., None] * p.scores, axis=-2)
+    return (shift[..., None] * p.scores).sum(axis=-2)
 
 
 def density(m: PoseLabeledMixture, x) -> np.ndarray:
@@ -286,26 +287,33 @@ def render_poses(r: Renderer, theta) -> np.ndarray:
 def at_pose(r: Renderer, rendered: np.ndarray, c) -> np.ndarray:
     """`render(r, theta, c)` gathered from `rendered = render_poses(r, theta)`:
     pose(s) c broadcast against the particle axis."""
-    if r.kind == "identity":
-        return rendered[0]
-    return rendered[_poses(r, c), np.arange(rendered.shape[1])]
+    return _at_pose(r, rendered, _poses(r, c))
+
+
+def _at_pose(r: Renderer, rendered: np.ndarray, c) -> np.ndarray:
+    """`at_pose` at poses already checked, such as a run's draws."""
+    return rendered[0] if r.kind == "identity" else rendered[c, np.arange(rendered.shape[1])]
 
 
 def _poses(r: Renderer, c) -> np.ndarray:
-    c = np.asarray(c)
-    bad = (c < 0) | (c >= len(r.angles))
-    if np.any(bad):
-        raise ValueError(f"pose {c[bad].flat[0]} outside configured categories [0, {len(r.angles)})")
+    """Poses c as an array, checked against a rotation renderer's angles; the identity takes any pose."""
+    c, k = np.asarray(c), len(r.angles)
+    if r.kind == "rotation" and not ((c >= 0) & (c < k)).all():
+        raise ValueError(f"pose {c[(c < 0) | (c >= k)].flat[0]} outside configured categories [0, {k})")
     return c
 
 
 def render_jacobian(r: Renderer, theta, c) -> np.ndarray:
     """d(render)/d(theta), shape (..., d, d): the identity or each pose's rotation matrix."""
+    return _jacobian(r, theta, _poses(r, c))
+
+
+def _jacobian(r: Renderer, theta, c) -> np.ndarray:
+    """`render_jacobian` at poses already checked."""
     theta = np.asarray(theta, dtype=float)
     d = theta.shape[-1]
     if r.kind == "identity":
         return np.broadcast_to(np.eye(d), theta.shape + (d,))
-    c = _poses(r, c)
     if d != 2:
         raise ValueError("rotation renderer needs 2D parameters")
     return np.broadcast_to(r._rotations[c], np.broadcast_shapes(c.shape, theta.shape[:-1]) + (2, 2))

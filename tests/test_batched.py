@@ -187,29 +187,32 @@ class TestBatchedGradient:
         else:
             assert rows is None
 
+    @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("method, source, passes", [
         ("sds", None, 1), ("vsd", None, 1), ("ctrl", None, 1), ("usd", "exact-mixture", 1),
         ("usd", "classifier-on-tweedie", 2), ("usd", "classifier-direct", 2),
     ])
-    def test_mixture_passes_per_iteration(self, schedule, monkeypatch, method, source, passes):
+    def test_mixture_passes_per_iteration(self, schedule, monkeypatch, method, source, passes, dim):
         # one noisy pass gives eps_pre, the CTRL or exact-mixture correction
         # and the EMA's posterior row; a classifier source adds one clean
-        # pass over its finite-difference stack of 2d + 1 = 5 blocks (for
+        # pass over its finite-difference stack of 2d + 1 blocks (for
         # Tweedie the noisy pass runs over that stack too).  A run makes one
-        # slogdet, for its table: the clean components come with the mixture
+        # slogdet, for its table: the clean components come with the mixture.
+        # A pass makes one solve, or none in 1-D, where it divides
         rng = np.random.default_rng(5)
-        m = random_mixture(rng, 2, 3)
+        m = random_mixture(rng, dim, 3)
         kwargs = dict(method=method, iters=6, snapshot_every=100)
         if method == "ctrl":
             kwargs["control_category"] = 1
         if method == "usd":
             kwargs["rectifier"] = Rectifier(target=TargetMarginal.uniform(3), posterior_source=source)
-        ps = D.ParticleSet.initialise(8, 2, Renderer(), seed=0)
+        ps = D.ParticleSet.initialise(8, dim, Renderer(), seed=0)
         events = []
-        components, draw, slogdet = worldmodel._components, D._draw, np.linalg.slogdet
+        components, draw, slogdet, solve = worldmodel._components, D._draw, np.linalg.slogdet, np.linalg.solve
         monkeypatch.setattr(worldmodel, "_components", lambda *a: (events.append(np.shape(a[-1])), components(*a))[1])
         monkeypatch.setattr(D, "_draw", lambda *a: (events.append("draw"), draw(*a))[1])
         monkeypatch.setattr(np.linalg, "slogdet", lambda a: (events.append("slogdet"), slogdet(a))[1])
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: (events.append("solve"), solve(*a))[1])
         D.run(ps, m, schedule, D.DistillConfig(**kwargs))
         assert events.count("slogdet") == 1
         iterations = []
@@ -218,9 +221,11 @@ class TestBatchedGradient:
                 iterations.append([])
             elif iterations and event != "slogdet":
                 iterations[-1].append(event)
-        noisy = (5, 8, 2) if source == "classifier-on-tweedie" else (8, 2)
+        stack = (2 * dim + 1, 8, dim)
+        noisy = stack if source == "classifier-on-tweedie" else (8, dim)
+        solves = [] if dim == 1 else ["solve"]
         # iterations 0 and 5 take a snapshot, whose metrics row costs a pass
-        assert iterations[1:-1] == [[noisy] + [(5, 8, 2)] * (passes - 1)] * 4
+        assert iterations[1:-1] == [[noisy, *solves] + [stack, *solves] * (passes - 1)] * 4
 
 
 class TestSaturatedFiniteDifferences:

@@ -338,6 +338,43 @@ class TestRun:
         with pytest.raises(DivergenceError, match=r"iteration \d+ \(method 'sds'\)"):
             D.run(ps, narrow_biased, schedule, cfg)
 
+    @staticmethod
+    def _poisoned_run(schedule, m, monkeypatch, value, method="vsd"):
+        """A run whose gradient sets particle 1 to `value` at iteration 2
+        (from zero particles, eta1 = 1 and 0 - (-value) is value exactly)
+        and leaves every particle where it is otherwise."""
+        iteration = iter(range(6))
+
+        def gradient(tables, particles, renderer, draws, marginal=None):
+            g = np.zeros_like(particles)
+            if next(iteration) == 2:
+                g[1] = -value
+            return g, None
+
+        monkeypatch.setattr(D, "gradient", gradient)
+        ps = D.ParticleSet(particles=np.zeros((3, 1)), renderer=Renderer(), seed=0)
+        return D.run(ps, m, schedule, D.DistillConfig(method=method, eta1=1.0, iters=6))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.nextafter(1e6, 2e6), -np.nextafter(1e6, 2e6)])
+    @pytest.mark.parametrize("method", ["sds", "vsd"])
+    def test_non_finite_or_too_large_particle_diverges(self, schedule, narrow_biased, monkeypatch, value, method):
+        with pytest.raises(DivergenceError, match=rf"at iteration 2 \(method '{method}'\)"):
+            self._poisoned_run(schedule, narrow_biased, monkeypatch, value, method)
+
+    @pytest.mark.parametrize("value", [1e6, -1e6])
+    def test_particle_at_the_bound_runs_on(self, schedule, narrow_biased, monkeypatch, value):
+        report = self._poisoned_run(schedule, narrow_biased, monkeypatch, value)
+        assert np.array_equal(report.final_particles, [[0.0], [value], [0.0]])
+
+    @pytest.mark.parametrize("angles", [(0.0,), (0.0, 1.0, 2.0)])
+    def test_renderer_angles_must_match_categories(self, schedule, mixed_2d, monkeypatch, angles):
+        # the run checks the renderer once, before its first draw, since
+        # the draws' poses cannot leave [0, K) and are not checked again
+        monkeypatch.setattr(D, "_draw", lambda *a: pytest.fail("drew before the check"))
+        ps = D.ParticleSet.initialise(4, 2, Renderer(kind="rotation", angles=angles), seed=0)
+        with pytest.raises(ConfigurationError, match=rf"rotation renderer has {len(angles)} angles, need 2"):
+            D.run(ps, mixed_2d, schedule, D.DistillConfig(method="vsd", iters=3))
+
     def test_report_files_roundtrip(self, tmp_path, schedule, narrow_biased):
         ps = D.ParticleSet.initialise(3, 1, Renderer(), seed=4, scale=2.0)
         cfg = D.DistillConfig(method="vsd", iters=40, snapshot_every=10)

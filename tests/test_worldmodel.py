@@ -307,3 +307,38 @@ class TestRunTablesAt:
         tables = distill.RunTables.build(biased_1d, schedule, distill.DistillConfig(method="sds", iters=1))
         assert tables.steps.covs.shape == (schedule.num_steps + 1, 2, 1, 1)
         assert tables.mixture is biased_1d and tables.schedule is schedule
+
+
+class TestOneByOneSolve:
+    """In 1-D `_components` divides by the noisy variances where it would
+    solve 1x1 systems: numpy's LAPACK solve of a 1x1 system is that
+    division, bit for bit, and a reciprocal multiply is not.  That rests on
+    numpy's and its LAPACK's implementation, so one that changes it fails
+    here, by name, and not only in the identity table."""
+
+    @pytest.mark.parametrize("cov_lead, diff_lead", [
+        ((), ()), ((), (9,)), ((16,), (16,)), ((16,), (3, 16)), ((64,), (64,)),
+    ])
+    def test_division_equals_solve(self, cov_lead, diff_lead):
+        # _components' shapes: one step's covariances against points of any
+        # leading shape, a run's gathered rows per point, and the gathered
+        # rows against a finite-difference stack of points
+        rng = np.random.default_rng(11)
+
+        def wide(shape):        # random mantissas over 30 decades
+            return rng.uniform(0.5, 2.0, shape) * 10.0 ** rng.uniform(-15.0, 15.0, shape)
+
+        for _ in range(200):
+            covs, diff = wide(cov_lead + (3, 1, 1)), wide(diff_lead + (3, 1)) * rng.choice([-1.0, 1.0], diff_lead + (3, 1))
+            assert np.array_equal(diff / covs[..., 0], np.linalg.solve(covs, diff[..., None])[..., 0])
+
+    def test_pass_scores_equal_solve(self, schedule):
+        rng = np.random.default_rng(12)
+        m = random_mixture(rng, 1, 3)
+        tables = distill.RunTables.build(m, schedule, distill.DistillConfig(method="sds", iters=1))
+        for _ in range(50):
+            t = rng.integers(0, schedule.num_steps + 1, size=16)
+            x = rng.standard_normal((16, 1)) * 10.0 ** rng.uniform(-8, 8, (16, 1))
+            steps = tables.at(t)
+            solved = np.linalg.solve(steps.covs, (x[:, None, :] - steps.means)[..., None])[..., 0]
+            assert np.array_equal(worldmodel._components(m, steps, x).scores, -solved)
