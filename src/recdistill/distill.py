@@ -255,12 +255,11 @@ def gradient(tables: RunTables, particles: np.ndarray, renderer: Renderer, draws
     omega = tables.omega[t][:, None]
     eps_ref = draws.eps if cfg.method == "sds" else variational_eps(particles, renderer, schedule, t, pose, xt,
                                                                     draws.rendered)
-    jac = worldmodel._jacobian(renderer, particles, pose)
     at = rectify.points(cfg.rectifier, xt) if cfg.method == "usd" else None
     components = worldmodel._components(m, tables.at(t), xt if at is None else at.noisy)
     stacked = at is not None and at.noisy is at.stack                         # block 0 is the drawn points
     first = worldmodel._Pass(*(a[0] for a in components)) if stacked else components
-    out = omega * np.einsum("nji,nj->ni", jac, worldmodel._eps_pretrain(schedule, t, first) - eps_ref)
+    out = omega * worldmodel._jacobian_t(renderer, pose, worldmodel._eps_pretrain(schedule, t, first) - eps_ref)
     rows = None
     if cfg.method == "ctrl":
         g = worldmodel._grad_log_reweight(m, components, tables.control_log_w)
@@ -268,7 +267,7 @@ def gradient(tables: RunTables, particles: np.ndarray, renderer: Renderer, draws
         g, rows = rectify.correction(cfg.rectifier, m, schedule, t, xt, marginal, components, at)
     else:
         return out, None
-    correction = omega * schedule.sigma[t][:, None] * np.einsum("nji,nj->ni", jac, g)
+    correction = omega * schedule.sigma[t][:, None] * worldmodel._jacobian_t(renderer, pose, g)
     if cfg.grad_norm_align:
         correction = grad_norm_align(out, correction)
     return out - correction, rows

@@ -23,17 +23,16 @@ def tweedie_x0(schedule: DiffusionSchedule, t, xt, eps_pred) -> np.ndarray:
     t is one step, or one step per row of xt (shape (n,) against (n, d)).
     """
     t = np.asarray(t)
-    if np.any(t < 1):
+    if (t < 1).any():
         raise ValueError("tweedie_x0 needs t >= 1")
     a = schedule.alpha[t][..., None]
-    if np.any(a < 1e-300):
+    if (a < 1e-300).any():
         raise NumericError(f"alpha underflow at t={t}")
     xt = np.asarray(xt, dtype=float)
     eps_pred = np.asarray(eps_pred, dtype=float)
     out = (xt - schedule.sigma[t][..., None] * eps_pred) / a
-    bad = ~np.all(np.isfinite(out), axis=-1)
-    if np.any(bad):
-        raise NumericError(f"non-finite clean estimate at {first_row(bad, t, xt)}")
+    if not np.isfinite(out).all():
+        raise NumericError(f"non-finite clean estimate at {first_row(~np.isfinite(out).all(axis=-1), t, xt)}")
     return out
 
 

@@ -137,7 +137,7 @@ def points(rect: Rectifier, xt) -> Points:
         return Points(None, None, xt)
     d = xt.shape[-1]
     h = rect.fd_step * (1.0 + np.sqrt(np.add.reduce(xt * xt, axis=-1)))     # np.linalg.norm's reduce
-    step = np.moveaxis(h[..., None, None] * np.eye(d), -2, 0)             # (d, ..., d): h e_j
+    step = h[..., None] * np.eye(d)[(slice(None),) + (None,) * h.ndim]     # (d, ..., d): h e_j
     stack = np.concatenate([xt[None], xt + step, xt - step])
     return Points(stack, h, stack if rect.posterior_source == "classifier-on-tweedie" else xt)
 
@@ -166,8 +166,8 @@ def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
         components = worldmodel._components(m, worldmodel._steps(m, schedule, t), at.noisy)
     w = weight_function(rect.target, marginal, rect.epsilon_floor)
     if rect.posterior_source == "exact-mixture":
-        with np.errstate(divide="ignore"):          # a zero target weight is log 0 = -inf
-            log_w = np.log(w)
+        # a zero target weight is log 0 = -inf, without numpy's divide warning
+        log_w = np.log(w) if np.count_nonzero(w) == w.size else np.log(w, out=np.full(w.shape, -np.inf), where=w != 0)
         out = worldmodel._grad_log_reweight(m, components, log_w)
         rows = worldmodel._category_posterior(m, components)
     else:
@@ -182,7 +182,7 @@ def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
             j = int(np.argmin(finite.reshape(d, -1)[:, np.argmax(bad)]))
             raise NumericError(f"non-finite log r along axis {j} at {first_row(bad, t, xt)}")
         rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(fp) + np.abs(fm))
-        out = np.moveaxis(np.where(np.abs(fp - fm) <= rounding, 0.0, fp - fm) / (2.0 * at.h), 0, -1)
+        out = (np.where(np.abs(fp - fm) <= rounding, 0.0, fp - fm) / (2.0 * at.h)).transpose((*range(1, fp.ndim), 0))
         rows = post[0]
     if not np.isfinite(out).all():
         raise NumericError(f"non-finite grad log r at {first_row(~np.isfinite(out).all(axis=-1), t, xt)}")

@@ -37,6 +37,7 @@ class PoseLabeledMixture:
     _clean: "_Steps" = field(init=False, repr=False, compare=False)          # the components at t = 0
     _log_weights: np.ndarray = field(init=False, repr=False, compare=False)   # (n_comp,)
     _members: np.ndarray = field(init=False, repr=False, compare=False)       # (K, n_comp) bools
+    _diagonal: bool = field(init=False, repr=False, compare=False)             # every covariance is diagonal
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -74,6 +75,8 @@ class PoseLabeledMixture:
         object.__setattr__(self, "_clean", _form(self, np.ones(()), np.zeros(())))
         object.__setattr__(self, "_log_weights", np.log(w))
         object.__setattr__(self, "_members", cat == np.arange(self.num_categories)[:, None])
+        # off-diagonal zeros of Sigma stay zeros in a^2 Sigma + s^2 I, so every row is diagonal too
+        object.__setattr__(self, "_diagonal", not cov[:, ~np.eye(d, dtype=bool)].any())
 
     @property
     def dim(self) -> int:
@@ -148,8 +151,10 @@ def _components(m: PoseLabeledMixture, steps: _Steps, xt) -> _Pass:
     if xt.shape[-1] != m.dim:
         raise ValueError(f"point dimension {xt.shape[-1]} != mixture dimension {m.dim}")
     diff = xt[..., None, :] - steps.means                                    # (..., n_comp, d)
-    # a 1x1 solve is a division, bit for bit (a reciprocal multiply is not)
-    sol = diff / steps.covs[..., 0] if m.dim == 1 else np.linalg.solve(steps.covs, diff[..., None])[..., 0]
+    # a diagonal solve is a division, bit for bit but for the sign of a zero
+    # (LAPACK's elimination may turn a -0.0 of diff into +0.0); a reciprocal multiply is not
+    sol = (diff / steps.covs.diagonal(0, -2, -1) if m._diagonal
+           else np.linalg.solve(steps.covs, diff[..., None])[..., 0])
     logits = m._log_weights - 0.5 * ((diff * sol).sum(axis=-1) + m.dim * np.log(2.0 * np.pi) + steps.logdet)
     return _Pass(logits, _softmax(logits), -sol)
 
@@ -305,15 +310,19 @@ def _poses(r: Renderer, c) -> np.ndarray:
 
 def render_jacobian(r: Renderer, theta, c) -> np.ndarray:
     """d(render)/d(theta), shape (..., d, d): the identity or each pose's rotation matrix."""
-    return _jacobian(r, theta, _poses(r, c))
-
-
-def _jacobian(r: Renderer, theta, c) -> np.ndarray:
-    """`render_jacobian` at poses already checked."""
-    theta = np.asarray(theta, dtype=float)
+    theta, c = np.asarray(theta, dtype=float), _poses(r, c)
     d = theta.shape[-1]
     if r.kind == "identity":
         return np.broadcast_to(np.eye(d), theta.shape + (d,))
     if d != 2:
         raise ValueError("rotation renderer needs 2D parameters")
     return np.broadcast_to(r._rotations[c], np.broadcast_shapes(c.shape, theta.shape[:-1]) + (2, 2))
+
+
+def _jacobian_t(r: Renderer, c, v) -> np.ndarray:
+    """J^T v for the render Jacobian at checked poses c (n,), rows v (n, d).
+    The identity's is v + 0.0, its einsum bit for bit (whose accumulator
+    turns -0.0 into +0.0) wherever that einsum is finite."""
+    if r.kind == "identity":
+        return v + 0.0
+    return np.einsum("nji,nj->ni", r._rotations[c], v)

@@ -49,8 +49,10 @@ def mixed_2d():
     )
 
 
-def random_mixture(rng, dim, num_categories):
-    """Small random but well-conditioned pose-labeled mixture."""
+def random_mixture(rng, dim, num_categories, diagonal=False):
+    """Small random but well-conditioned pose-labeled mixture; `diagonal`
+    zeroes the covariances' off-diagonal entries (to +0.0 or -0.0) and
+    draws the same numbers otherwise."""
     n_comp = num_categories + rng.integers(0, 3)
     w = rng.dirichlet(np.ones(n_comp) * 5.0)
     means = rng.uniform(-3.0, 3.0, size=(n_comp, dim))
@@ -58,6 +60,8 @@ def random_mixture(rng, dim, num_categories):
     for k in range(n_comp):
         a = rng.standard_normal((dim, dim)) * 0.3
         covs[k] = a @ a.T + np.eye(dim) * rng.uniform(0.3, 1.0)
+    if diagonal:
+        covs *= np.eye(dim)
     cats = np.concatenate([
         np.arange(num_categories),
         rng.integers(0, num_categories, size=n_comp - num_categories),

@@ -53,6 +53,13 @@ VARIANTS = {
         **_SOURCES,
         "exact-mixture": {"rectifier": {"posterior_source": "exact-mixture"}},
         "pose-probs": {"distill": {"pose_probs": "0.7 0.3"}},
+        # the base configs' covariances are diagonal, which `_components`
+        # divides by; one off-diagonal pair keeps np.linalg.solve's path pinned
+        "full-cov": {"mixture": {"components": "\n".join([
+            "0.4 |  2.0  0.6 | 0.05 0.02 0.02 0.05 | 0",
+            "0.4 |  2.0 -0.6 | 0.05 0.0 0.0 0.05 | 0",
+            "0.2 | -2.0  0.0 | 0.05 0.0 0.0 0.05 | 1",
+        ])}},
     },
     "ctrl-wide": {
         "base": {},

@@ -187,20 +187,21 @@ class TestBatchedGradient:
         else:
             assert rows is None
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim, diagonal", [(1, True), (2, True), (2, False)])
     @pytest.mark.parametrize("method, source, passes", [
         ("sds", None, 1), ("vsd", None, 1), ("ctrl", None, 1), ("usd", "exact-mixture", 1),
         ("usd", "classifier-on-tweedie", 2), ("usd", "classifier-direct", 2),
     ])
-    def test_mixture_passes_per_iteration(self, schedule, monkeypatch, method, source, passes, dim):
+    def test_mixture_passes_per_iteration(self, schedule, monkeypatch, method, source, passes, dim, diagonal):
         # one noisy pass gives eps_pre, the CTRL or exact-mixture correction
         # and the EMA's posterior row; a classifier source adds one clean
         # pass over its finite-difference stack of 2d + 1 blocks (for
         # Tweedie the noisy pass runs over that stack too).  A run makes one
         # slogdet, for its table: the clean components come with the mixture.
-        # A pass makes one solve, or none in 1-D, where it divides
+        # A pass makes one solve, or none when every covariance is diagonal
+        # (as every 1-D one is), where it divides
         rng = np.random.default_rng(5)
-        m = random_mixture(rng, dim, 3)
+        m = random_mixture(rng, dim, 3, diagonal=diagonal)
         kwargs = dict(method=method, iters=6, snapshot_every=100)
         if method == "ctrl":
             kwargs["control_category"] = 1
@@ -223,7 +224,7 @@ class TestBatchedGradient:
                 iterations[-1].append(event)
         stack = (2 * dim + 1, 8, dim)
         noisy = stack if source == "classifier-on-tweedie" else (8, dim)
-        solves = [] if dim == 1 else ["solve"]
+        solves = [] if diagonal else ["solve"]
         # iterations 0 and 5 take a snapshot, whose metrics row costs a pass
         assert iterations[1:-1] == [[noisy, *solves] + [stack, *solves] * (passes - 1)] * 4
 

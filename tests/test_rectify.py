@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,23 @@ class TestGradLogR:
         want = worldmodel.grad_log_reweight(mixed_2d, None, 0, xt, log_w)
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-4
 
+    @pytest.mark.parametrize("shape", [(), (6,)])
+    def test_zero_target_weight_is_minus_inf_without_warning(self, mixed_2d, schedule, shape):
+        # the exact-mixture correction takes log w; a zero target weight is
+        # log 0 = -inf, which gives the category no weight and numpy no warning
+        rect = Rectifier(target=TargetMarginal(np.array([1.0, 0.0])))
+        rng = np.random.default_rng(22)
+        t = 300 if not shape else rng.integers(1, 1001, size=shape)
+        xt = rng.uniform(-3.0, 3.0, size=shape + (2,))
+        marginal = rng.dirichlet(np.ones(2), size=shape or None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _ = rectify.correction(rect, mixed_2d, schedule, t, xt, marginal)
+        w = weight_function(rect.target, marginal, rect.epsilon_floor)
+        log_w = np.full(w.shape, -np.inf)
+        log_w[..., 0] = np.log(w[..., 0])
+        assert np.array_equal(got, worldmodel.grad_log_reweight(mixed_2d, schedule, t, xt, log_w))
+
 
 def _per_axis_grad_log_r(rect, m, schedule, t, xt, marginal):
     """The classifier-backed central differences one axis at a time, two
@@ -216,6 +235,23 @@ class TestStackedFiniteDifferences:
         got = grad_log_r(rect, m, schedule, t, xt, marginal)
         assert got.shape == xt.shape
         assert np.array_equal(got, _per_axis_grad_log_r(rect, m, schedule, t, xt, marginal))
+
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stack_blocks(self, lead, dim):
+        # block 0 is xt, block 1 + j is xt + h e_j and block 1 + d + j is
+        # xt - h e_j, with h = fd_step (1 + |xt|), bit for bit
+        rng = np.random.default_rng(dim)
+        rect = Rectifier(target=TargetMarginal.uniform(2), posterior_source="classifier-direct")
+        xt = rng.uniform(-4.0, 4.0, size=lead + (dim,))
+        at = rectify.points(rect, xt)
+        h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
+        assert at.stack.shape == (2 * dim + 1,) + xt.shape and np.array_equal(at.h, h)
+        assert np.array_equal(at.stack[0], xt)
+        for j in range(dim):
+            step = np.zeros(xt.shape)
+            step[..., j] = h
+            assert np.array_equal(at.stack[1 + j], xt + step) and np.array_equal(at.stack[1 + dim + j], xt - step)
 
     @pytest.mark.parametrize("source, passes", [("classifier-on-tweedie", 2), ("classifier-direct", 1)])
     @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -264,6 +264,34 @@ class TestRenderer:
         assert rendered.shape == (1, 5, 3)
         assert np.array_equal(worldmodel.at_pose(identity, rendered, np.array([0, 1, 1, 0, 1])), theta)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_jacobian_transpose_equals_einsum(self, d):
+        # gradient's J^T v: for the identity v + 0.0, the einsum over the
+        # identity Jacobian bit for bit (its accumulator turns -0.0 into
+        # +0.0) wherever the einsum is finite; a row holding inf or NaN is
+        # non-finite in both, though for d >= 2 the einsum also spreads
+        # 0 * inf = NaN over the row.  For a rotation the einsum itself.
+        rng = np.random.default_rng(d)
+        v = rng.standard_normal((40, d)) * 10.0 ** rng.uniform(-300.0, 300.0, (40, d))
+        v[rng.random(v.shape) < 0.2] = rng.choice([-0.0, 0.0])
+        v[:4, 0] = [np.finfo(float).max, -np.finfo(float).max, -0.0, 0.0]
+        v[4:7, -1] = [np.inf, -np.inf, np.nan]
+        pose = rng.integers(0, 3, size=40)
+        r = Renderer()
+        got = worldmodel._jacobian_t(r, pose, v)
+        einsum = np.einsum("nji,nj->ni", render_jacobian(r, v, pose), v)
+        finite = np.isfinite(einsum).all(axis=-1)
+        assert np.array_equal(np.isfinite(got).all(axis=-1), finite) and not finite[4:7].any()
+        assert np.array_equal(got[finite], einsum[finite]) and not np.signbit(got[got == 0]).any()
+        assert np.array_equal(np.signbit(got[finite]), np.signbit(einsum[finite]))
+        if d == 1:
+            assert np.array_equal(got, einsum, equal_nan=True)
+        else:
+            rotation = Renderer(kind="rotation", angles=(0.0, 0.4, np.pi))
+            w = v[:, :2]
+            assert np.array_equal(worldmodel._jacobian_t(rotation, pose, w),
+                                  np.einsum("nji,nj->ni", render_jacobian(rotation, w, pose), w), equal_nan=True)
+
     def test_angles_must_be_finite(self):
         with pytest.raises(ConfigurationError, match="finite"):
             Renderer(kind="rotation", angles=(0.0, np.inf))
@@ -276,10 +304,11 @@ class TestRunTablesAt:
     mixture."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), k=st.integers(2, 4), n=st.integers(1, 6))
-    def test_gathered_pass_equals_per_point_evaluators(self, schedule, seed, dim, k, n):
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), k=st.integers(2, 4), n=st.integers(1, 6),
+           diagonal=st.booleans())
+    def test_gathered_pass_equals_per_point_evaluators(self, schedule, seed, dim, k, n, diagonal):
         rng = np.random.default_rng(seed)
-        m = random_mixture(rng, dim, k)
+        m = random_mixture(rng, dim, k, diagonal=diagonal)
         tables = distill.RunTables.build(m, schedule, distill.DistillConfig(method="sds", iters=1))
         t = rng.integers(0, schedule.num_steps + 1, size=n)
         t[rng.integers(n)] = 0
@@ -309,36 +338,74 @@ class TestRunTablesAt:
         assert tables.mixture is biased_1d and tables.schedule is schedule
 
 
-class TestOneByOneSolve:
-    """In 1-D `_components` divides by the noisy variances where it would
-    solve 1x1 systems: numpy's LAPACK solve of a 1x1 system is that
-    division, bit for bit, and a reciprocal multiply is not.  That rests on
-    numpy's and its LAPACK's implementation, so one that changes it fails
-    here, by name, and not only in the identity table."""
+class TestDiagonalSolve:
+    """Where every covariance of the mixture is diagonal, `_components`
+    divides by the noisy variances where it would solve the systems:
+    numpy's LAPACK solve of a diagonal system is that division, bit for bit
+    but for the sign of a zero (the elimination may turn a -0.0 of the
+    right-hand side into +0.0 when d >= 2), and a reciprocal multiply is
+    not.  That rests on numpy's and its LAPACK's implementation, so one
+    that changes it fails here, by name, and not only in the identity
+    table."""
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("cov_lead, diff_lead", [
         ((), ()), ((), (9,)), ((16,), (16,)), ((16,), (3, 16)), ((64,), (64,)),
     ])
-    def test_division_equals_solve(self, cov_lead, diff_lead):
+    def test_division_equals_solve(self, d, cov_lead, diff_lead):
         # _components' shapes: one step's covariances against points of any
         # leading shape, a run's gathered rows per point, and the gathered
         # rows against a finite-difference stack of points
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(11 + d)
 
         def wide(shape):        # random mantissas over 30 decades
             return rng.uniform(0.5, 2.0, shape) * 10.0 ** rng.uniform(-15.0, 15.0, shape)
 
-        for _ in range(200):
-            covs, diff = wide(cov_lead + (3, 1, 1)), wide(diff_lead + (3, 1)) * rng.choice([-1.0, 1.0], diff_lead + (3, 1))
-            assert np.array_equal(diff / covs[..., 0], np.linalg.solve(covs, diff[..., None])[..., 0])
+        for _ in range(100):
+            covs = wide(cov_lead + (3, 1, d)) * np.eye(d)
+            if d > 1:
+                covs[..., 0, 1] = -0.0                      # a signed zero off the diagonal is still diagonal
+            diff = wide(diff_lead + (3, d)) * rng.choice([-1.0, 1.0], diff_lead + (3, d))
+            diff[rng.random(diff.shape) < 0.2] = rng.choice([-0.0, 0.0])
+            divided = diff / covs.diagonal(0, -2, -1)
+            solved = np.linalg.solve(covs, diff[..., None])[..., 0]
+            assert np.array_equal(divided, solved)         # as numbers: -0.0 == +0.0
+            same_sign = np.signbit(divided) == np.signbit(solved)
+            assert same_sign.all() if d == 1 else same_sign[(diff != 0) | ~np.signbit(diff)].all()
 
-    def test_pass_scores_equal_solve(self, schedule):
+    def test_diagonal_flag(self):
+        # exact zeros off the diagonal, of either sign; 1-D is trivially diagonal
+        assert _single([0.0], [[2.0]])._diagonal
+        assert _single([0.0, 0.0], [[2.0, -0.0], [-0.0, 0.5]])._diagonal
+        assert not _single([0.0, 0.0], [[2.0, 1e-300], [1e-300, 0.5]])._diagonal
+        full = random_mixture(np.random.default_rng(3), 3, 2)
+        diagonal = random_mixture(np.random.default_rng(3), 3, 2, diagonal=True)
+        assert not full._diagonal and diagonal._diagonal
+        assert np.array_equal(diagonal.covs, full.covs * np.eye(3))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pass_scores_equal_solve(self, schedule, monkeypatch, dim):
+        # the gathered rows of a run and the clean components, against the solve
         rng = np.random.default_rng(12)
-        m = random_mixture(rng, 1, 3)
+        m = random_mixture(rng, dim, 3, diagonal=True)
         tables = distill.RunTables.build(m, schedule, distill.DistillConfig(method="sds", iters=1))
+        solve, solves = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: (solves.append(1), solve(*a))[1])
         for _ in range(50):
             t = rng.integers(0, schedule.num_steps + 1, size=16)
-            x = rng.standard_normal((16, 1)) * 10.0 ** rng.uniform(-8, 8, (16, 1))
-            steps = tables.at(t)
-            solved = np.linalg.solve(steps.covs, (x[:, None, :] - steps.means)[..., None])[..., 0]
-            assert np.array_equal(worldmodel._components(m, steps, x).scores, -solved)
+            x = rng.standard_normal((16, dim)) * 10.0 ** rng.uniform(-8, 8, (16, dim))
+            for steps in (tables.at(t), m._clean):
+                got = worldmodel._components(m, steps, x).scores
+                assert not solves
+                expected = -solve(steps.covs, (x[:, None, :] - steps.means)[..., None])[..., 0]
+                assert np.array_equal(got, expected)
+
+    def test_full_covariances_are_solved(self, schedule, monkeypatch):
+        # one off-diagonal pair makes the mixture full: a pass solves once
+        m = _single([0.0, 0.0], [[2.0, 0.1], [0.1, 0.5]])
+        solve, solves = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: (solves.append(1), solve(*a))[1])
+        x = np.random.default_rng(13).standard_normal((5, 2))
+        worldmodel.score(m, schedule, 100, x)
+        worldmodel.category_posterior(m, None, 0, x)
+        assert solves == [1, 1]
