@@ -87,53 +87,47 @@ def _ramp(col: np.ndarray, lo_col: float, hi_col: float) -> np.ndarray:
     return 0.35 + 0.6 * frac
 
 
-def _arrow_right() -> np.ndarray:
-    """Right-pointing arrow with a long shaft and a large triangular head."""
+def _patterns() -> dict[str, np.ndarray]:
+    """Every category's unjittered image, all built on one pixel grid.
+
+    Left and right share the right-pointing arrow; `_glyph` mirrors left.
+    Front and back share an oval silhouette and the horizontal ramp.
+    """
     rows, cols = np.mgrid[0:IMG_SIZE, 0:IMG_SIZE]
+    # arrow: a long shaft and a large triangular head
     shaft = (rows >= 22) & (rows <= 42) & (cols >= 4) & (cols <= 38)
     half = np.round(16.0 * (58 - cols) / 20.0)
     head = (cols >= 38) & (cols <= 58) & (np.abs(rows - 32) <= half)
-    mask = shaft | head
-    img = np.zeros((IMG_SIZE, IMG_SIZE))
-    img[mask] = _ramp(cols, 4, 58)[mask]
-    return img
-
-
-def _oval_mask() -> np.ndarray:
-    rows, cols = np.mgrid[0:IMG_SIZE, 0:IMG_SIZE]
-    return ((cols - 32.0) / 18.0) ** 2 + ((rows - 32.0) / 26.0) ** 2 <= 1.0
-
-
-def _front_pattern() -> np.ndarray:
-    """Vertical stripes modulated by the horizontal ramp."""
-    rows, cols = np.mgrid[0:IMG_SIZE, 0:IMG_SIZE]
-    mask = _oval_mask()
+    arrow = np.where(shaft | head, _ramp(cols, 4, 58), 0.0)
+    oval = ((cols - 32.0) / 18.0) ** 2 + ((rows - 32.0) / 26.0) ** 2 <= 1.0
+    ramp = _ramp(cols, 14, 50)
+    # front: vertical stripes; back: a dot lattice whose base level gives
+    # front and back the same mean intensity (0.25 * 1.0 + 0.75 * base =
+    # 0.725, the stripe average): patch matching then aligns on position,
+    # leaving texture to the cls channel
     stripes = np.where((cols // 3) % 2 == 0, 1.0, 0.45)
-    img = np.zeros((IMG_SIZE, IMG_SIZE))
-    img[mask] = (_ramp(cols, 14, 50) * stripes)[mask]
-    return img
-
-
-def _back_pattern() -> np.ndarray:
-    """Dot lattice modulated by the same horizontal ramp."""
-    rows, cols = np.mgrid[0:IMG_SIZE, 0:IMG_SIZE]
-    mask = _oval_mask()
-    # dot base level chosen so front/back share mean intensity
-    # (0.25 * 1.0 + 0.75 * base = 0.725, the stripe average): patch matching
-    # then aligns on position, leaving texture to the cls channel
     dots = np.where((rows % 6 < 3) & (cols % 6 < 3), 1.0, 0.475 / 0.75)
-    img = np.zeros((IMG_SIZE, IMG_SIZE))
-    img[mask] = (_ramp(cols, 14, 50) * dots)[mask]
-    return img
+    return {"front": np.where(oval, ramp * stripes, 0.0), "back": np.where(oval, ramp * dots, 0.0),
+            "left": arrow, "right": arrow}
 
 
 def _jitter(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     dy, dx = rng.integers(-3, 4, size=2)
     out = np.roll(np.roll(img, dy, axis=0), dx, axis=1)
-    fg = out > 0
     noise = rng.normal(1.0, 0.05, size=out.shape)
-    out = np.where(fg, np.clip(out * noise, 0.05, 1.0), 0.0)
-    return out
+    return np.where(out > 0, np.clip(out * noise, 0.05, 1.0), 0.0)
+
+
+def _glyph(patterns: dict[str, np.ndarray], category: str, jitter_seed: int | None) -> GlyphImage:
+    """One category's glyph from `_patterns()`: jittered, then mirrored for
+    left (so a left glyph mirrors the right glyph of the same seed), then
+    clipped to [0, 1]."""
+    img = patterns[category]
+    if jitter_seed is not None:
+        img = _jitter(img, np.random.default_rng(jitter_seed))
+    if category == "left":
+        img = img[:, ::-1]
+    return GlyphImage(pixels=np.clip(img, 0.0, 1.0), true_category=category)
 
 
 def generate_glyph(category: str, jitter_seed: int | None = None) -> GlyphImage:
@@ -144,17 +138,7 @@ def generate_glyph(category: str, jitter_seed: int | None = None) -> GlyphImage:
     """
     if category not in CATEGORIES:
         raise ValueError(f"unknown category {category!r}")
-    if category in ("left", "right"):
-        img = _arrow_right()
-    elif category == "front":
-        img = _front_pattern()
-    else:
-        img = _back_pattern()
-    if jitter_seed is not None:
-        img = _jitter(img, np.random.default_rng(jitter_seed))
-    if category == "left":
-        img = img[:, ::-1]
-    return GlyphImage(pixels=np.clip(img, 0.0, 1.0), true_category=category)
+    return _glyph(_patterns(), category, jitter_seed)
 
 
 def glyph_silhouette(img: GlyphImage) -> np.ndarray:
@@ -164,16 +148,15 @@ def glyph_silhouette(img: GlyphImage) -> np.ndarray:
 
 def generate_corpus(per_category: int, seed: int = 0) -> list[GlyphImage]:
     """Labelled jittered glyphs, per_category of each pose."""
-    corpus = []
-    for ci, cat in enumerate(CATEGORIES):
-        for j in range(per_category):
-            corpus.append(generate_glyph(cat, jitter_seed=seed + 10_000 * ci + j))
-    return corpus
+    patterns = _patterns()
+    return [_glyph(patterns, cat, seed + 10_000 * ci + j)
+            for ci, cat in enumerate(CATEGORIES) for j in range(per_category)]
 
 
 def template_images() -> dict[str, GlyphImage]:
     """Canonical (unjittered) glyph per category, used as templates."""
-    return {cat: generate_glyph(cat, jitter_seed=None) for cat in CATEGORIES}
+    patterns = _patterns()
+    return {cat: _glyph(patterns, cat, None) for cat in CATEGORIES}
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ Every subcommand is a pure function of (config, seed): outputs are
 byte-identical across repeated runs.
 
 Exit codes: 0 success; 2 invalid configuration or input (among them a
-non-finite mixture weight, mean or covariance, target or pose_probs), or a
-file that cannot be read or written (an OSError, such as a missing input
-or an --out-dir that is a file); 3 a run that diverged or produced a
+non-finite mixture weight, mean or covariance, target or pose_probs, and a
+non-finite `metrics` probability, marginal or target), or a file that
+cannot be read or written (an OSError, such as a missing input or an
+--out-dir that is a file); 3 a run that diverged or produced a
 non-finite value.  Failures print one `error:` line on stderr and leave --out-dir as
 it was: a command writes into a hidden directory inside it and moves the
 files in only when it succeeds (see `_staged`).

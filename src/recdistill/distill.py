@@ -184,6 +184,8 @@ class RunTables:
         # the checks rng.choice(k, p=probs) makes
         if probs.shape != (k,) or not np.all(probs >= 0) or abs(np.sum(probs) - 1.0) > np.sqrt(np.finfo(float).eps):
             raise ConfigurationError(f"pose_probs must be {k} non-negative probabilities summing to 1")
+        if cfg.control_category is not None and not 0 <= cfg.control_category < k:
+            raise ConfigurationError(f"control_category {cfg.control_category} outside [0, {k})")
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         return cls(

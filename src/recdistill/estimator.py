@@ -27,7 +27,7 @@ def tweedie_x0(schedule: DiffusionSchedule, t, xt, eps_pred) -> np.ndarray:
         raise ValueError("tweedie_x0 needs t >= 1")
     a = schedule.alpha[t][..., None]
     if (a < 1e-300).any():
-        raise NumericError(f"alpha underflow at t={t}")
+        raise NumericError(f"alpha underflow at {first_row(a[..., 0] < 1e-300, t, xt)}")
     xt = np.asarray(xt, dtype=float)
     eps_pred = np.asarray(eps_pred, dtype=float)
     out = (xt - schedule.sigma[t][..., None] * eps_pred) / a

@@ -20,8 +20,8 @@ def categorical_entropy(prob_rows) -> EntropyReport:
     if rows.shape[0] < 1:
         raise ValueError("need at least one probability row")
     sums = np.sum(rows, axis=1)
-    if np.any(rows < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-8):
-        raise ValueError("rows must lie on the probability simplex")
+    if not np.isfinite(rows).all() or np.any(rows < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-8):
+        raise ValueError("rows must be finite and lie on the probability simplex")
     mean = np.mean(rows, axis=0)
     nz = mean[mean > 0]
     return EntropyReport(mean_probs=mean, entropy=float(-np.sum(nz * np.log(nz))))
@@ -56,4 +56,6 @@ def marginal_tv(prob, target) -> float:
     q = np.asarray(target, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("probability vectors must be finite")
     return float(0.5 * np.sum(np.abs(p - q)))

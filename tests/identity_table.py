@@ -1,12 +1,18 @@
-"""The byte-identity table: SHA-256 digests of short distillation runs.
+"""The byte-identity table: SHA-256 digests of short distillation and
+classification runs.
 
     PYTHONPATH=src python tests/identity_table.py     # rewrites tests/identity/table.json
 
-Each run is `recdistill distill` on one of the benchmark's three distill
-configs (copies under tests/identity/, cut to 50 iterations) or a variant
-of one, at seeds 0-2.  The table holds the digest of its particles.csv,
-ema.csv and metrics.csv and of its stdout line, together with the Python,
-numpy and platform it was made on.  test_identity.py reruns every run and
+A distill run is `recdistill distill` on one of the benchmark's three
+distill configs (copies under tests/identity/, cut to 50 iterations) or a
+variant of one, at seeds 0-2.  The table holds the digest of its
+particles.csv, ema.csv and metrics.csv and of its stdout line.  A glyph run
+is `recdistill glyphs --per-category 25` at seeds 0-2, with the digest of
+every file it writes (the corpus as one digest of its files' names and
+digests), followed by `recdistill classify` of that corpus in each mode,
+with the digests of the CSVs it writes.  Every run's stdout is hashed too,
+and the table keeps the Python, numpy and platform it was made on.
+test_identity.py reruns every run and
 compares: a change meant to keep outputs byte-identical must leave the
 table as it is, and a change that alters outputs on purpose regenerates it
 and names every entry that changed.
@@ -30,6 +36,10 @@ HERE = pathlib.Path(__file__).resolve().parent / "identity"
 TABLE = HERE / "table.json"
 SEEDS = (0, 1, 2)
 OUTPUTS = ("particles.csv", "ema.csv", "metrics.csv")
+GLYPHS_PER_CATEGORY = 25
+# classify mode name -> its flags
+CLASSIFY_MODES = {"full": [], "orient-only": ["--orient-only"], "texture-only": ["--texture-only"]}
+CLASSIFY_OUTPUTS = ("probabilities.csv", "confusion.csv", "summary.csv")
 
 # per base config: variant name -> {section: {key: value}} set over the base
 _SOURCES = {
@@ -94,11 +104,23 @@ def _config(work: pathlib.Path, base: str, variant: str) -> pathlib.Path:
     return path
 
 
-def digests(work) -> dict:
-    """Run every (config, variant, seed) under the directory `work`; the
-    digests keyed "config/variant/seed"."""
+def _run(key: str, argv: list[str], work: pathlib.Path) -> str:
+    """Run the CLI on argv; the digest of its stdout, with the directory
+    `work` named as $WORK wherever it appears."""
     from recdistill import cli
 
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(argv)
+    if rc != 0:
+        raise RuntimeError(f"{key}: {argv[0]} exited {rc}")
+    return _sha(stdout.getvalue().replace(str(work), "$WORK").encode())
+
+
+def digests(work) -> dict:
+    """Run every (config, variant, seed) and every glyph seed with its
+    classify modes under the directory `work`; the digests keyed
+    "config/variant/seed", "glyphs/seed" and "classify/mode/seed"."""
     work = pathlib.Path(work)
     out = {}
     for base, variants in VARIANTS.items():
@@ -107,13 +129,28 @@ def digests(work) -> dict:
             for seed in SEEDS:
                 key = f"{base}/{variant}/{seed}"
                 run_dir = work / key.replace("/", "-")
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout):
-                    rc = cli.main(["distill", "--config", str(cfg), "--seed", str(seed), "--out-dir", str(run_dir)])
-                if rc != 0:
-                    raise RuntimeError(f"{key}: distill exited {rc}")
+                stdout = _run(key, ["distill", "--config", str(cfg), "--seed", str(seed),
+                                    "--out-dir", str(run_dir)], work)
                 out[key] = {name: _sha((run_dir / name).read_bytes()) for name in OUTPUTS}
-                out[key]["stdout"] = _sha(stdout.getvalue().encode())
+                out[key]["stdout"] = stdout
+    for seed in SEEDS:
+        key = f"glyphs/{seed}"
+        glyph_dir = work / key.replace("/", "-")
+        stdout = _run(key, ["glyphs", "--per-category", str(GLYPHS_PER_CATEGORY), "--seed", str(seed),
+                            "--out-dir", str(glyph_dir)], work)
+        files = {str(p.relative_to(glyph_dir)): _sha(p.read_bytes())
+                 for p in sorted(glyph_dir.rglob("*")) if p.is_file()}
+        corpus = "".join(f"{name} {digest}\n" for name, digest in files.items() if name.startswith("corpus/"))
+        out[key] = {name: digest for name, digest in files.items() if not name.startswith("corpus/")}
+        out[key]["corpus"] = _sha(corpus.encode())
+        out[key]["stdout"] = stdout
+        for mode, flags in CLASSIFY_MODES.items():
+            key = f"classify/{mode}/{seed}"
+            run_dir = work / key.replace("/", "-")
+            stdout = _run(key, ["classify", "--templates", str(glyph_dir / "templates"),
+                                "--inputs", str(glyph_dir / "corpus"), "--out-dir", str(run_dir), *flags], work)
+            out[key] = {name: _sha((run_dir / name).read_bytes()) for name in CLASSIFY_OUTPUTS}
+            out[key]["stdout"] = stdout
     return out
 
 

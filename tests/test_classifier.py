@@ -223,6 +223,33 @@ class TestGlyphGeneration:
         with pytest.raises(ValueError):
             C.generate_glyph("sideways")
 
+    def test_patterns_built_once_per_corpus_and_template_set(self, monkeypatch):
+        calls = []
+        build = C._patterns
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(C, "_patterns", counted)
+        assert len(C.generate_corpus(5, seed=1)) == 20
+        assert len(calls) == 1
+        assert len(C.template_images()) == len(C.CATEGORIES)
+        assert len(calls) == 2
+
+    def test_corpus_glyphs_equal_single_glyphs_and_leave_patterns_unchanged(self):
+        patterns = C._patterns()
+        before = {cat: img.copy() for cat, img in patterns.items()}
+        shared = [C._glyph(patterns, cat, seed) for cat in C.CATEGORIES for seed in (None, 4, 11)]
+        single = [C.generate_glyph(cat, jitter_seed=seed) for cat in C.CATEGORIES for seed in (None, 4, 11)]
+        assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(shared, single))
+        assert all(np.array_equal(patterns[cat], before[cat]) for cat in C.CATEGORIES)
+        corpus = C.generate_corpus(3, seed=7)
+        want = [C.generate_glyph(cat, jitter_seed=7 + 10_000 * ci + j)
+                for ci, cat in enumerate(C.CATEGORIES) for j in range(3)]
+        assert [img.true_category for img in corpus] == [img.true_category for img in want]
+        assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(corpus, want))
+
 
 class TestExtractFeatures:
     def test_zero_image(self):

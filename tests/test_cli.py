@@ -2,6 +2,7 @@ import configparser
 import contextlib
 import io
 import pathlib
+import re
 import tempfile
 import warnings
 
@@ -259,6 +260,15 @@ class TestNumericErrorLine:
         err = capsys.readouterr().err
         assert _single_error_line(err) and " at row 5: t=" in err and len(err.strip()) < 200
 
+    def test_alpha_underflow_names_one_step(self, tmp_path, capsys):
+        text = (pathlib.Path(__file__).parent / "identity" / "usd-tweedie-rot2d.cfg").read_text()
+        text = text.replace("num_steps = 1000", "num_steps = 1000\nbeta_max = 0.9999999")
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err)
+        assert re.search(r"alpha underflow at row [^:]+: t=\d+, xt=\[[^]]*\]$", err.strip())
+
 
 class TestRectifyDemo:
     def test_biased_demo_hits_target(self, tmp_path, capsys):
@@ -457,6 +467,19 @@ class TestMetricsCommand:
         metrics = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
         tv = float(next(line.split(",")[1] for line in metrics if line.startswith("marginal_tv")))
         assert tv == pytest.approx(0.3, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_probabilities_rejected(self, tmp_path, capsys, bad):
+        probs = tmp_path / "probabilities.csv"
+        probs.write_text(f"image,p_front,p_back\nx,{bad},0.5\n")
+        assert cli.main(["metrics", "--probs", str(probs), "--out-dir", str(tmp_path / "a")]) == 2
+        assert cli.main(["metrics", f"--marginal={bad},0.5", "--target", "0.5,0.5",
+                         "--out-dir", str(tmp_path / "b")]) == 2
+        assert cli.main(["metrics", "--marginal", "0.5,0.5", f"--target=0.5,{bad}",
+                         "--out-dir", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all(line.startswith("error: ") and "finite" in line for line in err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["probabilities.csv"]
 
     def test_no_inputs_is_an_error(self, tmp_path, capsys):
         rc = cli.main(["metrics", "--out-dir", str(tmp_path / "out")])

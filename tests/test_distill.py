@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
@@ -298,6 +300,15 @@ class TestCtrlStep:
             D.DistillConfig(method="ctrl", iters=10)
         with pytest.raises(ConfigurationError):
             D.DistillConfig(method="vsd", iters=10, control_category=1)
+
+    @pytest.mark.parametrize("cat", [2, -1])
+    def test_out_of_range_category_rejected_before_the_run(self, schedule, narrow_balanced, cat):
+        ps = D.ParticleSet.initialise(4, 1, Renderer(), seed=0)
+        cfg = D.DistillConfig(method="ctrl", iters=5, control_category=cat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=rf"control_category {cat} outside \[0, 2\)"):
+                D.run(ps, narrow_balanced, schedule, cfg)
 
 
 class TestRun:

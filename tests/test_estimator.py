@@ -13,6 +13,7 @@ from recdistill.estimator import (
     tweedie_x0,
 )
 from recdistill.oracle import mc_posterior_mean
+from recdistill.schedule import build_schedule
 from recdistill.worldmodel import PoseLabeledMixture
 
 
@@ -50,6 +51,17 @@ class TestTweedie:
         t = np.arange(1, 17) * 10
         with pytest.raises(NumericError, match=r"^non-finite clean estimate at row 5: t=60, xt=\[5\. 5\.\]$"):
             tweedie_x0(schedule, t, np.full((16, 2), 5.0), eps)
+
+    def test_alpha_underflow_names_the_row(self):
+        schedule = build_schedule(1000, beta_max=0.9999999)
+        t = np.full(16, 500)
+        t[[3, 9]] = 950, 990
+        assert schedule.alpha[500] > 1e-300 > schedule.alpha[950]
+        xt = np.arange(32.0).reshape(16, 2)
+        with pytest.raises(NumericError, match=r"^alpha underflow at row 3: t=950, xt=\[6\. 7\.\]$"):
+            tweedie_x0(schedule, t, xt, np.zeros((16, 2)))
+        with pytest.raises(NumericError, match=r"^alpha underflow at t=990, xt=\[0\. 1\.\]$"):
+            tweedie_x0(schedule, 990, xt[0], np.zeros(2))
 
 
 class TestAlphaFromNEma:

@@ -42,6 +42,13 @@ class TestCategoricalEntropy:
         with pytest.raises(ValueError):
             categorical_entropy(np.empty((0, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            categorical_entropy([[bad, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            categorical_entropy([[0.5, 0.5], [bad, 0.5]])
+
 
 class TestGaussianFrechet:
     def test_identical_sets(self):
@@ -103,6 +110,13 @@ class TestMarginalTv:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             marginal_tv([0.5, 0.5], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            marginal_tv([bad, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            marginal_tv([0.5, 0.5], [0.5, bad])
 
 
 def test_cli_import_does_not_load_scipy():
