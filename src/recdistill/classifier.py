@@ -32,6 +32,11 @@ CATEGORIES = ("front", "back", "left", "right")
 # channel so contrast inversion does not flip the segmentation sign.
 DEFAULT_FOREGROUND_HINT = np.array([0.0, 1.0, 1.0, 1.0]) / np.sqrt(3.0)
 
+# rows of the (input patches x template patches) block that the orientation
+# pass handles at a time: each of its two float buffers is then about
+# 256 x 157 x 8 B = 320 KiB and stays in L2 cache
+ORIENTATION_TILE = 256
+
 
 @dataclass(frozen=True)
 class GlyphImage:
@@ -264,7 +269,8 @@ def orientation_similarity(input_parts, templates, tau_pat: float = 0.01) -> np.
     distinct foreground patches at once; a template patch that occurs c
     times weighs c times in its template's softmax and charge, so the
     score is the one over all its patches.  The per-template softmax and
-    the per-image penalty are segment reductions over that block.
+    the per-image penalty are segment reductions over that block, which is
+    computed ORIENTATION_TILE rows at a time.
     """
     patches, mask, coord = input_parts
     mask = np.asarray(mask, dtype=bool)
@@ -275,31 +281,41 @@ def orientation_similarity(input_parts, templates, tau_pat: float = 0.01) -> np.
     f_in, m_in = patches[mask], coord[mask]
     distinct = np.concatenate([t.distinct for t in templates])
     f_tm, m_tm = distinct[:, :NUM_FEATURES], distinct[:, NUM_FEATURES]
-    counts = np.concatenate([t.counts for t in templates])
+    counts = np.concatenate([t.counts for t in templates]).astype(float)
     n_cols = [len(t.counts) for t in templates]
     cols = np.concatenate([[0], np.cumsum(n_cols)[:-1]])
     templ = [slice(c, c + n) for c, n in zip(cols, n_cols)]
-    # squared distances one channel at a time, into two reused (R, P)
-    # buffers: bitwise the sums of reducing the (R, P, 4) difference tensor
-    # over its last axis, without materialising it
-    dist = np.zeros((f_in.shape[0], f_tm.shape[0]))
-    diff = np.empty_like(dist)
-    for ch in range(NUM_FEATURES):
-        np.subtract.outer(f_in[:, ch], f_tm[:, ch], out=diff)
-        diff *= diff
-        dist += diff
-    logits = np.sqrt(dist, out=dist)
-    logits /= -tau_pat
-    top = np.maximum.reduceat(logits, cols, axis=1)
-    for j, cols_j in enumerate(templ):
-        logits[:, cols_j] -= top[:, j, None]
-    w = np.exp(logits, out=logits)
-    w *= counts
-    norm = np.add.reduceat(w, cols, axis=1)
-    np.subtract.outer(m_in, m_tm, out=diff)
-    w *= np.abs(diff, out=diff)
-    # per (patch, template) charge, then summed over each image's patches
-    charge = np.add.reduceat(w, cols, axis=1) / norm
+    # every step up to the per-(patch, template) charge is row-local, so the
+    # block runs ORIENTATION_TILE rows at a time through two (tile, P)
+    # buffers reused for every tile; a row's bits do not depend on the tile
+    n_rows = f_in.shape[0]
+    dist_buf = np.empty((min(ORIENTATION_TILE, n_rows), f_tm.shape[0]))
+    diff_buf = np.empty_like(dist_buf)
+    charge = np.empty((n_rows, len(templates)))
+    for lo in range(0, n_rows, ORIENTATION_TILE):
+        hi = min(lo + ORIENTATION_TILE, n_rows)
+        dist, diff = dist_buf[: hi - lo], diff_buf[: hi - lo]
+        # squared distances one channel at a time: bitwise the sums of
+        # reducing the (rows, P, 4) difference tensor over its last axis,
+        # without materialising it
+        np.subtract.outer(f_in[lo:hi, 0], f_tm[:, 0], out=dist)
+        dist *= dist
+        for ch in range(1, NUM_FEATURES):
+            np.subtract.outer(f_in[lo:hi, ch], f_tm[:, ch], out=diff)
+            diff *= diff
+            dist += diff
+        logits = np.sqrt(dist, out=dist)
+        logits /= -tau_pat
+        top = np.maximum.reduceat(logits, cols, axis=1)
+        for j, cols_j in enumerate(templ):
+            logits[:, cols_j] -= top[:, j, None]
+        w = np.exp(logits, out=logits)
+        w *= counts
+        norm = np.add.reduceat(w, cols, axis=1)
+        np.subtract.outer(m_in[lo:hi], m_tm, out=diff)
+        w *= np.abs(diff, out=diff)
+        # per (patch, template) charge, summed over each image's patches below
+        np.divide(np.add.reduceat(w, cols, axis=1), norm, out=charge[lo:hi])
     rows = np.concatenate([[0], np.cumsum(n_in)[:-1]])
     penalty = np.add.reduceat(charge, rows, axis=0) / np.outer(n_in, n_tm)
     return np.clip(1.0 - penalty, 0.0, 1.0)

@@ -11,8 +11,10 @@ Every subcommand is a pure function of (config, seed): outputs are
 byte-identical across repeated runs.
 
 Exit codes: 0 success; 2 invalid configuration or input (among them a
-non-finite mixture weight, mean or covariance, target or pose_probs, and a
-non-finite `metrics` probability, marginal or target), or a file that
+non-finite mixture weight, mean or covariance, target or pose_probs, a
+[schedule] value that gives no valid schedule or loss weight, a non-finite
+`metrics` probability, and a `metrics` marginal or target off the
+probability simplex), or a file that
 cannot be read or written (an OSError, such as a missing input or an
 --out-dir that is a file); 3 a run that diverged or produced a
 non-finite value.  Failures print one `error:` line on stderr and leave --out-dir as
@@ -39,7 +41,7 @@ from . import distill as D
 from . import rectify, worldmodel
 from .config import parse_config, parse_demo
 from .errors import ConfigurationError, DivergenceError, NumericError, SegmentationError
-from .metrics import categorical_entropy, gaussian_frechet, marginal_tv
+from .metrics import categorical_entropy, gaussian_frechet, marginal_tv, on_simplex
 from .oracle import grid_integrate
 from .schedule import build_schedule
 
@@ -264,6 +266,19 @@ def _probability_columns(header):
     return [i for i, name in enumerate(header) if name.startswith("p_")] or range(len(header))
 
 
+def _probability_option(name, text) -> np.ndarray:
+    """A comma-separated probability vector given as --name; one that is
+    malformed or off the probability simplex (with categorical_entropy's
+    tolerances) is an error naming the option."""
+    try:
+        p = np.array([float(v) for v in text.split(",")])
+        if not on_simplex(p):
+            raise ValueError("must be finite probabilities, each at least -1e-12, summing to 1 within 1e-8")
+    except ValueError as exc:
+        raise ConfigurationError(f"--{name} {text}: {exc}") from exc
+    return p
+
+
 def cmd_metrics(args, out) -> int:
     rows = []
     if args.probs:
@@ -278,8 +293,7 @@ def cmd_metrics(args, out) -> int:
         b = _read_columns(args.particles_b, lambda header: range(2, len(header)))
         rows.append(["frechet", _fmt(gaussian_frechet(a, b))])
     if args.marginal and args.target:
-        p = np.array([float(v) for v in args.marginal.split(",")])
-        q = np.array([float(v) for v in args.target.split(",")])
+        p, q = _probability_option("marginal", args.marginal), _probability_option("target", args.target)
         rows.append(["marginal_tv", _fmt(marginal_tv(p, q))])
     if not rows:
         raise ConfigurationError("metrics: no inputs given (see --probs/--particles-a/--marginal)")

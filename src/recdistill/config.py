@@ -14,6 +14,7 @@ import numpy as np
 from .distill import DistillConfig
 from .errors import ConfigurationError
 from .rectify import MARGINAL_SOURCES, POSTERIOR_SOURCES, Rectifier, TargetMarginal
+from .schedule import build_schedule, loss_weight
 from .worldmodel import PoseLabeledMixture, Renderer
 
 _KNOWN_KEYS = {
@@ -162,6 +163,26 @@ def _parse_distill(section, k: int, dim: int) -> dict:
     return out
 
 
+def _check_schedule(num_steps: int, beta_min: float, beta_max: float, omega_kind: str | None) -> None:
+    """Build the schedule, and its loss weight unless omega_kind is None,
+    so that a value they reject fails at parse time naming its keys."""
+    try:
+        schedule = build_schedule(num_steps, beta_min, beta_max)
+    except ConfigurationError as exc:
+        # all three keys decide whether sigma[T] reaches the noise endpoint
+        raise ConfigurationError(
+            f"[schedule] num_steps = {num_steps}, beta_min = {beta_min}, beta_max = {beta_max}: {exc}") from exc
+    if omega_kind is None:
+        return
+    try:
+        loss_weight(schedule, omega_kind)
+    except ConfigurationError as exc:
+        # sigma-squared fails only where 1 - beta_min rounds to 1, so sigma[1] = 0
+        key = (f"[schedule] beta_min = {beta_min} gives sigma[1] = 0, and [distill] omega_kind = sigma-squared"
+               if omega_kind == "sigma-squared" else f"[distill] omega_kind = {omega_kind}")
+        raise ConfigurationError(f"{key}: {exc}") from exc
+
+
 def parse_demo(section, num_steps: int) -> dict:
     """rectify-demo's grid settings from a [demo] section ({} gives the
     defaults), checked against the schedule's num_steps."""
@@ -214,13 +235,18 @@ def parse_config(path) -> RunSpec:
     n_t = distill.get("n_t", DistillConfig.n_t)
     if "distill" in parser and n_t >= 1 and num_steps % n_t:
         raise ConfigurationError(f"[schedule] num_steps = {num_steps} is not divisible by [distill] n_t = {n_t}")
+    beta_min = _value(sched, "schedule", "beta_min", float, "1e-4")
+    beta_max = _value(sched, "schedule", "beta_max", float, "0.02")
+    # like n_t, the loss weight is checked only for a config with a [distill] section
+    omega_kind = distill.get("omega_kind", DistillConfig.omega_kind) if "distill" in parser else None
+    _check_schedule(num_steps, beta_min, beta_max, omega_kind)
     # without a [demo] section, rectify-demo checks the defaults against this schedule itself
     demo = parse_demo(parser["demo"], num_steps) if "demo" in parser else None
     return RunSpec(
         mixture=mixture,
         num_steps=num_steps,
-        beta_min=_value(sched, "schedule", "beta_min", float, "1e-4"),
-        beta_max=_value(sched, "schedule", "beta_max", float, "0.02"),
+        beta_min=beta_min,
+        beta_max=beta_max,
         rectifier=rectifier,
         distill=distill,
         demo=demo,

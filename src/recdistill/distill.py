@@ -176,6 +176,7 @@ class RunTables:
     omega: np.ndarray                        # (T+1,) the loss weight of each step
     pose_cdf: np.ndarray                     # (K,) cumulative pose probabilities, normalised
     control_log_w: np.ndarray | None         # CTRL's log weights
+    eye: np.ndarray                          # (d, d) identity: `rectify.points`' finite-difference directions
 
     @classmethod
     def build(cls, m: PoseLabeledMixture, schedule: DiffusionSchedule, cfg: DistillConfig) -> "RunTables":
@@ -194,6 +195,7 @@ class RunTables:
             omega=loss_weight(schedule, cfg.omega_kind),
             pose_cdf=cdf,
             control_log_w=None if cfg.control_category is None else _control_log_weights(m, cfg.control_category),
+            eye=np.eye(m.dim),
         )
 
     def at(self, t) -> worldmodel._Steps:
@@ -257,7 +259,7 @@ def gradient(tables: RunTables, particles: np.ndarray, renderer: Renderer, draws
     omega = tables.omega[t][:, None]
     eps_ref = draws.eps if cfg.method == "sds" else variational_eps(particles, renderer, schedule, t, pose, xt,
                                                                     draws.rendered)
-    at = rectify.points(cfg.rectifier, xt) if cfg.method == "usd" else None
+    at = rectify.points(cfg.rectifier, xt, tables.eye) if cfg.method == "usd" else None
     components = worldmodel._components(m, tables.at(t), xt if at is None else at.noisy)
     stacked = at is not None and at.noisy is at.stack                         # block 0 is the drawn points
     first = worldmodel._Pass(*(a[0] for a in components)) if stacked else components

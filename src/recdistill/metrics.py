@@ -14,13 +14,20 @@ class EntropyReport:
     entropy: float
 
 
+def on_simplex(prob_rows) -> bool:
+    """Whether every row (last axis) is finite, has no entry below -1e-12
+    and sums to 1 within 1e-8."""
+    rows = np.asarray(prob_rows, dtype=float)
+    return bool(np.isfinite(rows).all() and np.all(rows >= -1e-12)
+                and np.all(np.abs(np.sum(rows, axis=-1) - 1.0) <= 1e-8))
+
+
 def categorical_entropy(prob_rows) -> EntropyReport:
     """Shannon entropy (nats) of the row-averaged probability vector."""
     rows = np.atleast_2d(np.asarray(prob_rows, dtype=float))
     if rows.shape[0] < 1:
         raise ValueError("need at least one probability row")
-    sums = np.sum(rows, axis=1)
-    if not np.isfinite(rows).all() or np.any(rows < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-8):
+    if not on_simplex(rows):
         raise ValueError("rows must be finite and lie on the probability simplex")
     mean = np.mean(rows, axis=0)
     nz = mean[mean > 0]

@@ -128,16 +128,18 @@ class Points(NamedTuple):
     noisy: np.ndarray          # where the prior's noisy pass is needed
 
 
-def points(rect: Rectifier, xt) -> Points:
+def points(rect: Rectifier, xt, eye: np.ndarray | None = None) -> Points:
     """The classifier sources' finite-difference stack at rows xt, and where
     the source needs the noisy pass: 'classifier-on-tweedie' denoises every
-    point of the stack, the other sources need it at xt only."""
+    point of the stack, the other sources need it at xt only.  `eye` is the
+    (d, d) identity (made here if not given), which a run builds once."""
     xt = np.asarray(xt, dtype=float)
     if rect.posterior_source == "exact-mixture":
         return Points(None, None, xt)
-    d = xt.shape[-1]
+    if eye is None:
+        eye = np.eye(xt.shape[-1])
     h = rect.fd_step * (1.0 + np.sqrt(np.add.reduce(xt * xt, axis=-1)))     # np.linalg.norm's reduce
-    step = h[..., None] * np.eye(d)[(slice(None),) + (None,) * h.ndim]     # (d, ..., d): h e_j
+    step = h[..., None] * eye[(slice(None),) + (None,) * h.ndim]           # (d, ..., d): h e_j
     stack = np.concatenate([xt[None], xt + step, xt - step])
     return Points(stack, h, stack if rect.posterior_source == "classifier-on-tweedie" else xt)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -363,6 +364,93 @@ class TestOrientationSimilarity:
             s = dict(zip(pc.categories,
                          C.orientation_similarity((fm.patches, mask, coord), pc.templates, pc.tau_pat)[0]))
             assert abs(s["front"] - s["back"]) < 0.05
+
+
+def _whole_block_orientation(input_parts, templates, tau_pat=0.01):
+    """The orientation pass over the whole (R, P) block at once, with the
+    counts as integers and a zero-filled distance: the untiled formula
+    whose bits the tiled pass must keep."""
+    patches, mask, coord = input_parts
+    n_in = mask.sum(axis=(1, 2))
+    n_tm = np.array([t.mask.sum() for t in templates])
+    f_in, m_in = patches[mask], coord[mask]
+    distinct = np.concatenate([t.distinct for t in templates])
+    f_tm, m_tm = distinct[:, :C.NUM_FEATURES], distinct[:, C.NUM_FEATURES]
+    counts = np.concatenate([t.counts for t in templates])
+    n_cols = [len(t.counts) for t in templates]
+    cols = np.concatenate([[0], np.cumsum(n_cols)[:-1]])
+    dist = np.zeros((f_in.shape[0], f_tm.shape[0]))
+    diff = np.empty_like(dist)
+    for ch in range(C.NUM_FEATURES):
+        np.subtract.outer(f_in[:, ch], f_tm[:, ch], out=diff)
+        diff *= diff
+        dist += diff
+    logits = np.sqrt(dist, out=dist)
+    logits /= -tau_pat
+    top = np.maximum.reduceat(logits, cols, axis=1)
+    for j, (c, n) in enumerate(zip(cols, n_cols)):
+        logits[:, c : c + n] -= top[:, j, None]
+    w = np.exp(logits, out=logits)
+    w *= counts
+    norm = np.add.reduceat(w, cols, axis=1)
+    np.subtract.outer(m_in, m_tm, out=diff)
+    w *= np.abs(diff, out=diff)
+    charge = np.add.reduceat(w, cols, axis=1) / norm
+    rows = np.concatenate([[0], np.cumsum(n_in)[:-1]])
+    penalty = np.add.reduceat(charge, rows, axis=0) / np.outer(n_in, n_tm)
+    return np.clip(1.0 - penalty, 0.0, 1.0)
+
+
+def _stack_parts(stack):
+    fm = C.extract_features(stack)
+    mask = C.segment_foreground(fm)
+    return fm.patches, mask, C.coordinate_map(mask)
+
+
+class TestOrientationTiles:
+    """The orientation pass runs its (R, P) block C.ORIENTATION_TILE rows at
+    a time through two reused buffers; no tile size changes a bit."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        return np.stack([im.pixels for im in C.generate_corpus(4, seed=4)])
+
+    @pytest.fixture(scope="class")
+    def whole_block(self, pc, stack):
+        """classify's output with the untiled formula, per mode."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(C, "orientation_similarity", _whole_block_orientation)
+            return {mode: C.classify(pc, stack, mode=mode) for mode in ("full", "orientation-only", "texture-only")}
+
+    @pytest.mark.parametrize("tile", ["1", "7", "splits-first-image", "above-R"])
+    @pytest.mark.parametrize("mode", ["full", "orientation-only", "texture-only"])
+    def test_classify_bits_independent_of_tile(self, monkeypatch, pc, stack, whole_block, tile, mode):
+        _, mask, _ = _stack_parts(stack)
+        first, total = int(mask[0].sum()), int(mask.sum())
+        size = {"1": 1, "7": 7, "splits-first-image": first // 2 + 1, "above-R": total + 1}[tile]
+        assert size < first or tile == "above-R"
+        monkeypatch.setattr(C, "ORIENTATION_TILE", size)
+        got = C.classify(pc, stack, mode=mode)
+        assert got.tobytes() == whole_block[mode].tobytes()
+
+    def test_scores_bitwise_the_whole_block_formula(self, pc, stack):
+        parts = _stack_parts(stack)
+        got = C.orientation_similarity(parts, pc.templates, pc.tau_pat)
+        assert got.tobytes() == _whole_block_orientation(parts, pc.templates, pc.tau_pat).tobytes()
+
+    def test_peak_allocation_flat_in_stack_size(self, pc):
+        """The tiles bound the pass's working set: its peak allocation grows
+        less than 3x from 4 to 64 images (the whole block grows about 12x)."""
+        peaks = []
+        for per_category in (1, 16):
+            parts = _stack_parts(np.stack([im.pixels for im in C.generate_corpus(per_category, seed=5)]))
+            tracemalloc.start()
+            try:
+                C.orientation_similarity(parts, pc.templates, pc.tau_pat)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 3 * peaks[0], peaks
 
 
 class TestClassify:

@@ -197,6 +197,19 @@ class TestConfigErrors:
         assert _single_error_line(err) and named in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("schedule, named", [
+        ("num_steps = 10", "[schedule] num_steps = 10, beta_min = 0.0001, beta_max = 0.02: schedule endpoints"),
+        ("beta_min = 0.5", "[schedule] num_steps = 1000, beta_min = 0.5, beta_max = 0.02: betas must satisfy"),
+        ("beta_min = 1e-300", "[schedule] beta_min = 1e-300 gives sigma[1] = 0"),
+    ])
+    def test_schedule_error_names_its_key(self, tmp_path, capsys, schedule, named):
+        text = SMALL_USD.replace("[rectifier]", f"[schedule]\n{schedule}\n\n[rectifier]")
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and named in err
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_key_is_a_config_error(self, tmp_path, capsys):
         rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD + "iters = 10\n"),
                        "--out-dir", str(tmp_path / "out")])
@@ -480,6 +493,27 @@ class TestMetricsCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 3 and all(line.startswith("error: ") and "finite" in line for line in err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["probabilities.csv"]
+
+    @pytest.mark.parametrize("marginal, target, named", [
+        ("-1,2", "0.5,0.5", "--marginal -1,2"),
+        ("0.5,0.5", "0.7,0.7", "--target 0.7,0.7"),
+        ("0.5,-0.1,0.6", "0.2,0.3,0.5", "--marginal 0.5,-0.1,0.6"),
+        ("0.5,0.5", "0.2,0.3,0.5000001", "--target 0.2,0.3,0.5000001"),
+        ("0.5,x", "0.5,0.5", "--marginal 0.5,x"),
+    ])
+    def test_off_simplex_marginal_or_target_rejected(self, tmp_path, capsys, marginal, target, named):
+        rc = cli.main(["metrics", f"--marginal={marginal}", f"--target={target}", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_simplex_tolerances_are_categorical_entropys(self, tmp_path, capsys):
+        # entries down to -1e-12 and sums within 1e-8 of 1 pass, as for --probs
+        rc = cli.main(["metrics", "--marginal=-1e-12,1.000000001", "--target", "0.5,0.5",
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert "marginal_tv = " in capsys.readouterr().out
 
     def test_no_inputs_is_an_error(self, tmp_path, capsys):
         rc = cli.main(["metrics", "--out-dir", str(tmp_path / "out")])

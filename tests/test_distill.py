@@ -436,18 +436,20 @@ class TestRunTables:
     ])
     def test_built_once_per_run(self, schedule, narrow_biased, monkeypatch, method, source):
         # the mixture formed its clean components when it was built; a run
-        # forms the noisy ones once, for its table
-        formed, weights = [], []
-        form, weight = worldmodel._form, D.loss_weight
+        # forms the noisy ones once, for its table, and builds the identity
+        # `rectify.points` steps along once, not per iteration
+        formed, weights, eyes = [], [], []
+        form, weight, eye = worldmodel._form, D.loss_weight, np.eye
         monkeypatch.setattr(worldmodel, "_form", lambda *a: (formed.append(a), form(*a))[1])
         monkeypatch.setattr(D, "loss_weight", lambda *a: (weights.append(a), weight(*a))[1])
+        monkeypatch.setattr(np, "eye", lambda *a, **k: (eyes.append(a), eye(*a, **k))[1])
         kwargs = dict(method=method, iters=12, snapshot_every=4)
         if method == "ctrl":
             kwargs["control_category"] = 1
         if method == "usd":
             kwargs["rectifier"] = Rectifier(target=TargetMarginal.uniform(2), posterior_source=source)
         D.run(D.ParticleSet.initialise(4, 1, Renderer(), seed=3), narrow_biased, schedule, D.DistillConfig(**kwargs))
-        assert len(formed) == 1 and len(weights) == 1
+        assert len(formed) == 1 and len(weights) == 1 and len(eyes) < kwargs["iters"]
 
     def test_rows_are_the_per_step_values(self, schedule, narrow_biased):
         cfg = D.DistillConfig(method="ctrl", control_category=0, iters=5, omega_kind="constant-one", n_t=4)
@@ -474,7 +476,7 @@ class TestRunTables:
             kwargs["rectifier"] = Rectifier(target=TargetMarginal.uniform(3), posterior_source=source)
         cfg = D.DistillConfig(**kwargs)
         shared = D.RunTables.build(m, schedule, cfg)
-        arrays = (*shared.steps, shared.omega, shared.pose_cdf, shared.control_log_w)
+        arrays = (*shared.steps, shared.omega, shared.pose_cdf, shared.control_log_w, shared.eye)
         before = [None if a is None else a.copy() for a in arrays]
         for seed, n in ((1, 5), (2, 9)):
             particles = 2.0 * np.random.default_rng(seed).standard_normal((n, 2))
