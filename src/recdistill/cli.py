@@ -10,16 +10,22 @@ Subcommands:
 Every subcommand is a pure function of (config, seed): outputs are
 byte-identical across repeated runs.
 
-Exit codes: 0 success; 2 invalid configuration or input (among them a
-non-finite mixture weight, mean or covariance, target or pose_probs, a
-[schedule] value that gives no valid schedule or loss weight, a non-finite
-`metrics` probability, and a `metrics` marginal or target off the
-probability simplex), or a file that
+Exit codes: 0 success; 2 invalid configuration or input, or a file that
 cannot be read or written (an OSError, such as a missing input or an
---out-dir that is a file); 3 a run that diverged or produced a
-non-finite value.  Failures print one `error:` line on stderr and leave --out-dir as
-it was: a command writes into a hidden directory inside it and moves the
-files in only when it succeeds (see `_staged`).
+--out-dir that is a file); 3 a run that diverged or produced a non-finite
+value.  `config` checks the casts, the keys only a config file has and the
+rules that tie two sections together; the library checks the other
+[distill] values before a run's first draw, and `cmd_distill` names the
+section.  Exit 2 covers, among others, a mixture weight above 1 or not
+finite, a non-finite mean, covariance, target or pose_probs, a [schedule]
+value that gives no valid schedule or loss weight, a [demo] grid bound
+outside [-1e6, 1e6], a rectify-demo grid too coarse for the prior or
+holding none of its mass, a non-finite `metrics` probability, a `metrics`
+marginal or target off the probability simplex, and a `metrics` option
+without its partner (--marginal and --target, --particles-a and
+--particles-b).  Failures print one `error:` line on stderr and leave
+--out-dir as it was: a command writes into a hidden directory inside it
+and moves the files in only when it succeeds (see `_staged`).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import pathlib
 import shutil
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -42,8 +49,7 @@ from . import rectify, worldmodel
 from .config import parse_config, parse_demo
 from .errors import ConfigurationError, DivergenceError, NumericError, SegmentationError
 from .metrics import categorical_entropy, gaussian_frechet, marginal_tv, on_simplex
-from .oracle import grid_integrate
-from .schedule import build_schedule
+from .oracle import ResolutionWarning, grid_integrate
 
 
 def _fmt(x) -> str:
@@ -60,7 +66,6 @@ def cmd_rectify_demo(args, out) -> int:
     m = spec.mixture
     if m.dim != 1:
         raise ConfigurationError("rectify-demo grids are 1D; use a 1D mixture")
-    schedule = build_schedule(spec.num_steps, spec.beta_min, spec.beta_max)
     rect = spec.rectifier
     if rect is None:
         raise ConfigurationError("rectify-demo needs a [rectifier] section")
@@ -73,19 +78,26 @@ def cmd_rectify_demo(args, out) -> int:
     for t in demo["times"]:
         rows = [[_fmt(g), _fmt(p), _fmt(q)] for g, p, q in zip(
             grid,
-            worldmodel.noisy_density(m, schedule, t, x),
-            rectify.rectified_noisy_density(m, schedule, t, rect.target, x))]
+            worldmodel.noisy_density(m, spec.schedule, t, x),
+            rectify.rectified_noisy_density(m, spec.schedule, t, rect.target, x))]
         D.write_rows(out / f"density_t{t}.csv", ["x", "p", "p_rectified"], rows)
     # category marginal of the rectified joint w(c) * p(c|x) * p(x)
     w = rectify.weight_function(rect.target, m.category_weights())
-    box = [(demo["grid_lo"], demo["grid_hi"])]
-    npts = demo["grid_points"]
+    box, npts = [(demo["grid_lo"], demo["grid_hi"])], demo["grid_points"]
+    grid_keys = f"[demo] grid_lo = {demo['grid_lo']}, grid_hi = {demo['grid_hi']}, grid_points = {npts}"
     mass = np.empty(m.num_categories)
-    for c in range(m.num_categories):
-        def cat_mass(pts, c=c):
-            post = worldmodel.category_posterior(m, None, 0, pts)
-            return worldmodel.density(m, pts) * w[c] * post[..., c]
-        mass[c] = grid_integrate(cat_mass, box, npts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResolutionWarning)       # an unresolved integral is no marginal
+        try:
+            for c in range(m.num_categories):
+                def cat_mass(pts, c=c):
+                    post = worldmodel.category_posterior(m, None, 0, pts)
+                    return worldmodel.density(m, pts) * w[c] * post[..., c]
+                mass[c] = grid_integrate(cat_mass, box, npts)
+        except ResolutionWarning as exc:
+            raise ConfigurationError(f"{grid_keys}: {exc}") from None
+    if not mass.sum() > 0:
+        raise ConfigurationError(f"{grid_keys}: the grid holds no prior mass")
     mass /= mass.sum()
     tv = marginal_tv(mass, rect.target.probs)
     D.write_rows(out / "marginal_report.csv",
@@ -102,15 +114,15 @@ def cmd_rectify_demo(args, out) -> int:
 
 def cmd_distill(args, out) -> int:
     spec = parse_config(args.config)
-    schedule = build_schedule(spec.num_steps, spec.beta_min, spec.beta_max)
     kwargs = dict(spec.distill)
-    n = kwargs.pop("particles")
-    dim = kwargs.pop("dim")
-    init_scale = kwargs.pop("init_scale")
-    renderer = kwargs.pop("renderer")
-    cfg = D.DistillConfig(rectifier=spec.rectifier, **kwargs)
-    ps = D.ParticleSet.initialise(n, dim, renderer, seed=args.seed, scale=init_scale)
-    report = D.run(ps, spec.mixture, schedule, cfg)
+    n, dim, init_scale = kwargs.pop("particles"), kwargs.pop("dim"), kwargs.pop("init_scale")
+    try:
+        renderer = worldmodel.Renderer(kwargs.pop("renderer"), tuple(kwargs.pop("renderer_angles")))
+        cfg = D.DistillConfig(rectifier=spec.rectifier, **kwargs)
+        ps = D.ParticleSet.initialise(n, dim, renderer, seed=args.seed, scale=init_scale)
+        report = D.run(ps, spec.mixture, spec.schedule, cfg)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[distill] {exc}") from exc
     D.write_report(report, out)
     it, split, entropy = report.metrics[-1]
     print(f"{cfg.method} finished: split {np.round(split, 4).tolist()}, entropy {entropy:.4f}")
@@ -280,6 +292,10 @@ def _probability_option(name, text) -> np.ndarray:
 
 
 def cmd_metrics(args, out) -> int:
+    for a, b in (("particles_a", "particles_b"), ("marginal", "target")):
+        if (vars(args)[a] is None) != (vars(args)[b] is None):
+            given, missing = (a, b) if vars(args)[b] is None else (b, a)
+            raise ConfigurationError(f"--{given.replace('_', '-')} needs --{missing.replace('_', '-')}")
     rows = []
     if args.probs:
         mat = _read_columns(args.probs, _probability_columns)
@@ -287,12 +303,12 @@ def cmd_metrics(args, out) -> int:
         rows.append(["entropy", _fmt(report.entropy)])
         for i, v in enumerate(report.mean_probs):
             rows.append([f"mean_prob_{i}", _fmt(v)])
-    if args.particles_a and args.particles_b:
+    if args.particles_a is not None:
         # particles.csv: iter, particle, then the coordinates
         a = _read_columns(args.particles_a, lambda header: range(2, len(header)))
         b = _read_columns(args.particles_b, lambda header: range(2, len(header)))
         rows.append(["frechet", _fmt(gaussian_frechet(a, b))])
-    if args.marginal and args.target:
+    if args.marginal is not None:
         p, q = _probability_option("marginal", args.marginal), _probability_option("target", args.target)
         rows.append(["marginal_tv", _fmt(marginal_tv(p, q))])
     if not rows:

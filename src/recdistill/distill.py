@@ -182,9 +182,10 @@ class RunTables:
     def build(cls, m: PoseLabeledMixture, schedule: DiffusionSchedule, cfg: DistillConfig) -> "RunTables":
         k = m.num_categories
         probs = np.full(k, 1.0 / k) if cfg.pose_probs is None else np.asarray(cfg.pose_probs, dtype=float)
-        # the checks rng.choice(k, p=probs) makes
-        if probs.shape != (k,) or not np.all(probs >= 0) or abs(np.sum(probs) - 1.0) > np.sqrt(np.finfo(float).eps):
-            raise ConfigurationError(f"pose_probs must be {k} non-negative probabilities summing to 1")
+        # the checks rng.choice(k, p=probs) makes, with its tolerance
+        tol = np.sqrt(np.finfo(float).eps)
+        if probs.shape != (k,) or not np.all(probs >= 0) or abs(np.sum(probs) - 1.0) > tol:
+            raise ConfigurationError(f"pose_probs must be {k} finite, non-negative probabilities summing to 1 within {tol:.3g}")
         if cfg.control_category is not None and not 0 <= cfg.control_category < k:
             raise ConfigurationError(f"control_category {cfg.control_category} outside [0, {k})")
         cdf = probs.cumsum()
@@ -313,10 +314,13 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
     `gradient` returns at a rotating particle's draw, so no extra randomness
     is consumed (methods stay trajectory-comparable under a shared seed).
     The draws' poses lie in [0, K) by construction, so the renderer is
-    checked against the mixture's K here, once, and not per iteration.
+    checked against the mixture here, once, and not per iteration.
     """
-    if ps.renderer.kind == "rotation" and len(ps.renderer.angles) != m.num_categories:
-        raise ConfigurationError(f"rotation renderer has {len(ps.renderer.angles)} angles, need {m.num_categories}")
+    r = ps.renderer
+    if r.kind == "rotation" and len(r.angles) != m.num_categories:
+        raise ConfigurationError(f"rotation renderer has {len(r.angles)} angles, need {m.num_categories} renderer_angles")
+    if r.kind == "rotation" and m.dim != 2:
+        raise ConfigurationError(f"renderer = rotation needs a 2D mixture, got dimension {m.dim}")
     rng = np.random.default_rng(ps.seed)
     particles = ps.particles.copy()
     state = IntervalEma.create(schedule.num_steps, cfg.n_t, m.num_categories, cfg.n_ema)

@@ -67,7 +67,7 @@ def loss_weight(schedule: DiffusionSchedule, kind: str = "sigma-squared") -> np.
     elif kind == "sigma-squared":
         values = schedule.sigma**2
     else:
-        raise ConfigurationError(f"unknown weighting kind {kind!r}")
+        raise ConfigurationError(f"unknown omega_kind {kind!r}; choose constant-one or sigma-squared")
     if np.any(values[1:] <= 0):
         raise ConfigurationError("omega(t) must be positive for t in [1, T]")
     return values

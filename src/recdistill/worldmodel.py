@@ -58,7 +58,8 @@ class PoseLabeledMixture:
             raise ConfigurationError("component arrays have mismatched lengths")
         if not all(np.all(np.isfinite(a)) for a in (w, mu, cov)):
             raise ConfigurationError("component weights, means and covariances must be finite")
-        if np.any(w <= 0) or abs(np.sum(w) - 1.0) > 1e-12:
+        # a weight above 1 fails before the sum, which it could overflow
+        if np.any(w <= 0) or np.any(w > 1) or abs(np.sum(w) - 1.0) > 1e-12:
             raise ConfigurationError("component weights must be positive and sum to 1")
         covered = set(cat.tolist())
         missing = sorted(set(range(self.num_categories)) - covered)

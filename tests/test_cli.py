@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from recdistill import cli, distill, rectify, worldmodel
 from recdistill.config import _KNOWN_KEYS
+from recdistill.errors import ConfigurationError
 from recdistill.schedule import DiffusionSchedule
 
 SMALL_USD = """\
@@ -168,6 +169,13 @@ class TestConfigErrors:
         ("[rectifier]", "[demo]\ntimes = 50 x\n\n[rectifier]", "[demo] times = 50 x"),
         ("[rectifier]", "[demo]\ngrid_points = many\n\n[rectifier]", "[demo] grid_points = many"),
         ("dim = 1", "renderer = rotation\nrenderer_angles = 0 inf\ndim = 1", "[distill] rotation renderer angles"),
+        ("dim = 1", "renderer = rotation\nrenderer_angles = 0 1\ndim = 1",
+         "[distill] renderer = rotation needs a 2D mixture, got dimension 1"),
+        # checked by the library, named by the CLI
+        ("method = usd", "method = foo", "[distill] unknown method 'foo'"),
+        ("eta1 = 0.03", "eta1 = -1", "[distill] eta1 must be a finite positive learning rate, got -1.0"),
+        ("iters = 60", "iters = 0", "[distill] iters = 0: must be at least 1"),
+        ("dim = 1", "omega_kind = foo\ndim = 1", "[distill] unknown omega_kind 'foo'"),
     ])
     def test_bad_value_names_section_and_key(self, tmp_path, capsys, old, new, named):
         rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD.replace(old, new)),
@@ -209,6 +217,27 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert _single_error_line(err) and named in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("probs, accepted", [
+        ("0.500000005 0.5", True), ("0.499999995 0.5", True), ("0.5000001 0.5", False), ("0.4999999 0.5", False),
+    ])
+    def test_pose_probs_tolerance_is_the_librarys(self, tmp_path, capsys, schedule, biased_1d, probs, accepted):
+        # a sum within 5e-9 of 1 passes and one 1e-7 away fails, in the CLI and
+        # in the library alike, with the library's message
+        cfg = distill.DistillConfig(method="sds", iters=2, pose_probs=np.array(probs.split(), dtype=float))
+        try:
+            distill.run(distill.ParticleSet.initialise(4, 1, worldmodel.Renderer(), seed=0), biased_1d, schedule, cfg)
+            library = None
+        except ConfigurationError as exc:
+            library = str(exc)
+        text = SMALL_USD.replace("dim = 1", f"pose_probs = {probs}\ndim = 1")
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if accepted:
+            assert rc == 0 and library is None and err == ""
+        else:
+            assert rc == 2 and err == f"error: [distill] {library}\n"
+            assert "pose_probs must be 2 finite, non-negative probabilities summing to 1 within 1.49e-08" in err
 
     def test_duplicate_key_is_a_config_error(self, tmp_path, capsys):
         rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD + "iters = 10\n"),
@@ -324,6 +353,8 @@ class TestRectifyDemo:
         ("grid_points = 0", "[demo] grid_points = 0 must be at least 16"),
         ("grid_hi = nan", "[demo] grid_hi = nan must be finite"),
         ("grid_lo = -inf", "[demo] grid_lo = -inf must be finite"),
+        ("grid_hi = 1e154", "[demo] grid_hi = 1e+154 must be finite, within [-1e6, 1e6]"),
+        ("grid_lo = -1000000.5", "[demo] grid_lo = -1000000.5 must be finite, within [-1e6, 1e6]"),
         ("grid_lo = 6.0", "[demo] grid_lo = 6.0 must be below grid_hi = 6.0"),
         ("grid_lo = 7.0", "[demo] grid_lo = 7.0 must be below grid_hi = 6.0"),
     ])
@@ -335,6 +366,31 @@ class TestRectifyDemo:
         err = capsys.readouterr().err
         assert _single_error_line(err) and named in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lo, hi, named", [
+        ("-64.0", "6.0", "[demo] grid_lo = -64.0, grid_hi = 6.0, grid_points = 301: integral changed by"),
+        ("15.0", "20.0", "[demo] grid_lo = 15.0, grid_hi = 20.0, grid_points = 301: the grid holds no prior mass"),
+    ])
+    def test_unresolved_or_empty_grid_named(self, tmp_path, capsys, lo, hi, named):
+        # a grid too coarse for the prior's modes, or one beside them, gives no marginal
+        text = BALANCED_DEMO.replace("grid_lo = -6.0", f"grid_lo = {lo}").replace("grid_hi = 6.0", f"grid_hi = {hi}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["rectify-demo", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2 and not caught
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and named in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestOneSchedulePerCommand:
+    @pytest.mark.parametrize("command, text", [("distill", SMALL_USD), ("rectify-demo", BALANCED_DEMO)],
+                             ids=["distill", "rectify-demo"])
+    def test_schedule_built_once(self, tmp_path, monkeypatch, command, text):
+        built, post_init = [], DiffusionSchedule.__post_init__
+        monkeypatch.setattr(DiffusionSchedule, "__post_init__", lambda self: (built.append(self), post_init(self))[1])
+        assert cli.main([command, "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(built) == 1
 
 
 class TestShortSchedule:
@@ -515,6 +571,22 @@ class TestMetricsCommand:
         assert rc == 0
         assert "marginal_tv = " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("given, named", [
+        (["--probs", "PROBS", "--marginal=-5,6"], "--marginal needs --target"),
+        (["--target", "0.5,0.5"], "--target needs --marginal"),
+        (["--particles-a", "PROBS"], "--particles-a needs --particles-b"),
+        (["--probs", "PROBS", "--particles-b", "PROBS", "--marginal", "1,0", "--target", "1,0"],
+         "--particles-b needs --particles-a"),
+    ])
+    def test_unpaired_option_names_its_partner(self, tmp_path, capsys, given, named):
+        probs = tmp_path / "probabilities.csv"
+        probs.write_text("image,p_front,p_back\na.pgm,1.0,0.0\n")
+        argv = [str(probs) if a == "PROBS" else a for a in given]
+        assert cli.main(["metrics", *argv, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and named in err
+        assert not (tmp_path / "out").exists()
+
     def test_no_inputs_is_an_error(self, tmp_path, capsys):
         rc = cli.main(["metrics", "--out-dir", str(tmp_path / "out")])
         assert rc == 2
@@ -687,9 +759,9 @@ _PRESET_VALUES = st.one_of(_NUMBERS.map(str), _WORDS, _COMPONENT_LINES)
 
 
 class TestPresetMutations:
-    """One [distill], [rectifier] or [mixture] value of a preset set to a
-    random valid or invalid value: the run either completes its CSVs or
-    fails with one error line, never with a traceback or a warning."""
+    """One or two values of a preset, in any section, set to random valid or
+    invalid values: the run either completes its CSVs or fails with one
+    error line, never with a traceback or a warning."""
 
     @pytest.mark.parametrize("preset", sorted(p.name for p in PRESET_DIR.glob("*.cfg")))
     @settings(max_examples=40, deadline=None)
@@ -700,12 +772,12 @@ class TestPresetMutations:
         command = "distill" if parser.has_section("distill") else "rectify-demo"
         if command == "distill":
             parser["distill"]["iters"] = "20"
-        section = data.draw(st.sampled_from(["distill", "rectifier", "mixture"]), label="section")
-        key = data.draw(st.sampled_from(sorted(_KNOWN_KEYS[section])), label="key")
-        value = data.draw(_PRESET_VALUES, label="value")
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser[section][key] = value
+        for _ in range(data.draw(st.integers(1, 2), label="keys")):
+            section = data.draw(st.sampled_from(sorted(_KNOWN_KEYS)), label="section")
+            key = data.draw(st.sampled_from(sorted(_KNOWN_KEYS[section])), label="key")
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser[section][key] = data.draw(_PRESET_VALUES, label="value")
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = pathlib.Path(tmp) / "run.cfg", pathlib.Path(tmp) / "out"
             with open(cfg, "w") as fh:
@@ -721,7 +793,7 @@ class TestPresetMutations:
                 assert err == ""
                 names = (["particles.csv", "ema.csv", "metrics.csv"] if command == "distill" else
                          ["density_clean.csv", "marginal_report.csv"]
-                         + [f"density_t{t}.csv" for t in parser["demo"]["times"].split()])
+                         + [f"density_t{t}.csv" for t in parser.get("demo", "times", fallback="50 300 700").split()])
                 for name in names:
                     rows = (out / name).read_text().splitlines()
                     assert len(rows) > 1 and len({row.count(",") for row in rows}) == 1

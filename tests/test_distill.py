@@ -386,6 +386,12 @@ class TestRun:
         with pytest.raises(ConfigurationError, match=rf"rotation renderer has {len(angles)} angles, need 2"):
             D.run(ps, mixed_2d, schedule, D.DistillConfig(method="vsd", iters=3))
 
+    def test_rotation_needs_a_2d_mixture(self, schedule, narrow_biased, monkeypatch):
+        monkeypatch.setattr(D, "_draw", lambda *a: pytest.fail("drew before the check"))
+        ps = D.ParticleSet.initialise(4, 1, Renderer(kind="rotation", angles=(0.0, 1.0)), seed=0)
+        with pytest.raises(ConfigurationError, match="renderer = rotation needs a 2D mixture, got dimension 1"):
+            D.run(ps, narrow_biased, schedule, D.DistillConfig(method="vsd", iters=3))
+
     def test_report_files_roundtrip(self, tmp_path, schedule, narrow_biased):
         ps = D.ParticleSet.initialise(3, 1, Renderer(), seed=4, scale=2.0)
         cfg = D.DistillConfig(method="vsd", iters=40, snapshot_every=10)
@@ -426,7 +432,7 @@ class TestPoseDraw:
     @pytest.mark.parametrize("probs", [[0.5, 0.6], [0.5, np.nan], [1.0], [-0.5, 1.5]])
     def test_invalid_pose_probs(self, schedule, narrow_biased, probs):
         cfg = D.DistillConfig(method="sds", iters=5, pose_probs=np.array(probs))
-        with pytest.raises(ConfigurationError, match="pose_probs must be 2 non-negative"):
+        with pytest.raises(ConfigurationError, match="pose_probs must be 2 finite, non-negative"):
             D.RunTables.build(narrow_biased, schedule, cfg)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,15 @@ class TestConstruction:
                 weights=np.array([0.6, 0.6]), means=np.zeros((2, 1)),
                 covs=np.ones((2, 1, 1)), category_of=np.array([0, 1]), num_categories=2,
             )
+
+    def test_huge_weights_rejected_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="positive and sum to 1"):
+                PoseLabeledMixture(
+                    weights=np.array([1.0, 8.988465674311579e307, 8.98846567431158e307]), means=np.zeros((3, 1)),
+                    covs=np.ones((3, 1, 1)), category_of=np.array([0, 0, 0]), num_categories=1,
+                )
 
     def test_every_category_needs_mass(self):
         with pytest.raises(ConfigurationError, match=r"p\(c\) > 0"):
