@@ -14,6 +14,7 @@ and sharpens with a low-temperature softmax.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +54,7 @@ class FeatureMap:
 @dataclass(frozen=True)
 class Template:
     category: str
-    features: FeatureMap               # one-row stack
-    mask: np.ndarray                   # (1, GRID_SIZE, GRID_SIZE) bool
-    coord: np.ndarray                  # (1, GRID_SIZE, GRID_SIZE), NaN off-foreground
+    cls: np.ndarray                    # (NUM_FEATURES,) global descriptor
     distinct: np.ndarray               # (U, NUM_FEATURES + 1) distinct foreground (descriptor, coordinate) rows
     counts: np.ndarray                 # (U,) foreground patches equal to each distinct row
 
@@ -75,7 +74,7 @@ class PoseClassifier:
 
     @classmethod
     def from_images(cls, images: dict[str, GlyphImage], tau_pat: float = 0.01, tau_pose: float = 0.05) -> "PoseClassifier":
-        templates = tuple(build_template(img, cat) for cat, img in images.items())
+        templates = build_template(np.stack([img.pixels for img in images.values()]), tuple(images))
         return cls(templates=templates, tau_pat=tau_pat, tau_pose=tau_pose)
 
     @property
@@ -275,7 +274,7 @@ def orientation_similarity(input_parts, templates, tau_pat: float = 0.01) -> np.
     patches, mask, coord = input_parts
     mask = np.asarray(mask, dtype=bool)
     n_in = mask.sum(axis=(1, 2))
-    n_tm = np.array([t.mask.sum() for t in templates])
+    n_tm = np.array([t.counts.sum() for t in templates])
     if np.any(n_in == 0) or np.any(n_tm == 0):
         raise ValueError("orientation similarity needs nonempty foregrounds")
     f_in, m_in = patches[mask], coord[mask]
@@ -346,7 +345,7 @@ def classify(pc: PoseClassifier, pixels: np.ndarray, mode: str = "full") -> np.n
     mask = segment_foreground(fm)
     fused = 1.0
     if mode != "orientation-only":
-        template_cls = np.concatenate([t.features.cls for t in pc.templates])
+        template_cls = np.stack([t.cls for t in pc.templates])
         fused = fused * _minmax(texture_similarity(fm.cls, template_cls))
     if mode != "texture-only":
         parts = (fm.patches, mask, coordinate_map(mask))
@@ -354,20 +353,23 @@ def classify(pc: PoseClassifier, pixels: np.ndarray, mode: str = "full") -> np.n
     return _softmax(fused, pc.tau_pose)
 
 
-def build_template(img: GlyphImage, category: str) -> Template:
-    """A category's template: the one-row stack of its image's features, mask
-    and coordinates, and its foreground patches merged into distinct
-    (descriptor, coordinate) rows with their counts.
+def build_template(pixels: np.ndarray, categories) -> tuple[Template, ...]:
+    """One template per row of an (N, 64, 64) stack, for the category at
+    its index: the row's global descriptor, and its foreground patches
+    merged into distinct (descriptor, coordinate) rows with their counts.
+    Raises SegmentationError naming the first row that cannot be split.
 
     Flat and periodic glyph interiors repeat patches exactly, so the
     canonical templates keep 27-44 distinct rows of their 79-97.
     """
-    fm = extract_features(img.pixels[None])
+    fm = extract_features(pixels)
     mask = segment_foreground(fm)
     coord = coordinate_map(mask)
-    foreground = np.column_stack([fm.patches[mask], coord[mask]])
-    distinct, counts = np.unique(foreground, axis=0, return_counts=True)
-    return Template(category=category, features=fm, mask=mask, coord=coord, distinct=distinct, counts=counts)
+    templates = []
+    for cat, cls, patches, fg, xs in zip(categories, fm.cls, fm.patches, mask, coord, strict=True):
+        distinct, counts = np.unique(np.column_stack([patches[fg], xs[fg]]), axis=0, return_counts=True)
+        templates.append(Template(category=cat, cls=cls, distinct=distinct, counts=counts))
+    return tuple(templates)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +434,11 @@ def write_pgm(path, pixels: np.ndarray) -> None:
         fh.write(data.tobytes())
 
 
+# one header field, after any whitespace and "#" comments; a comment runs to
+# the end of its line or file, so no part of one can be read as a field
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
+
+
 def read_pgm(path) -> np.ndarray:
     """Pixels of a binary (P5) PGM file scaled to [0, 1]; a malformed header
     or short pixel data raises one ValueError naming the file."""
@@ -439,21 +446,15 @@ def read_pgm(path) -> np.ndarray:
         raw = fh.read()
     fields = []
     pos = 0
-    while len(fields) < 4 and pos < len(raw):
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos > start:
-            fields.append(raw[start:pos])
+    while len(fields) < 4 and (token := _PGM_TOKEN.match(raw, pos)):
+        fields.append(token[1])
+        pos = token.end()
     if not fields or fields[0] != b"P5":
         raise ValueError(f"not a binary PGM file: {path}")
-    header = [int(f) if f.isdigit() else None for f in fields[1:]]
+    try:
+        header = [int(f) if f.isdigit() else None for f in fields[1:]]
+    except ValueError:                  # a field of more digits than int() converts
+        header = []
     if len(header) < 3 or None in header or min(header[:2]) < 1 or not 1 <= header[2] <= 65535:
         raise ValueError(f"bad PGM header in {path}: width and height must be integers >= 1 "
                          "and maxval an integer in 1-65535")

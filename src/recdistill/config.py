@@ -16,7 +16,7 @@ from .distill import DistillConfig
 from .errors import ConfigurationError
 from .rectify import Rectifier, TargetMarginal
 from .schedule import DiffusionSchedule, build_schedule, loss_weight
-from .worldmodel import PoseLabeledMixture
+from .worldmodel import BOX, PoseLabeledMixture
 
 
 def _floats(text: str) -> np.ndarray:
@@ -102,9 +102,13 @@ def _parse_mixture(values: dict) -> PoseLabeledMixture:
             cats.append(int(fields[3]))
         except ValueError as exc:
             raise ConfigurationError(f"[mixture] components line {line.strip()!r}: {exc}") from exc
+        d = means[0].size or 1          # the first component's mean sets every component's dimension
+        if means[-1].size != d or covs[-1].size != d * d:
+            raise ConfigurationError(
+                f"[mixture] components line {line.strip()!r}: a mean of {means[-1].size} and a covariance of "
+                f"{covs[-1].size} values, where a {d}-dimensional component needs {d} and {d * d}")
     if not means:
         raise ConfigurationError("[mixture] components lists no component")
-    d = means[0].size
     try:
         return PoseLabeledMixture(
             weights=np.array(weights),
@@ -131,8 +135,8 @@ def _parse_rectifier(parser, k: int) -> Rectifier:
 def _parse_distill(parser, dim: int) -> dict:
     out = _section(parser, "distill", method="usd", particles=16, dim=dim, init_scale=1.0,
                    renderer="identity", renderer_angles=())
-    # distill.run stops a run as diverged once a particle leaves [-1e6, 1e6]
-    if not 0.0 <= out["init_scale"] <= 1e6:
+    # distill.run stops a run as diverged once a particle leaves [-BOX, BOX]
+    if not 0.0 <= out["init_scale"] <= BOX:
         raise ConfigurationError(f"[distill] init_scale = {out['init_scale']} must lie in [0, 1e6]")
     if out["particles"] < 1:
         raise ConfigurationError(f"[distill] particles = {out['particles']} must be at least 1")
@@ -151,9 +155,9 @@ def parse_demo(parser, num_steps: int) -> dict:
     # oracle.grid_integrate needs 16 points per axis
     if out["grid_points"] < 16:
         raise ConfigurationError(f"[demo] grid_points = {out['grid_points']} must be at least 16")
-    # as distill.run keeps particles in [-1e6, 1e6]; far beyond, the squared distances overflow
+    # as distill.run keeps particles in [-BOX, BOX]; far beyond, the squared distances overflow
     for key in ("grid_lo", "grid_hi"):
-        if not -1e6 <= out[key] <= 1e6:
+        if not -BOX <= out[key] <= BOX:
             raise ConfigurationError(f"[demo] {key} = {out[key]} must be finite, within [-1e6, 1e6]")
     if not out["grid_lo"] < out["grid_hi"]:
         raise ConfigurationError(f"[demo] grid_lo = {out['grid_lo']} must be below grid_hi = {out['grid_hi']}")

@@ -22,7 +22,7 @@ from .estimator import IntervalEma, ema_lookup, ema_update
 from .metrics import categorical_entropy
 from .rectify import Rectifier
 from .schedule import DiffusionSchedule, loss_weight
-from .worldmodel import PoseLabeledMixture, Renderer, render, render_jacobian, render_poses  # noqa: F401 (traced)
+from .worldmodel import BOX, PoseLabeledMixture, Renderer, render, render_jacobian, render_poses  # noqa: F401 (traced)
 
 METHODS = ("sds", "vsd", "usd", "ctrl")
 
@@ -339,7 +339,7 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
         grads, rows = gradient(tables, particles, ps.renderer, draws,
                                ema_lookup(state, draws.t) if source == "ema" else marginal)
         particles = particles - cfg.eta1 * grads
-        if not np.abs(particles).max() <= 1e6:                                # NaN fails too
+        if not np.abs(particles).max() <= BOX:                                # NaN fails too
             raise DivergenceError(
                 f"particle parameters diverged at iteration {it} (method {cfg.method!r})"
             )

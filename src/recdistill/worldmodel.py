@@ -18,6 +18,27 @@ from .errors import ConfigurationError
 from .schedule import DiffusionSchedule
 
 
+# Every coordinate of a particle, a mixture mean and a rectify-demo grid point
+# lies in [-BOX, BOX]: distill.run stops a run as diverged once a particle
+# leaves it, and config bounds [distill] init_scale and the [demo] grid by it.
+BOX = 1e6
+
+
+def covariance_floor(dim: int) -> float:
+    """The least covariance eigenvalue a mixture may have in dimension dim.
+
+    Two points of the box are at most 2 BOX apart per coordinate, so their
+    squared distance is at most 4 dim BOX^2.  Divided by an eigenvalue of at
+    least 4 dim BOX^2 / sqrt(max float), it is at most sqrt(max float), about
+    1.3e154: it cannot overflow, and neither can the square of a Gaussian
+    score (distance / eigenvalue, at most sqrt(max float) / (2 sqrt(dim) BOX))
+    that gradient-norm alignment takes.  A noisy covariance
+    alpha^2 Sigma + sigma^2 I with alpha^2 + sigma^2 = 1 keeps its eigenvalues
+    at least min(floor, 1).
+    """
+    return 4.0 * dim * BOX**2 / np.sqrt(np.finfo(float).max)
+
+
 def _logsumexp(a, axis=None):
     amax = np.max(a, axis=axis, keepdims=True)
     out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
@@ -58,6 +79,8 @@ class PoseLabeledMixture:
             raise ConfigurationError("component arrays have mismatched lengths")
         if not all(np.all(np.isfinite(a)) for a in (w, mu, cov)):
             raise ConfigurationError("component weights, means and covariances must be finite")
+        if not np.all(np.abs(mu) <= BOX):
+            raise ConfigurationError("component means must lie within [-1e6, 1e6], where distill.run keeps particles")
         # a weight above 1 fails before the sum, which it could overflow
         if np.any(w <= 0) or np.any(w > 1) or abs(np.sum(w) - 1.0) > 1e-12:
             raise ConfigurationError("component weights must be positive and sum to 1")
@@ -72,6 +95,10 @@ class PoseLabeledMixture:
             chols = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise ConfigurationError("all component covariances must be positive-definite") from exc
+        floor = covariance_floor(d)
+        if np.linalg.eigvalsh(cov).min() < floor:
+            raise ConfigurationError(f"component covariance eigenvalues must be at least {floor:.3g} "
+                                     f"in dimension {d}, or the mixture's squared distances overflow")
         object.__setattr__(self, "_chols", chols)
         object.__setattr__(self, "_clean", _form(self, np.ones(()), np.zeros(())))
         object.__setattr__(self, "_log_weights", np.log(w))

@@ -10,8 +10,9 @@ particles.csv, ema.csv and metrics.csv and of its stdout line.  A glyph run
 is `recdistill glyphs --per-category 25` at seeds 0-2, with the digest of
 every file it writes (the corpus as one digest of its files' names and
 digests), followed by `recdistill classify` of that corpus in each mode,
-with the digests of the CSVs it writes.  Every run's stdout is hashed too,
-and the table keeps the Python, numpy and platform it was made on.
+with the digests of the CSVs it writes.  A rectify-demo run (DEMO_RUNS)
+holds the digest of every file it writes.  Every run's stdout is hashed
+too, and the table keeps the Python, numpy and platform it was made on.
 test_identity.py reruns every run and
 compares: a change meant to keep outputs byte-identical must leave the
 table as it is, and a change that alters outputs on purpose regenerates it
@@ -33,6 +34,7 @@ import tempfile
 import numpy as np
 
 HERE = pathlib.Path(__file__).resolve().parent / "identity"
+PRESETS = HERE.parents[1] / "presets"
 TABLE = HERE / "table.json"
 SEEDS = (0, 1, 2)
 OUTPUTS = ("particles.csv", "ema.csv", "metrics.csv")
@@ -78,6 +80,14 @@ VARIANTS = {
 }
 
 
+# rectify-demo runs: name -> (config file, {section: {key: value}} set over it)
+DEMO_RUNS = {
+    "twomode_rectify": (PRESETS / "twomode_rectify.cfg", {}),
+    "twomode_rectify-grid": (PRESETS / "twomode_rectify.cfg", {"demo": {
+        "grid_lo": "-5.5", "grid_hi": "7.25", "grid_points": "1021", "times": "0 1 999 1000"}}),
+}
+
+
 def environment() -> dict:
     """What the digests depend on besides the code: the interpreter, numpy,
     the platform and the SIMD targets numpy dispatches to on this CPU."""
@@ -92,13 +102,14 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _config(work: pathlib.Path, base: str, variant: str) -> pathlib.Path:
+def _config(work: pathlib.Path, source: pathlib.Path, overrides: dict, name: str) -> pathlib.Path:
+    """The config file `source` with the overrides set over it, written to work/name.cfg."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read(HERE / f"{base}.cfg")
-    for section, values in VARIANTS[base][variant].items():
+    parser.read(source)
+    for section, values in overrides.items():
         for key, value in values.items():
             parser[section][key] = value
-    path = work / f"{base}-{variant}.cfg"
+    path = work / f"{name}.cfg"
     with open(path, "w") as fh:
         parser.write(fh)
     return path
@@ -118,14 +129,15 @@ def _run(key: str, argv: list[str], work: pathlib.Path) -> str:
 
 
 def digests(work) -> dict:
-    """Run every (config, variant, seed) and every glyph seed with its
-    classify modes under the directory `work`; the digests keyed
-    "config/variant/seed", "glyphs/seed" and "classify/mode/seed"."""
+    """Run every (config, variant, seed), every glyph seed with its
+    classify modes and every rectify-demo run under the directory `work`;
+    the digests keyed "config/variant/seed", "glyphs/seed",
+    "classify/mode/seed" and "rectify-demo/name"."""
     work = pathlib.Path(work)
     out = {}
     for base, variants in VARIANTS.items():
-        for variant in variants:
-            cfg = _config(work, base, variant)
+        for variant, overrides in variants.items():
+            cfg = _config(work, HERE / f"{base}.cfg", overrides, f"{base}-{variant}")
             for seed in SEEDS:
                 key = f"{base}/{variant}/{seed}"
                 run_dir = work / key.replace("/", "-")
@@ -151,6 +163,13 @@ def digests(work) -> dict:
                                 "--inputs", str(glyph_dir / "corpus"), "--out-dir", str(run_dir), *flags], work)
             out[key] = {name: _sha((run_dir / name).read_bytes()) for name in CLASSIFY_OUTPUTS}
             out[key]["stdout"] = stdout
+    for name, (source, overrides) in DEMO_RUNS.items():
+        key = f"rectify-demo/{name}"
+        run_dir = work / key.replace("/", "-")
+        stdout = _run(key, ["rectify-demo", "--config", str(_config(work, source, overrides, f"demo-{name}")),
+                            "--out-dir", str(run_dir)], work)
+        out[key] = {p.name: _sha(p.read_bytes()) for p in sorted(run_dir.iterdir())}
+        out[key]["stdout"] = stdout
     return out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -141,9 +142,10 @@ class TestStackMatchesPerImageReference:
     def test_template_features_match(self, pc, templates):
         for t, img in zip(pc.templates, templates.values()):
             cls, patches = _ref_features(img.pixels)
-            assert np.array_equal(t.features.cls[0], cls)
-            assert np.array_equal(t.features.patches[0], patches)
-            assert np.array_equal(t.mask[0], _ref_segment(patches))
+            mask = _ref_segment(patches)
+            rows = np.column_stack([patches[mask], _ref_coord(mask)[mask]])
+            assert np.array_equal(t.cls, cls)
+            assert Counter(dict(zip(map(tuple, t.distinct), t.counts.tolist()))) == Counter(map(tuple, rows))
 
     def test_segmentation_error_names_the_row(self):
         stack = np.stack([C.generate_glyph("front").pixels, np.full((64, 64), 0.5),
@@ -163,24 +165,33 @@ class TestMergedTemplatePatches:
     over all patches."""
 
     @staticmethod
-    def _foreground_rows(t):
-        rows = np.column_stack([t.features.patches[t.mask], t.coord[t.mask]])
-        return Counter(map(tuple, rows))
+    def _foreground_rows(pixels):
+        """The (descriptor, coordinate) rows of an image's foreground patches."""
+        fm, mask, coord = _parts(C.GlyphImage(pixels=pixels))
+        return np.column_stack([fm.patches[mask], coord[mask]])
 
-    def test_distinct_rows_and_counts(self, pc):
-        for t in pc.templates:
-            assert t.counts.sum() == t.mask.sum()
-            assert Counter(dict(zip(map(tuple, t.distinct), t.counts.tolist()))) == self._foreground_rows(t)
+    @staticmethod
+    def _merged(t):
+        return Counter(dict(zip(map(tuple, t.distinct), t.counts.tolist())))
+
+    def test_distinct_rows_and_counts(self, pc, templates):
+        for t, img in zip(pc.templates, templates.values()):
+            rows = self._foreground_rows(img.pixels)
+            assert t.counts.sum() == len(rows)
+            assert self._merged(t) == Counter(map(tuple, rows))
             assert len(set(map(tuple, t.distinct))) == len(t.distinct)
-        # the canonical templates' flat and periodic interiors repeat patches
-        assert all(len(t.counts) < t.mask.sum() for t in pc.templates)
+            # the canonical templates' flat and periodic interiors repeat patches
+            assert len(t.counts) < len(rows)
 
     def test_templates_read_back_from_pgm_merge_the_same(self, pc, templates, tmp_path):
-        for t, (cat, img) in zip(pc.templates, templates.items()):
+        for cat, img in templates.items():
             C.write_pgm(tmp_path / f"{cat}.pgm", img.pixels)
-            back = C.build_template(C.GlyphImage(pixels=C.read_pgm(tmp_path / f"{cat}.pgm")), cat)
-            assert back.counts.sum() == back.mask.sum()
-            assert Counter(dict(zip(map(tuple, back.distinct), back.counts.tolist()))) == self._foreground_rows(back)
+        stack = np.stack([C.read_pgm(tmp_path / f"{cat}.pgm") for cat in templates])
+        for t, back, pixels in zip(pc.templates, C.build_template(stack, tuple(templates)), stack):
+            rows = self._foreground_rows(pixels)
+            assert back.category == t.category
+            assert back.counts.sum() == len(rows)
+            assert self._merged(back) == Counter(map(tuple, rows))
             assert len(back.counts) == len(t.counts)
 
     @pytest.mark.parametrize("mode", ["full", "orientation-only", "texture-only"])
@@ -194,6 +205,38 @@ class TestMergedTemplatePatches:
         want = np.array([_ref_classify(jittered, px, mode) for px in stack])
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
+class TestTemplateBuild:
+    """build_template makes every template from one stack, and a template
+    holds only what classification reads."""
+
+    def test_from_images_extracts_features_once(self, monkeypatch, templates):
+        calls, extract = [], C.extract_features
+        monkeypatch.setattr(C, "extract_features", lambda px: (calls.append(len(px)), extract(px))[1])
+        C.PoseClassifier.from_images(templates)
+        assert calls == [len(C.CATEGORIES)]
+
+    def test_stack_build_equals_one_row_builds(self, pc, templates):
+        for t, (cat, img) in zip(pc.templates, templates.items()):
+            [alone] = C.build_template(_one(img), [cat])
+            assert alone.category == t.category == cat
+            for name in ("cls", "distinct", "counts"):
+                assert getattr(alone, name).tobytes() == getattr(t, name).tobytes(), name
+
+    def test_template_fields(self):
+        assert [f.name for f in dataclasses.fields(C.Template)] == ["category", "cls", "distinct", "counts"]
+
+    def test_unsegmentable_row_named(self, templates):
+        stack = np.stack([img.pixels for img in templates.values()])
+        stack[2] = 0.5
+        with pytest.raises(SegmentationError) as info:
+            C.build_template(stack, tuple(templates))
+        assert info.value.row == 2
+
+    def test_one_category_per_row(self, templates):
+        with pytest.raises(ValueError):
+            C.build_template(np.stack([img.pixels for img in templates.values()]), C.CATEGORIES[:3])
 
 
 class TestGlyphGeneration:
@@ -332,7 +375,7 @@ class TestTextureSimilarity:
     def test_regenerated_variants_score_high(self, pc, corpus):
         for img in corpus:
             tmpl = next(t for t in pc.templates if t.category == img.true_category)
-            sim = C.texture_similarity(C.extract_features(_one(img)).cls, tmpl.features.cls)[0, 0]
+            sim = C.texture_similarity(C.extract_features(_one(img)).cls, tmpl.cls[None])[0, 0]
             assert sim >= 0.9
 
 
@@ -372,7 +415,9 @@ def _whole_block_orientation(input_parts, templates, tau_pat=0.01):
     whose bits the tiled pass must keep."""
     patches, mask, coord = input_parts
     n_in = mask.sum(axis=(1, 2))
-    n_tm = np.array([t.mask.sum() for t in templates])
+    # each template's foreground patch count, from its canonical image
+    n_fg = {cat: _parts(img)[1].sum() for cat, img in C.template_images().items()}
+    n_tm = np.array([n_fg[t.category] for t in templates])
     f_in, m_in = patches[mask], coord[mask]
     distinct = np.concatenate([t.distinct for t in templates])
     f_tm, m_tm = distinct[:, :C.NUM_FEATURES], distinct[:, C.NUM_FEATURES]
@@ -597,6 +642,24 @@ class TestPgmRoundtrip:
         with pytest.raises(ValueError, match="PGM header.*bad.pgm|bad.pgm.*PGM header") as info:
             C.read_pgm(path)
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("header", [
+        b"P5\n2 1\n#255",            # a comment running to the end of the file
+        b"P5\n2 1\n#255\n",          # a comment and nothing after it
+        b"P5\n2 1 #1 255\n",          # the rest of the line is a comment
+        b"P5\n2#x 1\n255\n",         # "#" inside a field is part of it
+        b"P5\n" + b"9" * 5000 + b" 1\n255\n",     # more digits than int() converts
+    ])
+    def test_header_comments_and_long_fields_named(self, tmp_path, header):
+        path = tmp_path / "odd.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match="bad PGM header in .*odd.pgm"):
+            C.read_pgm(path)
+
+    def test_any_whitespace_and_comments_between_fields(self, tmp_path):
+        path = tmp_path / "spaced.pgm"
+        path.write_bytes(b"P5 #a\n\t2\r\n#b\n#c\n\x0b1\x0c\n255 " + bytes([0, 255]))
+        assert np.array_equal(C.read_pgm(path), [[0.0, 1.0]])
 
     def test_comment_and_maxval_one(self, tmp_path):
         path = tmp_path / "bits.pgm"

@@ -205,6 +205,35 @@ class TestConfigErrors:
         assert _single_error_line(err) and named in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old, new", [
+        ("0.8 |  2.0 | 0.01 | 0\n    0.2 | -2.0 | 0.01 | 1", "0.8 |  2.0 | 1e-307 | 0\n    0.2 | -2.0 | 1e-307 | 1"),
+        ("0.2 | -2.0 | 0.01 | 1", "0.2 | 1e300 | 0.01 | 1"),
+    ], ids=["tiny-covariances", "far-mean"])
+    def test_mixture_that_would_overflow_rejected_at_parse_time(self, tmp_path, capsys, old, new):
+        """Such a mixture used to warn of an overflow in the prior's pass
+        and then exit 0 with a meaningless split."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["distill", "--config", _cfg(tmp_path, SMALL_USD.replace(old, new)),
+                           "--out-dir", str(tmp_path / "out")])
+        assert rc == 2 and not caught
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and "[mixture]" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("components, line", [
+        ("0.5 | 1 2 | 1 0 0 1 | 0\n    0.5 | 1 2 | 1 0 1 | 1", "0.5 | 1 2 | 1 0 1 | 1"),
+        ("0.5 | 1 2 | 1 0 0 1 | 0\n    0.5 | 1 | 1 0 0 1 | 1", "0.5 | 1 | 1 0 0 1 | 1"),
+        ("0.5 | 1 | 1 0 0 1 | 0\n    0.5 | 1 | 1 | 1", "0.5 | 1 | 1 0 0 1 | 0"),
+        ("1 | | | 0", "1 | | | 0"),
+    ], ids=["short-covariance", "short-mean", "long-covariance", "empty-mean"])
+    def test_component_of_another_dimension_names_its_line(self, tmp_path, capsys, components, line):
+        text = BALANCED_DEMO.replace("0.5 |  2.0 | 0.01 | 0\n    0.5 | -2.0 | 0.01 | 1", components)
+        rc = cli.main(["rectify-demo", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and f"[mixture] components line {line!r}" in err
+
     @pytest.mark.parametrize("schedule, named", [
         ("num_steps = 10", "[schedule] num_steps = 10, beta_min = 0.0001, beta_max = 0.02: schedule endpoints"),
         ("beta_min = 0.5", "[schedule] num_steps = 1000, beta_min = 0.5, beta_max = 0.02: betas must satisfy"),
@@ -509,6 +538,88 @@ class TestGlyphsAndClassify:
         assert "no .pgm images" in capsys.readouterr().err
 
 
+_PGM_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c", b"", b"#c\n", b" # 9\n", b"#255"])
+_PGM_FIELDS = st.one_of(
+    st.sampled_from([b"P5", b"P2", b"P6", b"P", b"64", b"63", b"65", b"255", b"65535", b"0", b"1", b"-1", b"2.5",
+                     b"64#x", b"\xff", b"9" * 30, b"9" * 5000]),
+    st.integers(0, 70_000).map(lambda v: str(v).encode()),
+    st.binary(max_size=3),
+)
+
+
+@st.composite
+def _mutated_pgm(draw, data: bytes) -> bytes:
+    """data, a binary PGM written by write_pgm, with its header fields,
+    their separators or its pixel bytes changed."""
+    header_end = data.index(b"255\n") + 4
+    header, body = data[:header_end], data[header_end:]
+    if draw(st.booleans(), label="new header"):
+        fields = [b"P5", b"64", b"64", b"255"]
+        for i in draw(st.sets(st.integers(0, 3), min_size=1), label="fields"):
+            fields[i] = draw(_PGM_FIELDS, label=f"field {i}")
+        fields = fields[: draw(st.integers(0, 4), label="kept")] if draw(st.booleans()) else fields
+        header = b"".join(draw(_PGM_SEPARATORS) + f for f in fields) + draw(_PGM_SEPARATORS)
+    if draw(st.booleans(), label="new pixels"):
+        kind = draw(st.sampled_from(["bytes", "cut", "extend", "fill"]), label="pixels")
+        if kind == "bytes":
+            body = bytearray(body)
+            for pos, value in draw(st.lists(st.tuples(st.integers(0, len(body) - 1), st.integers(0, 255)),
+                                            min_size=1, max_size=64)):
+                body[pos] = value
+            body = bytes(body)
+        elif kind == "cut":
+            body = body[: draw(st.integers(0, len(body) - 1))]
+        elif kind == "extend":
+            body = body + draw(st.binary(min_size=1, max_size=16))
+        else:
+            body = bytes([draw(st.integers(0, 255))]) * len(body)
+    return header + body
+
+
+class TestPgmMutations:
+    """One template or input PGM with mutated header or pixel bytes: classify
+    completes its CSVs, or exits 2 with one error line naming that file;
+    never a traceback or a warning, and --out-dir is left as it was."""
+
+    INPUTS = ("front_000.pgm", "back_000.pgm", "left_000.pgm", "right_000.pgm")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_pgm_completes_or_fails_cleanly(self, glyph_dir, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            (tmp / "templates").mkdir()
+            (tmp / "inputs").mkdir()
+            for cat in cli.C.CATEGORIES:
+                (tmp / "templates" / f"{cat}.pgm").write_bytes((glyph_dir / "templates" / f"{cat}.pgm").read_bytes())
+            for name in self.INPUTS:
+                (tmp / "inputs" / name).write_bytes((glyph_dir / "corpus" / name).read_bytes())
+            target = data.draw(st.sampled_from(sorted((tmp / "templates").glob("*.pgm"))
+                                               + sorted((tmp / "inputs").glob("*.pgm"))), label="file")
+            target.write_bytes(data.draw(_mutated_pgm(target.read_bytes()), label="bytes"))
+            out = tmp / "out"
+            out.mkdir()
+            (out / "keep.txt").write_text("before")
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                rc = cli.main(["classify", "--templates", str(tmp / "templates"), "--inputs", str(tmp / "inputs"),
+                               "--out-dir", str(out)])
+            assert not [str(w.message) for w in caught]
+            err = stderr.getvalue()
+            if rc == 0:
+                assert err == ""
+                assert sorted(p.name for p in out.iterdir()) == [
+                    "confusion.csv", "keep.txt", "probabilities.csv", "summary.csv"]
+                rows = (out / "probabilities.csv").read_text().splitlines()
+                assert len(rows) == 1 + len(self.INPUTS) and len({row.count(",") for row in rows}) == 1
+            else:
+                assert rc == 2 and _single_error_line(err) and str(target) in err, err
+                assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+                assert (out / "keep.txt").read_text() == "before"
+
+
 class TestMetricsCommand:
     def test_entropy_from_classify_output(self, tmp_path, capsys):
         probs = tmp_path / "probabilities.csv"
@@ -727,6 +838,16 @@ class TestFileErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert _single_error_line(err) and f"--per-category {count}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["glyphs", "--per-category", "1", "--seed", "-5"],
+                                      ["distill", "--config", "CONFIG", "--seed", "-3"]], ids=["glyphs", "distill"])
+    def test_negative_seed_named(self, tmp_path, capsys, argv):
+        argv = [_cfg(tmp_path, SMALL_USD) if a == "CONFIG" else a for a in argv]
+        rc = cli.main([*argv, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and f"--seed {argv[-1]}" in err
         assert not (tmp_path / "out").exists()
 
 

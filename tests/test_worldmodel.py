@@ -55,6 +55,47 @@ class TestConstruction:
             )
 
 
+class TestBox:
+    """Means lie in [-BOX, BOX], where distill.run keeps particles, and every
+    covariance eigenvalue is at least covariance_floor(d), so no squared
+    distance between two points of the box overflows in a pass."""
+
+    def test_box_is_the_runs_divergence_bound(self):
+        assert worldmodel.BOX == 1e6 and distill.BOX is worldmodel.BOX
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_floor_keeps_distances_and_scores_finite(self, d):
+        floor = worldmodel.covariance_floor(d)
+        reach = 2.0 * worldmodel.BOX * np.sqrt(d)         # longest distance between two points of the box
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(reach**2 / floor) and np.isfinite((reach / floor) ** 2 * d)
+
+    @pytest.mark.parametrize("mean", [1e300, -1e6 * (1 + 2e-16), 2e6])
+    def test_mean_outside_box_rejected(self, mean):
+        with pytest.raises(ConfigurationError, match=r"means must lie within \[-1e6, 1e6\]"):
+            _single([0.0, mean], np.eye(2), d=2)
+
+    def test_mean_on_box_edge_accepted(self):
+        _single([-1e6, 1e6], np.eye(2), d=2)
+
+    @pytest.mark.parametrize("cov", [[[1e-307]], [[1.0, 0.0], [0.0, 1e-200]]], ids=["1d", "2d-diagonal"])
+    def test_covariance_below_floor_rejected(self, cov):
+        d = len(cov)
+        with pytest.raises(ConfigurationError, match="covariance eigenvalues must be at least"):
+            _single(np.zeros(d), cov, d=d)
+
+    def test_pass_at_floor_and_box_corners_finite(self, schedule):
+        d = 2
+        m = _single([worldmodel.BOX, -worldmodel.BOX], np.eye(d) * worldmodel.covariance_floor(d), d=d)
+        x = np.array([[-worldmodel.BOX, worldmodel.BOX], [worldmodel.BOX, -worldmodel.BOX]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (0, 1, 500):
+                s = worldmodel.score(m, schedule if t else None, t, x)
+                assert np.isfinite(s).all() and np.isfinite((s * s).sum(axis=-1)).all()
+
+
 class TestDensity:
     def test_standard_normal_at_origin(self):
         m = _single([0.0, 0.0], np.eye(2))
