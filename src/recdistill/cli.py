@@ -11,26 +11,12 @@ Every subcommand is a pure function of (config, seed): outputs are
 byte-identical across repeated runs.
 
 Exit codes: 0 success; 2 invalid configuration or input, or a file that
-cannot be read or written (an OSError, such as a missing input or an
---out-dir that is a file); 3 a run that diverged or produced a non-finite
-value.  `config` checks the casts, the keys only a config file has and the
-rules that tie two sections together; the library checks the other
-[distill] values before a run's first draw, and `cmd_distill` names the
-section.  Exit 2 covers, among others, a mixture weight above 1 or not
-finite, a non-finite mean, covariance, target or pose_probs, a mixture
-mean outside [-1e6, 1e6] or covariance eigenvalue below
-`worldmodel.covariance_floor`, a [mixture] components line whose mean or
-covariance has another length than the first line's, a [schedule] value
-that gives no valid schedule or loss weight, a [demo] grid bound outside
-[-1e6, 1e6], a rectify-demo grid too coarse for the prior or holding none
-of its mass, a negative --seed, a PGM file with a malformed header, short
-pixel data, another size than 64x64 or no foreground to segment, a
-non-finite `metrics` probability, a `metrics` marginal or target off the
-probability simplex, and a `metrics` option without its partner
-(--marginal and --target, --particles-a and --particles-b).  Failures
-print one `error:` line on stderr and leave
---out-dir as it was: a command writes into a hidden directory inside it
-and moves the files in only when it succeeds (see `_staged`).
+cannot be read or written (an OSError); 3 a run that diverged or produced
+a non-finite value.  README.md lists the cases.  Failures print one
+`error:` line on stderr and leave --out-dir as it was: a command writes
+into a hidden directory inside it and moves the files in only when it
+succeeds (see `_staged`).  Every CSV file is written by
+`distill.write_rows`.
 """
 
 from __future__ import annotations
@@ -39,6 +25,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import io
 import os
 import pathlib
 import shutil
@@ -57,10 +44,6 @@ from .metrics import categorical_entropy, gaussian_frechet, marginal_tv, on_simp
 from .oracle import ResolutionWarning, grid_integrate
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # rectify-demo
 # ---------------------------------------------------------------------------
@@ -76,16 +59,13 @@ def cmd_rectify_demo(args, out) -> int:
         raise ConfigurationError("rectify-demo needs a [rectifier] section")
     demo = spec.demo if spec.demo is not None else parse_demo({}, spec.num_steps)
     grid = np.linspace(demo["grid_lo"], demo["grid_hi"], demo["grid_points"])
-    x = grid[:, None]
-    rows = [[_fmt(g), _fmt(p), _fmt(q)] for g, p, q in zip(
-        grid, worldmodel.density(m, x), rectify.rectified_density(m, rect.target, x))]
-    D.write_rows(out / "density_clean.csv", ["x", "p", "p_rectified"], rows)
+    x, header = grid[:, None], ["x", "p", "p_rectified"]
+    D.write_rows(out / "density_clean.csv", header,
+                 zip(grid, worldmodel.density(m, x), rectify.rectified_density(m, rect.target, x)))
     for t in demo["times"]:
-        rows = [[_fmt(g), _fmt(p), _fmt(q)] for g, p, q in zip(
-            grid,
-            worldmodel.noisy_density(m, spec.schedule, t, x),
-            rectify.rectified_noisy_density(m, spec.schedule, t, rect.target, x))]
-        D.write_rows(out / f"density_t{t}.csv", ["x", "p", "p_rectified"], rows)
+        D.write_rows(out / f"density_t{t}.csv", header, zip(
+            grid, worldmodel.noisy_density(m, spec.schedule, t, x),
+            rectify.rectified_noisy_density(m, spec.schedule, t, rect.target, x)))
     # category marginal of the rectified joint w(c) * p(c|x) * p(x)
     w = rectify.weight_function(rect.target, m.category_weights())
     box, npts = [(demo["grid_lo"], demo["grid_hi"])], demo["grid_points"]
@@ -105,9 +85,8 @@ def cmd_rectify_demo(args, out) -> int:
         raise ConfigurationError(f"{grid_keys}: the grid holds no prior mass")
     mass /= mass.sum()
     tv = marginal_tv(mass, rect.target.probs)
-    D.write_rows(out / "marginal_report.csv",
-                 ["category", "rectified_marginal", "target"],
-                 [[c, _fmt(mass[c]), _fmt(rect.target.probs[c])] for c in range(m.num_categories)])
+    D.write_rows(out / "marginal_report.csv", ["category", "rectified_marginal", "target"],
+                 zip(range(m.num_categories), mass, rect.target.probs))
     print(f"rectified marginal TV to target: {tv:.3e}")
     return 0
 
@@ -188,12 +167,8 @@ def cmd_classify(args, out) -> int:
         raise ConfigurationError(f"no .pgm images under {args.inputs}")
     probs = np.concatenate([_on_stack(lambda stack: C.classify(pc, stack, mode=mode), paths[i : i + CLASSIFY_CHUNK])
                             for i in range(0, len(paths), CLASSIFY_CHUNK)])
-    rows = []
-    for path, p in zip(paths, probs):
-        pred = pc.categories[int(np.argmax(p))]
-        rows.append([path.name] + [_fmt(v) for v in p] + [pred])
-    D.write_rows(out / "probabilities.csv",
-                 ["image"] + [f"p_{c}" for c in pc.categories] + ["predicted"], rows)
+    D.write_rows(out / "probabilities.csv", ["image"] + [f"p_{c}" for c in pc.categories] + ["predicted"],
+                 ([path.name, *p, pc.categories[p.argmax()]] for path, p in zip(paths, probs)))
     # labelled evaluation when filenames carry a category prefix like front_012.pgm
     labelled = [(p, pr) for p, pr in zip(paths, probs) if p.name.split("_")[0] in C.CATEGORIES]
     if labelled:
@@ -204,17 +179,13 @@ def cmd_classify(args, out) -> int:
         D.write_rows(out / "confusion.csv",
                      ["true\\pred"] + list(pc.categories),
                      [[pc.categories[i]] + conf[i].tolist() for i in range(k)])
-        support = conf.sum(axis=1)
-        predicted = conf.sum(axis=0)
-        diag = np.diag(conf)
-        rows = []
-        for i, cat in enumerate(pc.categories):
-            precision = diag[i] / predicted[i] if predicted[i] else 0.0
-            recall = diag[i] / support[i] if support[i] else 0.0
-            f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-            rows.append([cat, _fmt(precision), _fmt(recall), _fmt(f1), int(support[i])])
-        rows.append(["accuracy", _fmt(diag.sum() / conf.sum()), "", "", int(conf.sum())])
-        D.write_rows(out / "summary.csv", ["category", "precision", "recall", "f1", "support"], rows)
+        support, predicted, diag = conf.sum(axis=1), conf.sum(axis=0), np.diag(conf)
+        precision = np.divide(diag, predicted, out=np.zeros(k), where=predicted > 0)
+        recall = np.divide(diag, support, out=np.zeros(k), where=support > 0)
+        f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(k), where=precision + recall > 0)
+        D.write_rows(out / "summary.csv", ["category", "precision", "recall", "f1", "support"],
+                     [*zip(pc.categories, precision, recall, f1, support.tolist()),
+                      ["accuracy", diag.sum() / conf.sum(), "", "", int(conf.sum())]])
         print(f"accuracy {diag.sum() / conf.sum():.4f} over {conf.sum()} labelled images")
     return 0
 
@@ -245,45 +216,77 @@ def cmd_glyphs(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the simplex rule of metrics.on_simplex, which categorical_entropy applies
+_ON_SIMPLEX = "must be finite probabilities, each at least -1e-12, summing to 1 within 1e-8"
+
+
 def _read_columns(path, pick):
     """A CSV's data rows as a float matrix of the columns pick(header)
-    lists.  An empty file, no columns to read, a header with no data rows
-    and a row whose length differs from the header's are errors naming the
-    file and the row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ConfigurationError(f"{path}: empty file, expected a header row")
-        cols = list(pick(header))
-        if not cols:
-            raise ConfigurationError(f"{path}: no columns to read in header {header}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ConfigurationError(f"{path}: row {lineno} has {len(row)} fields, the header {len(header)}")
-            try:
-                rows.append([float(row[i]) for i in cols])
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}: malformed row {lineno}: {exc}") from exc
+    lists.  Bytes that are not UTF-8, a line csv cannot read (a field over
+    its size limit), an empty file, no columns to read, a header with no
+    data rows and a row whose length differs from the header's are errors
+    naming the file and the line or row."""
+    data = pathlib.Path(path).read_bytes()
+    try:
+        reader = csv.reader(io.StringIO(data.decode(), newline=""))
+        records = list(reader)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigurationError(f"{path}: line {line} is not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ConfigurationError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not records or not records[0]:
+        raise ConfigurationError(f"{path}: empty file, expected a header row")
+    header = records[0]
+    cols = list(pick(header))
+    if not cols:
+        raise ConfigurationError(f"{path}: no columns to read in header {header}")
+    rows = []
+    for lineno, row in enumerate(records[1:], start=2):
+        if len(row) != len(header):
+            raise ConfigurationError(f"{path}: row {lineno} has {len(row)} fields, the header {len(header)}")
+        try:
+            rows.append([float(row[i]) for i in cols])
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: malformed row {lineno}: {exc}") from exc
     if not rows:
         raise ConfigurationError(f"{path}: no data rows below the header")
     return np.array(rows)
 
 
-def _probability_columns(header):
-    """Columns headed p_* if present, else all."""
-    return [i for i, name in enumerate(header) if name.startswith("p_")] or range(len(header))
+def _probabilities(path) -> np.ndarray:
+    """The rows of the columns headed p_* (all columns if none is) of the
+    CSV at path; a row off the probability simplex is an error naming it."""
+    mat = _read_columns(path, lambda header: [i for i, name in enumerate(header) if name.startswith("p_")]
+                        or range(len(header)))
+    if not on_simplex(mat):
+        row = next(i for i, p in enumerate(mat, start=2) if not on_simplex(p))
+        raise ConfigurationError(f"{path}: row {row}: {_ON_SIMPLEX}")
+    return mat
+
+
+def _particles(path) -> np.ndarray:
+    """The coordinates of a particles.csv (iter, particle, then the
+    coordinates), each within [-BOX, BOX] as distill.run keeps them, so
+    that no moment overflows; a row outside, or fewer rows than a Frechet
+    distance needs, is an error naming the file."""
+    x = _read_columns(path, lambda header: range(2, len(header)))
+    outside = ~(np.abs(x) <= worldmodel.BOX).all(axis=1)                  # NaN is outside
+    if outside.any():
+        raise ConfigurationError(f"{path}: row {outside.argmax() + 2}: coordinates must be finite, within [-1e6, 1e6]")
+    if len(x) <= x.shape[1]:
+        raise ConfigurationError(f"{path}: {len(x)} rows of {x.shape[1]} coordinates, "
+                                 f"where a Frechet distance needs at least {x.shape[1] + 1}")
+    return x
 
 
 def _probability_option(name, text) -> np.ndarray:
     """A comma-separated probability vector given as --name; one that is
-    malformed or off the probability simplex (with categorical_entropy's
-    tolerances) is an error naming the option."""
+    malformed or off the probability simplex is an error naming the option."""
     try:
         p = np.array([float(v) for v in text.split(",")])
         if not on_simplex(p):
-            raise ValueError("must be finite probabilities, each at least -1e-12, summing to 1 within 1e-8")
+            raise ValueError(_ON_SIMPLEX)
     except ValueError as exc:
         raise ConfigurationError(f"--{name} {text}: {exc}") from exc
     return p
@@ -296,24 +299,22 @@ def cmd_metrics(args, out) -> int:
             raise ConfigurationError(f"--{given.replace('_', '-')} needs --{missing.replace('_', '-')}")
     rows = []
     if args.probs:
-        mat = _read_columns(args.probs, _probability_columns)
-        report = categorical_entropy(mat)
-        rows.append(["entropy", _fmt(report.entropy)])
-        for i, v in enumerate(report.mean_probs):
-            rows.append([f"mean_prob_{i}", _fmt(v)])
+        report = categorical_entropy(_probabilities(args.probs))
+        rows += [["entropy", report.entropy]] + [[f"mean_prob_{i}", v] for i, v in enumerate(report.mean_probs)]
     if args.particles_a is not None:
-        # particles.csv: iter, particle, then the coordinates
-        a = _read_columns(args.particles_a, lambda header: range(2, len(header)))
-        b = _read_columns(args.particles_b, lambda header: range(2, len(header)))
-        rows.append(["frechet", _fmt(gaussian_frechet(a, b))])
+        a, b = _particles(args.particles_a), _particles(args.particles_b)
+        if a.shape[1] != b.shape[1]:
+            raise ConfigurationError(f"{args.particles_b}: {b.shape[1]} coordinates per row, "
+                                     f"where {args.particles_a} has {a.shape[1]}")
+        rows.append(["frechet", gaussian_frechet(a, b)])
     if args.marginal is not None:
         p, q = _probability_option("marginal", args.marginal), _probability_option("target", args.target)
-        rows.append(["marginal_tv", _fmt(marginal_tv(p, q))])
+        rows.append(["marginal_tv", marginal_tv(p, q)])
     if not rows:
         raise ConfigurationError("metrics: no inputs given (see --probs/--particles-a/--marginal)")
     D.write_rows(out / "metrics.csv", ["metric", "value"], rows)
     for name, value in rows:
-        print(f"{name} = {value}")
+        print(f"{name} = {D.cell(value)}")
     return 0
 
 

@@ -91,11 +91,9 @@ def _parse_mixture(values: dict) -> PoseLabeledMixture:
     weights, means, covs, cats = [], [], [], []
     for line in values["components"].strip().splitlines():
         fields = [f.strip() for f in line.split("|")]
-        if len(fields) != 4:
-            raise ConfigurationError(
-                f"component line needs 'weight | mean | cov | category', got {line.strip()!r}"
-            )
         try:
+            if len(fields) != 4:
+                raise ValueError(f"needs 4 fields 'weight | mean | cov | category', got {len(fields)}")
             weights.append(float(fields[0]))
             means.append(_floats(fields[1]))
             covs.append(_floats(fields[2]))

@@ -321,6 +321,8 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
         raise ConfigurationError(f"rotation renderer has {len(r.angles)} angles, need {m.num_categories} renderer_angles")
     if r.kind == "rotation" and m.dim != 2:
         raise ConfigurationError(f"renderer = rotation needs a 2D mixture, got dimension {m.dim}")
+    if r.kind == "identity" and r.angles:
+        raise ConfigurationError(f"renderer_angles {[float(a) for a in r.angles]} need renderer = rotation")
     rng = np.random.default_rng(ps.seed)
     particles = ps.particles.copy()
     state = IntervalEma.create(schedule.num_steps, cfg.n_t, m.num_categories, cfg.n_ema)
@@ -360,32 +362,30 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
     )
 
 
+def cell(value):
+    """The text of a CSV cell or a printed value: a float (numpy's float64
+    too) as repr(float), the shortest text that reads back as the same
+    float; any other value as it is, for csv to write."""
+    return repr(float(value)) if isinstance(value, float) else value
+
+
 def write_rows(path, header, rows) -> None:
-    """Write the header and then the rows as CSV, every line ending in a bare line feed."""
+    """Write the header and then the rows as CSV, every line ending in a bare
+    line feed and every cell written as `cell` gives it."""
     with open(path, "w", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows(map(cell, row) for row in rows)
 
 
 def write_report(report: RunReport, out_dir) -> None:
     """Write particles.csv, ema.csv and metrics.csv under out_dir."""
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dim = report.final_particles.shape[1]
-    rows = []
-    for it, parts in report.snapshots:
-        for i, th in enumerate(parts):
-            rows.append([it, i] + [repr(float(v)) for v in th])
-    write_rows(out / "particles.csv", ["iter", "particle"] + [f"x{j}" for j in range(dim)], rows)
-    rows = []
-    for it, values in report.ema_trace:
-        for interval in range(values.shape[0]):
-            for cat in range(values.shape[1]):
-                rows.append([it, interval, cat, repr(float(values[interval, cat]))])
-    write_rows(out / "ema.csv", ["iter", "interval", "category", "value"], rows)
-    k = len(report.metrics[0][1])
-    rows = []
-    for it, split, entropy in report.metrics:
-        rows.append([it, repr(float(entropy))] + [repr(float(v)) for v in split])
-    write_rows(out / "metrics.csv", ["iter", "entropy"] + [f"split_{c}" for c in range(k)], rows)
+    write_rows(out / "particles.csv", ["iter", "particle"] + [f"x{j}" for j in range(report.final_particles.shape[1])],
+               ([it, i, *th] for it, parts in report.snapshots for i, th in enumerate(parts.tolist())))
+    write_rows(out / "ema.csv", ["iter", "interval", "category", "value"],
+               ([it, i, c, v] for it, values in report.ema_trace for i, row in enumerate(values.tolist())
+                for c, v in enumerate(row)))
+    write_rows(out / "metrics.csv", ["iter", "entropy"] + [f"split_{c}" for c in range(len(report.metrics[0][1]))],
+               ([it, entropy, *split] for it, split, entropy in report.metrics))

@@ -54,7 +54,6 @@ class PoseLabeledMixture:
     covs: np.ndarray           # (n_comp, dim, dim)
     category_of: np.ndarray    # (n_comp,) ints in [0, num_categories)
     num_categories: int
-    _chols: np.ndarray = field(init=False, repr=False, compare=False)
     _clean: "_Steps" = field(init=False, repr=False, compare=False)          # the components at t = 0
     _log_weights: np.ndarray = field(init=False, repr=False, compare=False)   # (n_comp,)
     _members: np.ndarray = field(init=False, repr=False, compare=False)       # (K, n_comp) bools
@@ -79,6 +78,9 @@ class PoseLabeledMixture:
             raise ConfigurationError("component arrays have mismatched lengths")
         if not all(np.all(np.isfinite(a)) for a in (w, mu, cov)):
             raise ConfigurationError("component weights, means and covariances must be finite")
+        # np.linalg.solve and slogdet read the whole matrix, eigvalsh its lower triangle
+        if not np.array_equal(cov, cov.swapaxes(1, 2)):
+            raise ConfigurationError("component covariances must be symmetric")
         if not np.all(np.abs(mu) <= BOX):
             raise ConfigurationError("component means must lie within [-1e6, 1e6], where distill.run keeps particles")
         # a weight above 1 fails before the sum, which it could overflow
@@ -91,15 +93,11 @@ class PoseLabeledMixture:
                 f"every pose category needs probability mass (p(c) > 0); "
                 f"missing or out-of-range categories: {missing or sorted(covered)}"
             )
-        try:
-            chols = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigurationError("all component covariances must be positive-definite") from exc
+        # a symmetric matrix whose eigenvalues are at least the floor is positive-definite
         floor = covariance_floor(d)
         if np.linalg.eigvalsh(cov).min() < floor:
             raise ConfigurationError(f"component covariance eigenvalues must be at least {floor:.3g} "
                                      f"in dimension {d}, or the mixture's squared distances overflow")
-        object.__setattr__(self, "_chols", chols)
         object.__setattr__(self, "_clean", _form(self, np.ones(()), np.zeros(())))
         object.__setattr__(self, "_log_weights", np.log(w))
         object.__setattr__(self, "_members", cat == np.arange(self.num_categories)[:, None])
@@ -124,7 +122,7 @@ class PoseLabeledMixture:
         """Draw n clean points from the mixture."""
         comps = rng.choice(self.num_components, size=n, p=self.weights)
         eps = rng.standard_normal((n, self.dim))
-        return self.means[comps] + np.einsum("nij,nj->ni", self._chols[comps], eps)
+        return self.means[comps] + np.einsum("nij,nj->ni", np.linalg.cholesky(self.covs)[comps], eps)
 
     def sample_noisy(self, schedule: DiffusionSchedule, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n points from the time-t noisy marginal."""

@@ -11,8 +11,9 @@ is `recdistill glyphs --per-category 25` at seeds 0-2, with the digest of
 every file it writes (the corpus as one digest of its files' names and
 digests), followed by `recdistill classify` of that corpus in each mode,
 with the digests of the CSVs it writes.  A rectify-demo run (DEMO_RUNS)
-holds the digest of every file it writes.  Every run's stdout is hashed
-too, and the table keeps the Python, numpy and platform it was made on.
+holds the digest of every file it writes.  A metrics run (METRICS_RUNS)
+reads the CSVs of the runs above and holds the digest of its metrics.csv.
+Every run's stdout is hashed too, and the table keeps the Python, numpy and platform it was made on.
 test_identity.py reruns every run and
 compares: a change meant to keep outputs byte-identical must leave the
 table as it is, and a change that alters outputs on purpose regenerates it
@@ -88,6 +89,15 @@ DEMO_RUNS = {
 }
 
 
+# metrics runs: name -> the options, each input file given as (table run key, file name)
+METRICS_RUNS = {
+    "probs": ["--probs", ("classify/full/0", "probabilities.csv")],
+    "particles": ["--particles-a", ("usd-tweedie-rot2d/base/0", "particles.csv"),
+                  "--particles-b", ("usd-tweedie-rot2d/sds/0", "particles.csv")],
+    "marginal": ["--marginal", "0.7,0.2,0.1", "--target", "0.25,0.25,0.5"],
+}
+
+
 def environment() -> dict:
     """What the digests depend on besides the code: the interpreter, numpy,
     the platform and the SIMD targets numpy dispatches to on this CPU."""
@@ -130,9 +140,9 @@ def _run(key: str, argv: list[str], work: pathlib.Path) -> str:
 
 def digests(work) -> dict:
     """Run every (config, variant, seed), every glyph seed with its
-    classify modes and every rectify-demo run under the directory `work`;
-    the digests keyed "config/variant/seed", "glyphs/seed",
-    "classify/mode/seed" and "rectify-demo/name"."""
+    classify modes, every rectify-demo run and every metrics run under the
+    directory `work`; the digests keyed "config/variant/seed", "glyphs/seed",
+    "classify/mode/seed", "rectify-demo/name" and "metrics/name"."""
     work = pathlib.Path(work)
     out = {}
     for base, variants in VARIANTS.items():
@@ -170,6 +180,12 @@ def digests(work) -> dict:
                             "--out-dir", str(run_dir)], work)
         out[key] = {p.name: _sha(p.read_bytes()) for p in sorted(run_dir.iterdir())}
         out[key]["stdout"] = stdout
+    for name, options in METRICS_RUNS.items():
+        key = f"metrics/{name}"
+        run_dir = work / key.replace("/", "-")
+        argv = [a if isinstance(a, str) else str(work / a[0].replace("/", "-") / a[1]) for a in options]
+        stdout = _run(key, ["metrics", *argv, "--out-dir", str(run_dir)], work)
+        out[key] = {"metrics.csv": _sha((run_dir / "metrics.csv").read_bytes()), "stdout": stdout}
     return out
 
 

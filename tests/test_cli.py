@@ -171,6 +171,9 @@ class TestConfigErrors:
         ("dim = 1", "renderer = rotation\nrenderer_angles = 0 inf\ndim = 1", "[distill] rotation renderer angles"),
         ("dim = 1", "renderer = rotation\nrenderer_angles = 0 1\ndim = 1",
          "[distill] renderer = rotation needs a 2D mixture, got dimension 1"),
+        # the identity renderer used to run and drop the angles
+        ("dim = 1", "renderer_angles = 0 1 2\ndim = 1",
+         "[distill] renderer_angles [0.0, 1.0, 2.0] need renderer = rotation"),
         # checked by the library, named by the CLI
         ("method = usd", "method = foo", "[distill] unknown method 'foo'"),
         ("eta1 = 0.03", "eta1 = -1", "[distill] eta1 must be a finite positive learning rate, got -1.0"),
@@ -226,7 +229,8 @@ class TestConfigErrors:
         ("0.5 | 1 2 | 1 0 0 1 | 0\n    0.5 | 1 | 1 0 0 1 | 1", "0.5 | 1 | 1 0 0 1 | 1"),
         ("0.5 | 1 | 1 0 0 1 | 0\n    0.5 | 1 | 1 | 1", "0.5 | 1 | 1 0 0 1 | 0"),
         ("1 | | | 0", "1 | | | 0"),
-    ], ids=["short-covariance", "short-mean", "long-covariance", "empty-mean"])
+        ("0.5 | 1 | 1 | 0\n    0.5 | 1 | 1", "0.5 | 1 | 1"),
+    ], ids=["short-covariance", "short-mean", "long-covariance", "empty-mean", "three-fields"])
     def test_component_of_another_dimension_names_its_line(self, tmp_path, capsys, components, line):
         text = BALANCED_DEMO.replace("0.5 |  2.0 | 0.01 | 0\n    0.5 | -2.0 | 0.01 | 1", components)
         rc = cli.main(["rectify-demo", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
@@ -298,6 +302,17 @@ class TestConfigErrors:
                        "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "nope.cfg" in capsys.readouterr().err
+
+    def test_asymmetric_covariance_names_mixture(self, tmp_path, capsys):
+        # eigvalsh reads only the lower triangle and the pass the whole matrix,
+        # so such a prior ran to exit 0 with no density behind it
+        text = SMALL_USD.replace("dim = 1", "dim = 2").replace(
+            "0.8 |  2.0 | 0.01 | 0\n    0.2 | -2.0 | 0.01 | 1", "0.5 | 2 0 | 1 5 0 1 | 0\n    0.5 | -2 0 | 1 0 0 1 | 1")
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and "[mixture] component covariances must be symmetric" in err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_category_rejected(self, tmp_path, capsys):
         bad = SMALL_USD.replace("0.2 | -2.0 | 0.01 | 1", "0.2 | -2.0 | 0.01 | 0")
@@ -620,6 +635,95 @@ class TestPgmMutations:
                 assert (out / "keep.txt").read_text() == "before"
 
 
+_CSV_CELLS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "-1e-12", "-1e-11", "0", "1", "2", "1e-400", "1e400", "1e300",
+                     "-1e7", "", " ", "x", " 0.5 ", '"0.5"', '"0.5', '0.5"', '"', "1_0", "0x1p-1", "\ufeff0.5",
+                     "\u00e9", "\x00", "\r", "\n", ",", "9" * 131_073]),
+    st.floats().map(repr),
+)
+_CSV_BYTES = st.sampled_from([b"\xff", b"\xfe", b"\xc3", b"\xed\xa0\x80", b"\x00", b'"', b",", b"\n", b"\r",
+                              b"\xef\xbb\xbf"])
+
+
+@st.composite
+def _mutated_csv(draw, text: str) -> bytes:
+    """text, a CSV written by write_rows, with cells replaced, fields or rows
+    dropped or repeated, a cell quoted, other line endings, raw bytes put in
+    or another encoding."""
+    rows = [line.split(",") for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3), label="edits")):
+        r = draw(st.integers(0, len(rows) - 1), label="row")
+        c = draw(st.integers(0, max(len(rows[r]) - 1, 0)), label="column")
+        edit = draw(st.sampled_from(["cell", "drop-field", "add-field", "drop-row", "repeat-row", "quote"]))
+        if edit == "cell" and rows[r]:
+            rows[r][c] = draw(_CSV_CELLS, label="cell")
+        elif edit == "drop-field" and rows[r]:
+            del rows[r][c]
+        elif edit == "add-field":
+            rows[r].insert(c, draw(_CSV_CELLS, label="cell"))
+        elif edit == "drop-row" and len(rows) > 1:
+            del rows[r]
+        elif edit == "repeat-row":
+            rows.insert(r, list(rows[r]))
+        elif edit == "quote" and rows[r]:
+            rows[r][c] = '"' + rows[r][c] + draw(st.sampled_from(['"', ""]), label="closed")
+    data = "".join(",".join(row) + draw(st.sampled_from(["\n", "\r\n", "\r"])) for row in rows)
+    encoding = draw(st.sampled_from(["utf-8", "utf-8", "utf-8", "utf-16", "latin-1"]), label="encoding")
+    out = data.encode(encoding, errors="replace")
+    if draw(st.booleans(), label="raw bytes"):
+        pos = draw(st.integers(0, len(out)), label="at")
+        out = out[:pos] + draw(_CSV_BYTES, label="bytes") + out[pos:]
+    return out
+
+
+class TestMetricsMutations:
+    """One --probs, --particles-a or --particles-b CSV with mutated values,
+    field counts, quoting or encoding: metrics completes metrics.csv, or
+    exits 2 with one error line naming that file; never a traceback or a
+    warning, and --out-dir is left as it was."""
+
+    @staticmethod
+    def _inputs(tmp):
+        rng = np.random.default_rng(0)
+        files = {flag: tmp / f"{flag.strip('-')}.csv" for flag in ("--probs", "--particles-a", "--particles-b")}
+        distill.write_rows(files["--probs"], ["image", "p_front", "p_back", "p_left", "p_right", "predicted"],
+                           ([f"front_{i:03d}.pgm", *p, "front"] for i, p in enumerate(rng.dirichlet(np.ones(4), 6))))
+        for flag in ("--particles-a", "--particles-b"):
+            distill.write_rows(files[flag], ["iter", "particle", "x0", "x1"],
+                               ([it, i, *x] for it in (0, 9) for i, x in enumerate(rng.standard_normal((3, 2)))))
+        return files
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_csv_completes_or_fails_cleanly(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            files = self._inputs(tmp)
+            target = files[data.draw(st.sampled_from(sorted(files)), label="file")]
+            target.write_bytes(data.draw(_mutated_csv(target.read_text()), label="bytes"))
+            out = tmp / "out"
+            out.mkdir()
+            (out / "keep.txt").write_text("before")
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                rc = cli.main(["metrics", *(str(a) for item in files.items() for a in item), "--out-dir", str(out)])
+            assert not [str(w.message) for w in caught]
+            err = stderr.getvalue()
+            if rc == 0:
+                assert err == ""
+                assert sorted(p.name for p in out.iterdir()) == ["keep.txt", "metrics.csv"]
+                rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()]
+                names = [row[0] for row in rows]
+                assert names == ["metric", "entropy", *(f"mean_prob_{i}" for i in range(len(rows) - 3)), "frechet"]
+                assert all(len(row) == 2 and np.isfinite(float(row[1])) for row in rows[1:])
+            else:
+                assert rc == 2 and _single_error_line(err) and str(target) in err, err
+                assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+                assert (out / "keep.txt").read_text() == "before"
+
+
 class TestMetricsCommand:
     def test_entropy_from_classify_output(self, tmp_path, capsys):
         probs = tmp_path / "probabilities.csv"
@@ -726,14 +830,65 @@ class TestFileErrors:
         ("iter,particle,p_x0\n", "no data rows"),
         ("iter,particle,p_x0\n0,0,0.5\n0,1\n", "row 3 has 2 fields, the header 3"),
         ("iter,particle,p_x0\n0,0,0.5,0.5\n", "row 2 has 4 fields, the header 3"),
+        # a traceback (the field limit) and messages without the file before
+        pytest.param(b"iter,particle,p_x0\n0,0,1.0\n0,1," + b"1" * 131_073 + b"\n",
+                     "line 3: field larger than field limit", id="over-csv-field-limit"),
+        pytest.param(b"iter,particle,p_x0\n0,0,1.0\n0,1,\xff\n", "line 3 is not UTF-8 text: invalid start byte",
+                     id="not-utf8"),
+        pytest.param("iter,particle,p_x0\n0,0,1.0\n".encode("utf-16"), "line 1 is not UTF-8 text", id="utf16"),
     ])
     def test_bad_csv_names_file_and_row(self, tmp_path, capsys, flag, text, message):
         path = tmp_path / "in.csv"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         args = [flag, str(path)] + (["--particles-b", str(path)] if flag == "--particles-a" else [])
         assert self._metrics(tmp_path, *args) == 2
         err = capsys.readouterr().err
         assert _single_error_line(err) and "in.csv" in err and message in err
+
+    @pytest.mark.parametrize("row", ["-0.5,1.5", "inf,0.0", "0.5,0.6", "nan,1.0"])
+    def test_probabilities_off_the_simplex_name_file_and_row(self, tmp_path, capsys, row):
+        path = tmp_path / "probs.csv"
+        path.write_text(f"image,p_a,p_b\nx.pgm,0.5,0.5\ny.pgm,{row}\n")
+        assert self._metrics(tmp_path, "--probs", str(path)) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and f"{path}: row 3: must be finite probabilities" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e200", "-1000000.0001"])
+    def test_particles_outside_the_box_name_file_and_row(self, tmp_path, capsys, value):
+        # these used to warn, and exit 0 with frechet = nan
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("iter,particle,x0,x1\n0,0,1.0,2.0\n0,1,3.0,1.0\n0,2,0.5,0.3\n")
+        bad.write_text(f"iter,particle,x0,x1\n0,0,1.0,2.0\n0,1,3.0,1.0\n0,2,0.5,{value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._metrics(tmp_path, "--particles-a", str(good), "--particles-b", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and f"{bad}: row 4: coordinates must be finite, within [-1e6, 1e6]" in err
+
+    def test_particles_on_the_box_edge_accepted(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("iter,particle,x0\n0,0,1000000.0\n0,1,-1000000.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._metrics(tmp_path, "--particles-a", str(path), "--particles-b", str(path)) == 0
+        assert "frechet = 0.0" in capsys.readouterr().out
+
+    def test_too_few_particles_name_the_file(self, tmp_path, capsys):
+        good, few = tmp_path / "good.csv", tmp_path / "few.csv"
+        good.write_text("iter,particle,x0,x1\n0,0,1.0,2.0\n0,1,3.0,1.0\n0,2,0.5,0.3\n")
+        few.write_text("iter,particle,x0,x1\n0,0,1.0,2.0\n0,1,3.0,1.0\n")
+        assert self._metrics(tmp_path, "--particles-a", str(few), "--particles-b", str(good)) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err)
+        assert f"{few}: 2 rows of 2 coordinates, where a Frechet distance needs at least 3" in err
+
+    def test_particle_dimensions_differ_names_both_files(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("iter,particle,x0,x1\n0,0,1.0,2.0\n0,1,3.0,1.0\n0,2,0.5,0.3\n")
+        b.write_text("iter,particle,x0\n0,0,1.0\n0,1,3.0\n0,2,0.5\n")
+        assert self._metrics(tmp_path, "--particles-a", str(a), "--particles-b", str(b)) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and f"{b}: 1 coordinates per row, where {a} has 2" in err
 
     def test_particles_without_coordinates(self, tmp_path, capsys):
         path = tmp_path / "in.csv"

@@ -386,6 +386,13 @@ class TestRun:
         with pytest.raises(ConfigurationError, match=rf"rotation renderer has {len(angles)} angles, need 2"):
             D.run(ps, mixed_2d, schedule, D.DistillConfig(method="vsd", iters=3))
 
+    def test_identity_renderer_with_angles_rejected(self, schedule, mixed_2d, monkeypatch):
+        # Renderer("identity", angles) may be built, but a run would drop the angles
+        monkeypatch.setattr(D, "_draw", lambda *a: pytest.fail("drew before the check"))
+        ps = D.ParticleSet.initialise(4, 2, Renderer(kind="identity", angles=(0.0, 1.0, 2.0)), seed=0)
+        with pytest.raises(ConfigurationError, match=r"renderer_angles \[0.0, 1.0, 2.0\] need renderer = rotation"):
+            D.run(ps, mixed_2d, schedule, D.DistillConfig(method="vsd", iters=3))
+
     def test_rotation_needs_a_2d_mixture(self, schedule, narrow_biased, monkeypatch):
         monkeypatch.setattr(D, "_draw", lambda *a: pytest.fail("drew before the check"))
         ps = D.ParticleSet.initialise(4, 1, Renderer(kind="rotation", angles=(0.0, 1.0)), seed=0)
@@ -402,6 +409,13 @@ class TestRun:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         header = (tmp_path / "a" / "particles.csv").read_text().splitlines()[0]
         assert header == "iter,particle,x0"
+
+    def test_write_rows_writes_each_float_cell_as_its_repr(self, tmp_path):
+        # numpy's float64 is a float; integers, names and empty cells pass through
+        rows = [[1, np.float64(0.1), 1e-300, -0.0], [np.int64(5), "", "a,b", 0.1 + 0.2]]
+        D.write_rows(tmp_path / "x.csv", ["i", "p", "q", "r"], iter(rows))
+        assert (tmp_path / "x.csv").read_bytes() == b'i,p,q,r\n1,0.1,1e-300,-0.0\n5,,"a,b",0.30000000000000004\n'
+        assert [D.cell(v) for v in rows[0]] == [1, "0.1", "1e-300", "-0.0"]
 
 
 class TestPoseDraw:

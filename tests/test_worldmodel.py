@@ -54,6 +54,12 @@ class TestConstruction:
                 category_of=np.array([0]), num_categories=1,
             )
 
+    @pytest.mark.parametrize("upper", [5.0, 1e-300])
+    def test_covariances_must_be_symmetric(self, upper):
+        # the pass reads the whole matrix, eigvalsh only its lower triangle
+        with pytest.raises(ConfigurationError, match="covariances must be symmetric"):
+            _single([0.0, 0.0], [[1.0, upper], [0.0, 1.0]], d=2)
+
 
 class TestBox:
     """Means lie in [-BOX, BOX], where distill.run keeps particles, and every
