@@ -182,11 +182,15 @@ def extract_features(pixels: np.ndarray) -> FeatureMap:
     px = np.asarray(pixels, dtype=float)
     if px.ndim != 3 or px.shape[1:] != (IMG_SIZE, IMG_SIZE):
         raise ValueError(f"expected an (N, {IMG_SIZE}, {IMG_SIZE}) image stack, got shape {px.shape}")
-    blocks = px.reshape(-1, GRID_SIZE, PATCH, GRID_SIZE, PATCH).transpose(0, 1, 3, 2, 4)
-    mean = blocks.mean(axis=(3, 4))
-    hgrad = np.abs(np.diff(blocks, axis=4)).mean(axis=(3, 4))
-    vgrad = np.abs(np.diff(blocks, axis=3)).mean(axis=(3, 4))
-    var = blocks.var(axis=(3, 4))
+    # planes[r, c] is pixel (r, c) of every patch, in one contiguous copy.  A
+    # patch sum adds along each patch row, then down the rows: the order numpy
+    # reduces a patch of the strided block view in, so the bits are its mean,
+    # mean |diff| and var, without its slow short-inner-loop reduction
+    planes = px.reshape(-1, GRID_SIZE, PATCH, GRID_SIZE, PATCH).transpose(2, 4, 0, 1, 3).copy()
+    mean = planes.sum(axis=1).sum(axis=0) / PATCH**2
+    hgrad = np.abs(np.diff(planes, axis=1)).sum(axis=1).sum(axis=0) / (PATCH * (PATCH - 1))
+    vgrad = np.abs(np.diff(planes, axis=0)).sum(axis=1).sum(axis=0) / (PATCH * (PATCH - 1))
+    var = ((planes - mean) ** 2).sum(axis=1).sum(axis=0) / PATCH**2
     patches = np.stack([mean, hgrad, vgrad, var], axis=-1)
     # one BLAS product per row, as for a single image, so a row's rounding
     # does not depend on the stack it is in
@@ -210,7 +214,10 @@ def segment_foreground(fm: FeatureMap) -> np.ndarray:
     if degenerate.size:
         raise SegmentationError("degenerate feature grid: all patch descriptors equal", int(degenerate[0]))
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    side = (centered * vt[:, :1, :]).sum(axis=-1) > 0
+    # projection on the first component as an explicit left fold over the
+    # four channels: the bits of `.sum(axis=-1)`, without its reduction loop
+    proj = centered * vt[:, :1, :]
+    side = ((proj[..., 0] + proj[..., 1]) + proj[..., 2]) + proj[..., 3] > 0
 
     def hint_corr(part):
         count = part.sum(axis=1)

@@ -22,6 +22,7 @@ succeeds (see `_staged`).  Every CSV file is written by
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import csv
 import errno
@@ -120,10 +121,14 @@ def cmd_distill(args, out) -> int:
 
 # images read and classified per pass: the chunk bounds the pixel stack and
 # its feature arrays (the orientation tiles bound the distance block).  On
-# 800 glyphs, classify's peak RSS is 39 MiB in chunks of 16, against 103 MiB
+# 800 glyphs, classify's peak RSS is 40 MiB in chunks of 16, against 135 MiB
 # as one stack (x86-64, numpy 2.4).  A row's probabilities do not depend on
 # the chunking, so outputs do not either.
 CLASSIFY_CHUNK = 16
+
+# glyph files are named <category>_<three-digit index>.pgm, and the corpus
+# is generated in memory (32 KiB a glyph) before it is written
+GLYPHS_MAX_PER_CATEGORY = 1000
 
 
 def _classify_mode(args) -> str:
@@ -191,8 +196,8 @@ def cmd_classify(args, out) -> int:
 
 
 def cmd_glyphs(args, out) -> int:
-    if args.per_category < 1:
-        raise ConfigurationError(f"--per-category {args.per_category} must be at least 1")
+    if not 1 <= args.per_category <= GLYPHS_MAX_PER_CATEGORY:
+        raise ConfigurationError(f"--per-category {args.per_category} must be between 1 and {GLYPHS_MAX_PER_CATEGORY}")
     (out / "corpus").mkdir()
     (out / "templates").mkdir()
     for cat, img in C.template_images().items():
@@ -222,11 +227,12 @@ _ON_SIMPLEX = "must be finite probabilities, each at least -1e-12, summing to 1 
 
 def _read_columns(path, pick):
     """A CSV's data rows as a float matrix of the columns pick(header)
-    lists.  Bytes that are not UTF-8, a line csv cannot read (a field over
-    its size limit), an empty file, no columns to read, a header with no
-    data rows and a row whose length differs from the header's are errors
-    naming the file and the line or row."""
-    data = pathlib.Path(path).read_bytes()
+    lists; a leading UTF-8 byte-order mark is dropped.  Bytes that are not
+    UTF-8, a line csv cannot read (a field over its size limit), an empty
+    file, no columns to read, a header with no data rows and a row whose
+    length differs from the header's are errors naming the file and the
+    line or row."""
+    data = pathlib.Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         reader = csv.reader(io.StringIO(data.decode(), newline=""))
         records = list(reader)
@@ -323,9 +329,16 @@ def cmd_metrics(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with a usage error raised as a ConfigurationError,
+    so that it prints one `error:` line and exits 2 like any bad input."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="recdistill", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="recdistill", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rectify-demo", help="density grids before/after rectification")
@@ -425,8 +438,8 @@ def _error(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if vars(args).get("seed", 0) < 0:          # numpy's generators take none
             raise ConfigurationError(f"--seed {args.seed} must be a non-negative integer")
         with _staged(args.out_dir) as out:

@@ -139,6 +139,31 @@ class TestStackMatchesPerImageReference:
         for i in range(0, len(corpus_stack), 37):
             assert np.array_equal(C.classify(pc, corpus_stack[i : i + 1], mode=mode)[0], chunked[i])
 
+    @staticmethod
+    def _assert_features_bitwise_reference(stack):
+        fm = C.extract_features(stack)
+        for row, px in enumerate(stack):
+            cls, patches = _ref_features(px)
+            for ch in range(C.NUM_FEATURES):
+                assert np.array_equal(fm.patches[row, ..., ch], patches[..., ch]), (row, ch)
+            assert np.array_equal(fm.cls[row], cls), row
+
+    def test_corpus_features_bitwise(self, corpus_stack):
+        for i in range(0, len(corpus_stack), 16):
+            self._assert_features_bitwise_reference(corpus_stack[i : i + 16])
+
+    @pytest.mark.parametrize("kind", ["8-bit", "wide"])
+    def test_random_stack_features_bitwise(self, kind):
+        """8-bit levels are what read_pgm yields; the wide stacks span
+        1e-6 to 1e6, where a change of summation order shows in the bits."""
+        rng = np.random.default_rng(21)
+        for n in range(1, 18):
+            if kind == "8-bit":
+                stack = rng.integers(0, 256, size=(n, 64, 64)) / 255
+            else:
+                stack = 10.0 ** rng.uniform(-6, 6, size=(n, 64, 64))
+            self._assert_features_bitwise_reference(stack)
+
     def test_template_features_match(self, pc, templates):
         for t, img in zip(pc.templates, templates.values()):
             cls, patches = _ref_features(img.pixels)

@@ -1,3 +1,4 @@
+import codecs
 import configparser
 import contextlib
 import io
@@ -724,6 +725,62 @@ class TestMetricsMutations:
                 assert (out / "keep.txt").read_text() == "before"
 
 
+_INT_AFFIXES = st.sampled_from(["", " ", "\n", "0", "_", "+", "-", "x", ".5", "e1", "٣"])
+
+
+@st.composite
+def _mutated_int_option(draw, flag: str) -> list[str]:
+    """argv for one integer option: small numbers, numbers past
+    glyphs' per-category limit or text that is no integer, with characters
+    added around them, given as two arguments, as `flag=value`, or left out.
+    A valid per-category count stays at most 100, so each example is quick."""
+    core = draw(st.one_of(
+        st.integers(-3, 4).map(str),
+        st.integers(cli.GLYPHS_MAX_PER_CATEGORY + 1, 10**40).map(str),
+        st.sampled_from(["", "x", "1.5", "1e3", "0x10", "1_0", "２", "\x00", "-", "--", "-x", "9" * 4301]),
+    ), label="value")
+    text = draw(_INT_AFFIXES, label="before") + core + draw(_INT_AFFIXES, label="after")
+    form = draw(st.sampled_from(["two arguments", "equals", "left out"]), label="form")
+    return {"two arguments": [flag, text], "equals": [f"{flag}={text}"], "left out": []}[form]
+
+
+class TestGlyphsMutations:
+    """One of glyphs' --per-category and --seed given mutated text: glyphs
+    writes its corpus, templates and labels, or exits 2 with one error line
+    naming that option; never a traceback or a warning, and --out-dir is
+    left as it was."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_option_completes_or_fails_cleanly(self, data):
+        options = {"--per-category": ["--per-category", "2"], "--seed": ["--seed", "0"]}
+        flag = data.draw(st.sampled_from(sorted(options)), label="option")
+        options[flag] = data.draw(_mutated_int_option(flag), label="argv")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = pathlib.Path(tmp) / "out"
+            out.mkdir()
+            (out / "keep.txt").write_text("before")
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                rc = cli.main(["glyphs", *options["--per-category"], *options["--seed"], "--out-dir", str(out)])
+            assert not [str(w.message) for w in caught]
+            err = stderr.getvalue()
+            if rc == 0:
+                assert err == ""
+                count = options["--per-category"]
+                per_category = int(count[-1].removeprefix("--per-category=")) if count else 100
+                assert sorted(p.name for p in out.iterdir()) == ["corpus", "keep.txt", "labels.csv", "templates"]
+                assert len((out / "labels.csv").read_text().splitlines()) == 1 + 4 * per_category
+                assert len(list((out / "corpus").iterdir())) == 4 * per_category
+                assert len(list((out / "templates").iterdir())) == 4
+            else:
+                assert rc == 2 and _single_error_line(err) and flag in err, err
+                assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+                assert (out / "keep.txt").read_text() == "before"
+
+
 class TestMetricsCommand:
     def test_entropy_from_classify_output(self, tmp_path, capsys):
         probs = tmp_path / "probabilities.csv"
@@ -736,6 +793,18 @@ class TestMetricsCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert f"entropy = {float(np.log(2))!r}" in out
+
+    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        # a BOM used to stay in the first header name, so its p_* column
+        # was lost and the file rejected as off the simplex
+        text = b"p_a,p_b\n0.5,0.5\n0.25,0.75\n"
+        outs = []
+        for name, data in (("plain", text), ("bom", codecs.BOM_UTF8 + text)):
+            (tmp_path / f"{name}.csv").write_bytes(data)
+            assert cli.main(["metrics", "--probs", str(tmp_path / f"{name}.csv"), "--out-dir", str(tmp_path / name)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("entropy = ")
+        assert (tmp_path / "plain" / "metrics.csv").read_bytes() == (tmp_path / "bom" / "metrics.csv").read_bytes()
 
     def test_frechet_and_tv(self, tmp_path, capsys):
         pts = tmp_path / "particles.csv"
@@ -836,6 +905,9 @@ class TestFileErrors:
         pytest.param(b"iter,particle,p_x0\n0,0,1.0\n0,1,\xff\n", "line 3 is not UTF-8 text: invalid start byte",
                      id="not-utf8"),
         pytest.param("iter,particle,p_x0\n0,0,1.0\n".encode("utf-16"), "line 1 is not UTF-8 text", id="utf16"),
+        # the byte-order mark is dropped before decoding, so the line count holds
+        pytest.param(codecs.BOM_UTF8 + b"iter,particle,p_x0\n0,0,1.0\n0,1,\xff\n", "line 3 is not UTF-8 text",
+                     id="bom-then-not-utf8"),
     ])
     def test_bad_csv_names_file_and_row(self, tmp_path, capsys, flag, text, message):
         path = tmp_path / "in.csv"
@@ -987,7 +1059,21 @@ class TestFileErrors:
             assert _single_error_line(err) and str(out / name) in err
             assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
 
-    @pytest.mark.parametrize("count", ["0", "-2"])
+    @pytest.mark.parametrize("argv, named", [
+        (["glyphs", "--per-category", "x"], "recdistill glyphs: argument --per-category: invalid int value: 'x'"),
+        (["distill", "--config", "c.cfg", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        (["classify", "--inputs", "in"], "the following arguments are required: --templates"),
+        (["glyphs", "--per-category"], "argument --per-category: expected one argument"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ])
+    def test_usage_error_is_one_error_line(self, tmp_path, capsys, argv, named):
+        # argparse used to print its usage lines and exit through SystemExit
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2", "1001", "1" + "0" * 30])
     def test_glyphs_needs_one_per_category(self, tmp_path, capsys, count):
         rc = cli.main(["glyphs", "--per-category", count, "--out-dir", str(tmp_path / "out")])
         assert rc == 2
