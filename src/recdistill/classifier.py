@@ -15,10 +15,12 @@ and sharpens with a low-temperature softmax.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import worldmodel
 from .errors import SegmentationError
 from .estimator import tweedie_x0
 
@@ -134,27 +136,12 @@ def _glyph(patterns: dict[str, np.ndarray], category: str, jitter_seed: int | No
     return GlyphImage(pixels=np.clip(img, 0.0, 1.0), true_category=category)
 
 
-def generate_glyph(category: str, jitter_seed: int | None = None) -> GlyphImage:
-    """Deterministic glyph for one pose category; None seed means no jitter.
-
-    Left/right glyphs with the same seed are exact horizontal mirrors;
-    front/back glyphs with the same seed share their binary silhouette.
-    """
-    if category not in CATEGORIES:
-        raise ValueError(f"unknown category {category!r}")
-    return _glyph(_patterns(), category, jitter_seed)
-
-
-def glyph_silhouette(img: GlyphImage) -> np.ndarray:
-    """Binary foreground of a generated glyph (background is exactly zero)."""
-    return img.pixels > 0
-
-
-def generate_corpus(per_category: int, seed: int = 0) -> list[GlyphImage]:
-    """Labelled jittered glyphs, per_category of each pose."""
+def generate_corpus(per_category: int, seed: int = 0) -> Iterator[GlyphImage]:
+    """Labelled jittered glyphs, per_category of each pose, category by
+    category, made one at a time as they are taken."""
     patterns = _patterns()
-    return [_glyph(patterns, cat, seed + 10_000 * ci + j)
-            for ci, cat in enumerate(CATEGORIES) for j in range(per_category)]
+    return (_glyph(patterns, cat, seed + 10_000 * ci + j)
+            for ci, cat in enumerate(CATEGORIES) for j in range(per_category))
 
 
 def template_images() -> dict[str, GlyphImage]:
@@ -333,13 +320,6 @@ def _minmax(values: np.ndarray) -> np.ndarray:
     return np.where(flat, 1.0, (values - lo) / np.where(flat, 1.0, hi - lo))
 
 
-def _softmax(values: np.ndarray, tau: float) -> np.ndarray:
-    z = values / tau
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def classify(pc: PoseClassifier, pixels: np.ndarray, mode: str = "full") -> np.ndarray:
     """Pose probabilities in template order, one row per image of an (N, 64, 64) stack.
 
@@ -357,7 +337,7 @@ def classify(pc: PoseClassifier, pixels: np.ndarray, mode: str = "full") -> np.n
     if mode != "texture-only":
         parts = (fm.patches, mask, coordinate_map(mask))
         fused = fused * _minmax(orientation_similarity(parts, pc.templates, pc.tau_pat))
-    return _softmax(fused, pc.tau_pose)
+    return worldmodel._softmax(fused / pc.tau_pose)
 
 
 def build_template(pixels: np.ndarray, categories) -> tuple[Template, ...]:

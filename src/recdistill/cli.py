@@ -126,8 +126,8 @@ def cmd_distill(args, out) -> int:
 # the chunking, so outputs do not either.
 CLASSIFY_CHUNK = 16
 
-# glyph files are named <category>_<three-digit index>.pgm, and the corpus
-# is generated in memory (32 KiB a glyph) before it is written
+# glyph files are named <category>_<three-digit index>.pgm; each glyph is
+# written as it is generated, so the limit bounds only that index
 GLYPHS_MAX_PER_CATEGORY = 1000
 
 
@@ -202,17 +202,13 @@ def cmd_glyphs(args, out) -> int:
     (out / "templates").mkdir()
     for cat, img in C.template_images().items():
         C.write_pgm(out / "templates" / f"{cat}.pgm", img.pixels)
-    corpus = C.generate_corpus(args.per_category, seed=args.seed)
     rows = []
-    counters = {}
-    for img in corpus:
-        idx = counters.get(img.true_category, 0)
-        counters[img.true_category] = idx + 1
-        name = f"{img.true_category}_{idx:03d}.pgm"
+    for i, img in enumerate(C.generate_corpus(args.per_category, seed=args.seed)):
+        name = f"{img.true_category}_{i % args.per_category:03d}.pgm"
         C.write_pgm(out / "corpus" / name, img.pixels)
         rows.append([name, img.true_category])
     D.write_rows(out / "labels.csv", ["image", "category"], rows)
-    print(f"wrote {len(corpus)} corpus glyphs and {len(C.CATEGORIES)} templates under {pathlib.Path(args.out_dir)}")
+    print(f"wrote {len(rows)} corpus glyphs and {len(C.CATEGORIES)} templates under {pathlib.Path(args.out_dir)}")
     return 0
 
 

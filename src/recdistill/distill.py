@@ -188,6 +188,15 @@ class RunTables:
             raise ConfigurationError(f"pose_probs must be {k} finite, non-negative probabilities summing to 1 within {tol:.3g}")
         if cfg.control_category is not None and not 0 <= cfg.control_category < k:
             raise ConfigurationError(f"control_category {cfg.control_category} outside [0, {k})")
+        if cfg.method == "usd" and cfg.rectifier.posterior_source == "classifier-on-tweedie":
+            # the Tweedie estimate divides by alpha_t, which never rises with t:
+            # the largest step the run draws, in its first block, has the least
+            hi = bnf_interval(0, cfg.iters, cfg.bnf_n_i, schedule.num_steps)[1]
+            if schedule.alpha[hi] < 1e-300:
+                raise ConfigurationError(
+                    f"[schedule] num_steps/beta_min/beta_max give alpha_t = {schedule.alpha[hi]:.3g} < 1e-300 at "
+                    f"t = {hi}, the largest step the run draws, where [rectifier] posterior_source = "
+                    "classifier-on-tweedie cannot denoise")
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         return cls(

@@ -95,13 +95,6 @@ def rectified_noisy_density(m: PoseLabeledMixture, schedule, t: int, target: Tar
     return worldmodel.noisy_density(m, schedule, t, xt) * np.sum(w * posterior, axis=-1)
 
 
-def r_value(rect: Rectifier, posterior, marginal) -> float:
-    """Discrete correction factor sum_c f(c)/p(c) * posterior(c)."""
-    posterior = np.asarray(posterior, dtype=float)
-    w = weight_function(rect.target, marginal, rect.epsilon_floor)
-    return float(np.sum(w * posterior, axis=-1))
-
-
 def posterior(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, eps=None) -> np.ndarray:
     """Category posterior p_t(c | xt) from the rectifier's posterior source.
 

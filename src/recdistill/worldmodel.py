@@ -124,12 +124,6 @@ class PoseLabeledMixture:
         eps = rng.standard_normal((n, self.dim))
         return self.means[comps] + np.einsum("nij,nj->ni", np.linalg.cholesky(self.covs)[comps], eps)
 
-    def sample_noisy(self, schedule: DiffusionSchedule, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n points from the time-t noisy marginal."""
-        x0 = self.sample(n, rng)
-        eps = rng.standard_normal((n, self.dim))
-        return schedule.alpha[t] * x0 + schedule.sigma[t] * eps
-
 
 class _Pass(NamedTuple):
     """One pass over the mixture components at some points."""
@@ -262,18 +256,6 @@ def grad_log_reweight(m: PoseLabeledMixture, schedule, t, xt, log_w) -> np.ndarr
     return _grad_log_reweight(m, _components(m, _steps(m, schedule, t), xt), log_w)
 
 
-def category_marginal(m: PoseLabeledMixture, schedule: DiffusionSchedule, t: int, n_samples: int, seed: int) -> np.ndarray:
-    """Monte Carlo estimate of E[p(category | xt)] over the time-t marginal."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    if t == 0:
-        xt = m.sample(n_samples, rng)
-    else:
-        xt = m.sample_noisy(schedule, t, n_samples, rng)
-    return np.mean(category_posterior(m, schedule, t, xt), axis=0)
-
-
 @dataclass(frozen=True)
 class Renderer:
     """Maps particle parameters to data space; identity or a per-pose rotation."""
@@ -315,14 +297,10 @@ def render_poses(r: Renderer, theta) -> np.ndarray:
     return np.einsum("kij,nj->kni", r._rotations, theta)
 
 
-def at_pose(r: Renderer, rendered: np.ndarray, c) -> np.ndarray:
-    """`render(r, theta, c)` gathered from `rendered = render_poses(r, theta)`:
-    pose(s) c broadcast against the particle axis."""
-    return _at_pose(r, rendered, _poses(r, c))
-
-
 def _at_pose(r: Renderer, rendered: np.ndarray, c) -> np.ndarray:
-    """`at_pose` at poses already checked, such as a run's draws."""
+    """`render(r, theta, c)` gathered from `rendered = render_poses(r, theta)`,
+    at poses c already checked (see `_poses`), such as a run's draws,
+    broadcast against the particle axis."""
     return rendered[0] if r.kind == "identity" else rendered[c, np.arange(rendered.shape[1])]
 
 

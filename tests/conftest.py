@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from recdistill.schedule import build_schedule
-from recdistill.worldmodel import PoseLabeledMixture
+from recdistill.worldmodel import PoseLabeledMixture, category_posterior
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +70,13 @@ def random_mixture(rng, dim, num_categories, diagonal=False):
         weights=w, means=means, covs=covs,
         category_of=cats, num_categories=num_categories,
     )
+
+
+def mean_noisy_posterior(m, schedule, t, n_samples, seed):
+    """Monte Carlo mean of p(category | xt) over n_samples draws from the
+    time-t marginal: clean mixture samples, noised at step t >= 1."""
+    rng = np.random.default_rng(seed)
+    xt = m.sample(n_samples, rng)
+    if t > 0:
+        xt = schedule.alpha[t] * xt + schedule.sigma[t] * rng.standard_normal((n_samples, m.dim))
+    return np.mean(category_posterior(m, schedule, t, xt), axis=0)

@@ -15,7 +15,7 @@ from recdistill import rectify, worldmodel
 from recdistill.estimator import IntervalEma, alpha_from_n_ema, ema_lookup, ema_update
 from recdistill.metrics import marginal_tv
 from recdistill.oracle import convolve_density, finite_difference_grad, grid_integrate
-from recdistill.rectify import Rectifier, TargetMarginal, grad_log_r, r_value
+from recdistill.rectify import Rectifier, TargetMarginal, grad_log_r, weight_function
 from recdistill.schedule import build_schedule, loss_weight
 from recdistill.worldmodel import PoseLabeledMixture, Renderer
 
@@ -119,7 +119,7 @@ def test_acceptance_3_gradient_decomposition_and_fd_check(schedule):
 
         def log_r(v):
             post = worldmodel.category_posterior(m, schedule, t, v)
-            return np.log(r_value(rect_fd, post, marginal))
+            return np.log((weight_function(rect_fd.target, marginal, rect_fd.epsilon_floor) * post).sum(-1))
 
         fd = finite_difference_grad(log_r, xt, 1e-5)
         worst_fd = max(worst_fd, float(np.max(np.abs(fd - exact)) / (1.0 + np.max(np.abs(exact)))))
@@ -199,7 +199,7 @@ def test_acceptance_6_pose_classifier_suite():
         return [pc.categories[k] for k in np.argmax(probs, axis=1)]
 
     self_ok = predictions(C.template_images().values()) == list(C.template_images())
-    corpus = C.generate_corpus(100, seed=0)
+    corpus = list(C.generate_corpus(100, seed=0))
 
     def accuracy(mode, pair=None):
         imgs = [im for im in corpus if pair is None or im.true_category in pair]

@@ -3,8 +3,8 @@ import configparser
 import contextlib
 import io
 import pathlib
-import re
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -146,6 +146,22 @@ class TestConfigErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert _single_error_line(err) and new.split()[0] in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("beta_max", ["0.9999", "0.9999999"])
+    def test_tweedie_alpha_underflow_rejected_at_setup(self, tmp_path, capsys, monkeypatch, beta_max):
+        """A schedule whose alpha_t falls below 1e-300 by the run's largest
+        step leaves the Tweedie source nothing to divide by: the run stops
+        before its first gradient, naming the schedule keys and the source."""
+        monkeypatch.setattr(distill, "gradient", lambda *args: pytest.fail("the run started"))
+        text = (pathlib.Path(__file__).parent / "identity" / "usd-tweedie-rot2d.cfg").read_text()
+        text = text.replace("num_steps = 1000", f"num_steps = 1000\nbeta_max = {beta_max}")
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err)
+        assert "[schedule] num_steps/beta_min/beta_max" in err and "t = 980" in err
+        assert "posterior_source = classifier-on-tweedie" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new, named", [
@@ -347,15 +363,6 @@ class TestNumericErrorLine:
         err = capsys.readouterr().err
         assert _single_error_line(err) and " at row 5: t=" in err and len(err.strip()) < 200
 
-    def test_alpha_underflow_names_one_step(self, tmp_path, capsys):
-        text = (pathlib.Path(__file__).parent / "identity" / "usd-tweedie-rot2d.cfg").read_text()
-        text = text.replace("num_steps = 1000", "num_steps = 1000\nbeta_max = 0.9999999")
-        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert _single_error_line(err)
-        assert re.search(r"alpha underflow at row [^:]+: t=\d+, xt=\[[^]]*\]$", err.strip())
-
 
 class TestRectifyDemo:
     def test_biased_demo_hits_target(self, tmp_path, capsys):
@@ -461,6 +468,19 @@ class TestGlyphsAndClassify:
         assert len(list((glyph_dir / "templates").glob("*.pgm"))) == 4
         labels = (glyph_dir / "labels.csv").read_text().splitlines()
         assert labels[0] == "image,category" and len(labels) == 25
+
+    def test_glyphs_memory_flat_in_corpus_size(self, tmp_path):
+        """Each glyph is written as it is generated: the command's peak
+        allocation at 200 per category (800 glyphs of 32 KiB) stays under
+        2 MiB, where holding the corpus takes 25 MiB."""
+        tracemalloc.start()
+        try:
+            rc = cli.main(["glyphs", "--out-dir", str(tmp_path), "--per-category", "200", "--seed", "0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and len(list((tmp_path / "corpus").glob("*.pgm"))) == 800
+        assert peak < 2 * 2**20, peak
 
     def test_classify_roundtrip_accuracy(self, glyph_dir, tmp_path, capsys):
         rc = cli.main(["classify", "--templates", str(glyph_dir / "templates"),

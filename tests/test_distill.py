@@ -250,7 +250,7 @@ class TestUsdStep:
 
     def test_grad_log_r_matches_finite_differences(self, schedule, narrow_biased):
         from recdistill.oracle import finite_difference_grad
-        from recdistill.rectify import Rectifier, grad_log_r, r_value
+        from recdistill.rectify import Rectifier, grad_log_r, weight_function
 
         rect = Rectifier(target=TargetMarginal.uniform(2))
         marginal = np.array([0.65, 0.35])
@@ -263,7 +263,7 @@ class TestUsdStep:
 
             def log_r(v):
                 post = worldmodel.category_posterior(narrow_biased, schedule, t, v)
-                return np.log(r_value(rect, post, marginal))
+                return np.log((weight_function(rect.target, marginal, rect.epsilon_floor) * post).sum(-1))
 
             fd = finite_difference_grad(log_r, xt, 1e-5)
             assert np.max(np.abs(fd - exact)) < 1e-5 * (1.0 + np.max(np.abs(exact)))

@@ -16,6 +16,8 @@ from recdistill.oracle import mc_posterior_mean
 from recdistill.schedule import build_schedule
 from recdistill.worldmodel import PoseLabeledMixture
 
+from conftest import mean_noisy_posterior
+
 
 class TestTweedie:
     def test_dirac_recovers_mean(self, schedule):
@@ -158,6 +160,6 @@ class TestAdjacentIntervalSmoothness:
         # the exact category marginal changes by < 0.01 TV between
         # neighbouring steps, justifying one EMA vector per interval
         for t in (100, 500, 900):
-            a = worldmodel.category_marginal(biased_1d, schedule, t, 50_000, seed=8)
-            b = worldmodel.category_marginal(biased_1d, schedule, t + 1, 50_000, seed=8)
+            a = mean_noisy_posterior(biased_1d, schedule, t, 50_000, seed=8)
+            b = mean_noisy_posterior(biased_1d, schedule, t + 1, 50_000, seed=8)
             assert 0.5 * np.sum(np.abs(a - b)) < 0.01

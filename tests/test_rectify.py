@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from recdistill import distill, rectify, worldmodel
 from recdistill.errors import NumericError
 from recdistill.oracle import finite_difference_grad, grid_integrate
-from recdistill.rectify import Rectifier, TargetMarginal, grad_log_r, r_value, weight_function
+from recdistill.rectify import Rectifier, TargetMarginal, grad_log_r, weight_function
 from recdistill.worldmodel import PoseLabeledMixture
 
 from conftest import random_mixture
@@ -114,14 +114,19 @@ class TestRectifiedNoisyDensity:
             assert rel < 1e-3
 
 
+def _r(rect, post, marginal):
+    """r = sum_c f(c) / max(p(c), epsilon_floor) * posterior(c), as `rectify.correction` forms it."""
+    return (weight_function(rect.target, marginal, rect.epsilon_floor) * post).sum(-1)
+
+
 class TestRValue:
     def test_all_uniform(self):
         rect = Rectifier(target=TargetMarginal.uniform(2))
-        assert r_value(rect, np.array([0.5, 0.5]), np.array([0.5, 0.5])) == pytest.approx(1.0)
+        assert _r(rect, np.array([0.5, 0.5]), np.array([0.5, 0.5])) == pytest.approx(1.0)
 
     def test_single_term(self):
         rect = Rectifier(target=TargetMarginal(np.array([0.5, 0.5])))
-        assert r_value(rect, np.array([1.0, 0.0]), np.array([0.8, 0.2])) == pytest.approx(0.625)
+        assert _r(rect, np.array([1.0, 0.0]), np.array([0.8, 0.2])) == pytest.approx(0.625)
 
     def test_convexity_bound(self):
         rng = np.random.default_rng(4)
@@ -129,7 +134,7 @@ class TestRValue:
         for _ in range(50):
             post = rng.dirichlet(np.ones(3))
             marg = rng.dirichlet(np.ones(3) * 2.0) * 0.98 + 0.02 / 3
-            r = r_value(rect, post, marg)
+            r = _r(rect, post, marg)
             assert r <= np.max(rect.target.probs / marg) + 1e-12
 
 
@@ -156,7 +161,7 @@ class TestGradLogR:
 
             def log_r(v):
                 post = worldmodel.category_posterior(mixed_2d, schedule, t, v)
-                return np.log(r_value(rect, post, marginal))
+                return np.log(_r(rect, post, marginal))
 
             fd = finite_difference_grad(log_r, xt, 1e-5)
             assert np.max(np.abs(fd - exact)) / max(np.max(np.abs(exact)), 1e-12) < 1e-5

@@ -10,7 +10,7 @@ from recdistill.errors import ConfigurationError
 from recdistill.oracle import finite_difference_grad, grid_integrate, mc_posterior_mean
 from recdistill.worldmodel import PoseLabeledMixture, Renderer, render, render_jacobian
 
-from conftest import random_mixture
+from conftest import mean_noisy_posterior, random_mixture
 
 
 def _single(mean, cov, d=1):
@@ -230,17 +230,17 @@ class TestCategoryPosterior:
 
 class TestCategoryMarginal:
     def test_clean_marginal_matches_weights(self, biased_1d, schedule):
-        got = worldmodel.category_marginal(biased_1d, schedule, 0, 100_000, seed=2)
+        got = mean_noisy_posterior(biased_1d, schedule, 0, 100_000, seed=2)
         assert np.max(np.abs(got - [0.8, 0.2])) < 0.01
 
     def test_terminal_marginal_matches_weights(self, biased_1d, schedule):
-        got = worldmodel.category_marginal(biased_1d, schedule, 1000, 100_000, seed=2)
+        got = mean_noisy_posterior(biased_1d, schedule, 1000, 100_000, seed=2)
         assert np.max(np.abs(got - [0.8, 0.2])) < 0.01
 
     def test_error_shrinks_with_samples(self, biased_1d, schedule):
         spreads = []
         for n in (2000, 32000):
-            ests = [worldmodel.category_marginal(biased_1d, schedule, 500, n, seed=s)[0] for s in range(8)]
+            ests = [mean_noisy_posterior(biased_1d, schedule, 500, n, seed=s)[0] for s in range(8)]
             spreads.append(np.std(ests))
         assert spreads[1] < spreads[0] / 2  # 16x samples -> ~4x smaller spread
 
@@ -313,14 +313,16 @@ class TestRenderer:
             rendered = worldmodel.render_poses(r, theta)
             assert rendered.shape == (k, n, 2)
             for c in (*range(k), rng.integers(k, size=n), rng.integers(k, size=(4, 1))):
-                assert np.array_equal(worldmodel.at_pose(r, rendered, c), render(r, theta, c))
+                got = worldmodel._at_pose(r, rendered, worldmodel._poses(r, c))
+                assert np.array_equal(got, render(r, theta, c))
             with pytest.raises(ValueError, match="outside configured categories"):
-                worldmodel.at_pose(r, rendered, -1)
+                worldmodel._poses(r, -1)
         identity = Renderer()
         theta = rng.standard_normal((5, 3))
         rendered = worldmodel.render_poses(identity, theta)
         assert rendered.shape == (1, 5, 3)
-        assert np.array_equal(worldmodel.at_pose(identity, rendered, np.array([0, 1, 1, 0, 1])), theta)
+        c = worldmodel._poses(identity, np.array([0, 1, 1, 0, 1]))
+        assert np.array_equal(worldmodel._at_pose(identity, rendered, c), theta)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_jacobian_transpose_equals_einsum(self, d):
