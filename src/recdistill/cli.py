@@ -62,13 +62,13 @@ def cmd_rectify_demo(args, out) -> int:
     grid = np.linspace(demo["grid_lo"], demo["grid_hi"], demo["grid_points"])
     x, header = grid[:, None], ["x", "p", "p_rectified"]
     D.write_rows(out / "density_clean.csv", header,
-                 zip(grid, worldmodel.density(m, x), rectify.rectified_density(m, rect.target, x)))
+                 zip(grid, worldmodel.density(m, x), rectify.rectified_density(m, rect, x)))
     for t in demo["times"]:
         D.write_rows(out / f"density_t{t}.csv", header, zip(
             grid, worldmodel.noisy_density(m, spec.schedule, t, x),
-            rectify.rectified_noisy_density(m, spec.schedule, t, rect.target, x)))
+            rectify.rectified_noisy_density(m, spec.schedule, t, rect, x)))
     # category marginal of the rectified joint w(c) * p(c|x) * p(x)
-    w = rectify.weight_function(rect.target, m.category_weights())
+    w = rectify.weight_function(rect.target, m.category_weights(), rect.epsilon_floor)
     box, npts = [(demo["grid_lo"], demo["grid_hi"])], demo["grid_points"]
     grid_keys = f"[demo] grid_lo = {demo['grid_lo']}, grid_hi = {demo['grid_hi']}, grid_points = {npts}"
     mass = np.empty(m.num_categories)

@@ -83,8 +83,7 @@ class DistillConfig:
             raise ConfigurationError("method 'usd' needs a rectifier configuration")
 
 
-def variational_eps(particles: np.ndarray, renderer: Renderer, schedule: DiffusionSchedule,
-                    t, c, xt, rendered=None) -> np.ndarray:
+def variational_eps(renderer: Renderer, schedule: DiffusionSchedule, t, c, xt, rendered: np.ndarray) -> np.ndarray:
     """Noise prediction of the particle-induced distribution at step t.
 
     The particles at pose c induce the mixture (1/n) sum_i
@@ -93,14 +92,10 @@ def variational_eps(particles: np.ndarray, renderer: Renderer, schedule: Diffusi
     the usual noise-regression objective.  t and c are one step and pose
     with xt of shape (d,), or one per draw with xt of shape (m, d); every
     draw is evaluated against all particles at once, gathered from
-    `rendered`, the particles at every pose (`render_poses`, made here if
-    not given).  The poses are checked against the renderer when
-    `rendered` is made here; a caller that passes it passes checked poses,
-    as `gradient` does with a run's draws.
+    `rendered`, the particles at every pose (`render_poses`), at poses c
+    already checked against the renderer, as a run's draws are.
     """
     xt = np.asarray(xt, dtype=float)
-    if rendered is None:
-        rendered, c = render_poses(renderer, particles), worldmodel._poses(renderer, c)
     a, s = schedule.alpha[t][..., None, None], schedule.sigma[t][..., None]
     diffs = xt[..., None, :] - a * worldmodel._at_pose(renderer, rendered, np.asarray(c)[..., None])   # (..., n, d)
     w = worldmodel._softmax(-0.5 * (diffs**2).sum(axis=-1) / s**2)
@@ -162,7 +157,7 @@ class _Draws:
     pose: np.ndarray       # (n,) ints
     eps: np.ndarray        # (n, d)
     xt: np.ndarray         # (n, d)
-    rendered: np.ndarray | None = None   # (K, n, d): the particles at every pose
+    rendered: np.ndarray   # (K, n, d): the particles at every pose
 
 
 @dataclass(frozen=True)
@@ -176,7 +171,7 @@ class RunTables:
     omega: np.ndarray                        # (T+1,) the loss weight of each step
     pose_cdf: np.ndarray                     # (K,) cumulative pose probabilities, normalised
     control_log_w: np.ndarray | None         # CTRL's log weights
-    eye: np.ndarray                          # (d, d) identity: `rectify.points`' finite-difference directions
+    eye: np.ndarray                          # (d, d) identity: `rectify.correction`'s finite-difference directions
 
     @classmethod
     def build(cls, m: PoseLabeledMixture, schedule: DiffusionSchedule, cfg: DistillConfig) -> "RunTables":
@@ -255,11 +250,9 @@ def gradient(tables: RunTables, particles: np.ndarray, renderer: Renderer, draws
     a descent update ascends log r.
 
     One pass over the mixture, its noisy components gathered from the run's
-    `tables` at the drawn steps, gives eps_pre and the CTRL correction, and
-    `rectify.correction` takes the USD correction from it.  The pass runs
-    at the drawn points, or for USD at `rectify.points`' noisy points: for
-    the Tweedie source the whole finite-difference stack, whose block 0
-    (the drawn points) gives eps_pre.  For USD the second return value
+    `tables` at the drawn steps, gives eps_pre and the CTRL correction at
+    the drawn points; for USD, `rectify.correction` makes that pass and
+    returns it with the correction.  For USD the second return value
     holds the rectifier's posterior row at every draw, for the EMA to
     observe; other methods return None there.  The tables are only read,
     so the result is a function of them, the particles, draws and marginal.
@@ -267,19 +260,16 @@ def gradient(tables: RunTables, particles: np.ndarray, renderer: Renderer, draws
     m, schedule, cfg = tables.mixture, tables.schedule, tables.cfg
     t, pose, xt = draws.t, draws.pose, draws.xt
     omega = tables.omega[t][:, None]
-    eps_ref = draws.eps if cfg.method == "sds" else variational_eps(particles, renderer, schedule, t, pose, xt,
-                                                                    draws.rendered)
-    at = rectify.points(cfg.rectifier, xt, tables.eye) if cfg.method == "usd" else None
-    components = worldmodel._components(m, tables.at(t), xt if at is None else at.noisy)
-    stacked = at is not None and at.noisy is at.stack                         # block 0 is the drawn points
-    first = worldmodel._Pass(*(a[0] for a in components)) if stacked else components
-    out = omega * worldmodel._jacobian_t(renderer, pose, worldmodel._eps_pretrain(schedule, t, first) - eps_ref)
+    eps_ref = draws.eps if cfg.method == "sds" else variational_eps(renderer, schedule, t, pose, xt, draws.rendered)
     rows = None
-    if cfg.method == "ctrl":
-        g = worldmodel._grad_log_reweight(m, components, tables.control_log_w)
-    elif cfg.method == "usd":
-        g, rows = rectify.correction(cfg.rectifier, m, schedule, t, xt, marginal, components, at)
+    if cfg.method == "usd":
+        g, rows, first = rectify.correction(cfg.rectifier, m, schedule, t, xt, marginal, tables.at(t), tables.eye)
     else:
+        first = worldmodel._components(m, tables.at(t), xt)
+    out = omega * worldmodel._jacobian_t(renderer, pose, worldmodel._eps_pretrain(schedule, t, first) - eps_ref)
+    if cfg.method == "ctrl":
+        g = worldmodel._grad_log_reweight(m, first, tables.control_log_w)
+    elif cfg.method != "usd":
         return out, None
     correction = omega * schedule.sigma[t][:, None] * worldmodel._jacobian_t(renderer, pose, g)
     if cfg.grad_norm_align:

@@ -10,7 +10,6 @@ the distillation gradient by the marginal-rectified method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +68,7 @@ class Rectifier:
             raise ValueError(f"fd_step = {self.fd_step} must lie in (0, 1)")
 
 
-def weight_function(target: TargetMarginal, marginal, epsilon_floor: float = 1e-4) -> np.ndarray:
+def weight_function(target: TargetMarginal, marginal, epsilon_floor: float) -> np.ndarray:
     """Per-category weights f(c) / max(p(c), epsilon_floor); one row per
     marginal row when marginal is (n, K)."""
     p = np.asarray(marginal, dtype=float)
@@ -79,96 +78,66 @@ def weight_function(target: TargetMarginal, marginal, epsilon_floor: float = 1e-
     return f / np.maximum(p, epsilon_floor)
 
 
-def rectified_density(m: PoseLabeledMixture, target: TargetMarginal, x) -> np.ndarray:
-    """Reweighted clean density whose category marginal equals the target."""
-    return rectified_noisy_density(m, None, 0, target, x)
+def rectified_density(m: PoseLabeledMixture, rect: Rectifier, x) -> np.ndarray:
+    """Reweighted clean density whose category marginal equals the rectifier's target."""
+    return rectified_noisy_density(m, None, 0, rect, x)
 
 
-def rectified_noisy_density(m: PoseLabeledMixture, schedule, t: int, target: TargetMarginal, xt) -> np.ndarray:
+def rectified_noisy_density(m: PoseLabeledMixture, schedule, t: int, rect: Rectifier, xt) -> np.ndarray:
     """Reweighted time-t density; equals diffusing the clean reweighted density.
 
     The mixture's category marginal is preserved by the forward process, so
-    the same weights apply at every step.
+    the same weights, floored at the rectifier's epsilon_floor, apply at
+    every step.
     """
-    w = weight_function(target, m.category_weights())
+    w = weight_function(rect.target, m.category_weights(), rect.epsilon_floor)
     posterior = worldmodel.category_posterior(m, schedule, t, xt)
     return worldmodel.noisy_density(m, schedule, t, xt) * np.sum(w * posterior, axis=-1)
 
 
-def posterior(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, eps=None) -> np.ndarray:
-    """Category posterior p_t(c | xt) from the rectifier's posterior source.
-
-    'exact-mixture' is the true time-t posterior.  The degraded sources
-    mimic classifying images instead: 'classifier-on-tweedie' applies the
-    clean posterior to the Tweedie-denoised point (t >= 1), with eps the
-    prior's noise prediction at xt (evaluated here if not given),
-    'classifier-direct' applies it to the noisy point as-is.
-    """
-    if rect.posterior_source == "exact-mixture":
-        return worldmodel.category_posterior(m, schedule, t, xt)
-    if rect.posterior_source == "classifier-on-tweedie":
-        if eps is None:
-            eps = worldmodel.eps_pretrain(m, schedule, t, xt)
-        xt = tweedie_x0(schedule, t, xt, eps)
-    return worldmodel.category_posterior(m, None, 0, xt)
-
-
-class Points(NamedTuple):
-    """Where `correction` evaluates the prior at rows xt (see `points`)."""
-
-    stack: np.ndarray | None   # (2d+1, ..., d): xt, xt + h e_j, then xt - h e_j; None for the exact posterior
-    h: np.ndarray | None       # (...,) the finite-difference steps fd_step (1 + |xt|)
-    noisy: np.ndarray          # where the prior's noisy pass is needed
-
-
-def points(rect: Rectifier, xt, eye: np.ndarray | None = None) -> Points:
-    """The classifier sources' finite-difference stack at rows xt, and where
-    the source needs the noisy pass: 'classifier-on-tweedie' denoises every
-    point of the stack, the other sources need it at xt only.  `eye` is the
-    (d, d) identity (made here if not given), which a run builds once."""
-    xt = np.asarray(xt, dtype=float)
-    if rect.posterior_source == "exact-mixture":
-        return Points(None, None, xt)
-    if eye is None:
-        eye = np.eye(xt.shape[-1])
-    h = rect.fd_step * (1.0 + np.sqrt(np.add.reduce(xt * xt, axis=-1)))     # np.linalg.norm's reduce
-    step = h[..., None] * eye[(slice(None),) + (None,) * h.ndim]           # (d, ..., d): h e_j
-    stack = np.concatenate([xt[None], xt + step, xt - step])
-    return Points(stack, h, stack if rect.posterior_source == "classifier-on-tweedie" else xt)
-
-
 def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal,
-               components=None, at: Points | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """grad log r at the noisy point(s), and the posterior rows there.
+               steps: worldmodel._Steps, eye: np.ndarray) -> tuple[np.ndarray, np.ndarray, worldmodel._Pass]:
+    """grad log r at the noisy point(s), the posterior rows there, and the
+    prior's `worldmodel._components` pass there.
 
     t, xt and marginal are one step, point (d,) and marginal (K,), or one
-    of each per row.  `at` is `points(rect, xt)` and `components` the
-    `worldmodel._components` pass at `at.noisy` (both made here if not
-    given).  With the exact mixture posterior, grad log r is the
-    category-reweighted mixture's score minus this mixture's, from that
-    pass.  The classifier-backed sources take central differences of log r
-    from one `posterior` call over `at.stack`, whose first block is the
-    rows; the Tweedie source takes every block's noise prediction from the
-    pass.  A difference within a few ulps of log r is rounding noise from a
-    saturated posterior and counts as zero, so that gradient-norm alignment
-    cannot scale it up.  A non-finite gradient is a NumericError naming its
-    first row.
+    of each per row; `steps` are the prior's noisy components at t
+    (`worldmodel._steps`, or a run's `RunTables.at`) and `eye` the (d, d)
+    identity.  The posterior source decides where the prior is evaluated.
+    'exact-mixture' is the true time-t posterior, and grad log r the
+    category-reweighted mixture's score minus this mixture's, both from
+    the pass at xt.  The classifier sources mimic classifying images: they
+    take central differences of log r over one stack of 2d + 1 blocks, xt,
+    then xt + h e_j, then xt - h e_j with h = fd_step (1 + |xt|), and apply
+    the clean posterior to every point of it.  'classifier-direct' applies
+    it to the noisy points as they are, and makes the pass at xt
+    separately; 'classifier-on-tweedie' applies it to the Tweedie-denoised
+    points (t >= 1), whose noise predictions come from one pass over the
+    whole stack, block 0 of which is the pass at xt.  A difference within a
+    few ulps of log r is rounding noise from a saturated posterior and
+    counts as zero, so that gradient-norm alignment cannot scale it up.  A
+    non-finite gradient is a NumericError naming its first row.
     """
     xt = np.asarray(xt, dtype=float)
-    if at is None:
-        at = points(rect, xt)
-    if components is None and rect.posterior_source != "classifier-direct":
-        components = worldmodel._components(m, worldmodel._steps(m, schedule, t), at.noisy)
     w = weight_function(rect.target, marginal, rect.epsilon_floor)
     if rect.posterior_source == "exact-mixture":
+        first = worldmodel._components(m, steps, xt)
         # a zero target weight is log 0 = -inf, without numpy's divide warning
         log_w = np.log(w) if np.count_nonzero(w) == w.size else np.log(w, out=np.full(w.shape, -np.inf), where=w != 0)
-        out = worldmodel._grad_log_reweight(m, components, log_w)
-        rows = worldmodel._category_posterior(m, components)
+        out = worldmodel._grad_log_reweight(m, first, log_w)
+        rows = worldmodel._category_posterior(m, first)
     else:
         d = xt.shape[-1]
-        eps = worldmodel._eps_pretrain(schedule, t, components) if at.noisy is at.stack else None   # Tweedie
-        post = posterior(rect, m, schedule, t, at.stack, eps)
+        h = rect.fd_step * (1.0 + np.sqrt(np.add.reduce(xt * xt, axis=-1)))     # np.linalg.norm's reduce
+        step = h[..., None] * eye[(slice(None),) + (None,) * h.ndim]           # (d, ..., d): h e_j
+        stack = np.concatenate([xt[None], xt + step, xt - step])
+        if rect.posterior_source == "classifier-direct":
+            first = worldmodel._components(m, steps, xt)
+        else:
+            noisy = worldmodel._components(m, steps, stack)
+            first = worldmodel._Pass(*(a[0] for a in noisy))
+            stack = tweedie_x0(schedule, t, stack, worldmodel._eps_pretrain(schedule, t, noisy))
+        post = worldmodel.category_posterior(m, None, 0, stack)
         log_r = np.log((w * post[1:]).sum(axis=-1))
         fp, fm = log_r[:d], log_r[d:]                                         # (d, ...)
         finite = np.isfinite(fp) & np.isfinite(fm)
@@ -177,13 +146,14 @@ def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
             j = int(np.argmin(finite.reshape(d, -1)[:, np.argmax(bad)]))
             raise NumericError(f"non-finite log r along axis {j} at {first_row(bad, t, xt)}")
         rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(fp) + np.abs(fm))
-        out = (np.where(np.abs(fp - fm) <= rounding, 0.0, fp - fm) / (2.0 * at.h)).transpose((*range(1, fp.ndim), 0))
+        out = (np.where(np.abs(fp - fm) <= rounding, 0.0, fp - fm) / (2.0 * h)).transpose((*range(1, fp.ndim), 0))
         rows = post[0]
     if not np.isfinite(out).all():
         raise NumericError(f"non-finite grad log r at {first_row(~np.isfinite(out).all(axis=-1), t, xt)}")
-    return out, rows
+    return out, rows, first
 
 
 def grad_log_r(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal) -> np.ndarray:
     """Gradient of log r with respect to the noisy point(s); see `correction`."""
-    return correction(rect, m, schedule, t, xt, marginal)[0]
+    return correction(rect, m, schedule, t, xt, marginal, worldmodel._steps(m, schedule, t),
+                      np.eye(np.shape(xt)[-1]))[0]

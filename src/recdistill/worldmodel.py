@@ -187,8 +187,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 # The score, noise prediction, category posterior and reweighting gradient
 # as functions of one `_components` pass: the public evaluators below are a
-# pass followed by one of these, and a caller that needs several of them at
-# the same points evaluates the mixture once.
+# pass followed by one of these (the noise prediction has none: its callers
+# hold a pass), and a caller that needs several of them at the same points
+# evaluates the mixture once.
 
 
 def _score(p: _Pass) -> np.ndarray:
@@ -225,11 +226,6 @@ def score(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:
     steps of shape (n,) with points of shape (n, d).
     """
     return _score(_components(m, _steps(m, schedule, t), xt))
-
-
-def eps_pretrain(m: PoseLabeledMixture, schedule: DiffusionSchedule, t, xt) -> np.ndarray:
-    """Exact noise prediction: -sigma_t times the score."""
-    return _eps_pretrain(schedule, t, _components(m, _steps(m, schedule, t), xt))
 
 
 def category_posterior(m: PoseLabeledMixture, schedule, t, xt) -> np.ndarray:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from recdistill.estimator import tweedie_x0
 from recdistill.schedule import build_schedule
-from recdistill.worldmodel import PoseLabeledMixture, category_posterior
+from recdistill.worldmodel import PoseLabeledMixture, category_posterior, score
 
 
 @pytest.fixture(scope="session")
@@ -80,3 +81,19 @@ def mean_noisy_posterior(m, schedule, t, n_samples, seed):
     if t > 0:
         xt = schedule.alpha[t] * xt + schedule.sigma[t] * rng.standard_normal((n_samples, m.dim))
     return np.mean(category_posterior(m, schedule, t, xt), axis=0)
+
+
+def eps_pretrain(m, schedule, t, xt):
+    """The prior's exact noise prediction at step(s) t: -sigma_t times the score."""
+    return -schedule.sigma[t][..., None] * score(m, schedule, t, xt)
+
+
+def source_posterior(rect, m, schedule, t, xt):
+    """p_t(c | xt) from the rectifier's posterior source, at the points xt
+    as given: the exact time-t posterior, the clean posterior of the
+    Tweedie estimate (t >= 1), or the clean posterior of xt itself."""
+    if rect.posterior_source == "exact-mixture":
+        return category_posterior(m, schedule, t, xt)
+    if rect.posterior_source == "classifier-on-tweedie":
+        xt = tweedie_x0(schedule, t, xt, eps_pretrain(m, schedule, t, xt))
+    return category_posterior(m, None, 0, xt)

@@ -60,7 +60,7 @@ def test_acceptance_1_rectified_marginal_matches_uniform_target(schedule):
         k = [2, 3, 4][i % 3]
         m = random_mixture(rng, dim, k)
         target = TargetMarginal.uniform(k)
-        w = rectify.weight_function(target, m.category_weights())
+        w = rectify.weight_function(target, m.category_weights(), 1e-4)
         box = [(m.means[:, j].min() - 8.0, m.means[:, j].max() + 8.0) for j in range(dim)]
         npts = 4001 if dim == 1 else 361
         mass = np.empty(k)
@@ -76,12 +76,12 @@ def test_acceptance_1_rectified_marginal_matches_uniform_target(schedule):
 
 def test_acceptance_2_reweighting_commutes_with_forward_diffusion(schedule, biased_1d):
     grid = np.linspace(-14.0, 14.0, 2801)
-    target = TargetMarginal.uniform(2)
-    clean = rectify.rectified_density(biased_1d, target, grid[:, None])
+    rect = Rectifier(TargetMarginal.uniform(2))
+    clean = rectify.rectified_density(biased_1d, rect, grid[:, None])
     worst = 0.0
     for t in (50, 300, 700):
         diffused = convolve_density(grid, clean, schedule, t)
-        formula = rectify.rectified_noisy_density(biased_1d, schedule, t, target, grid[:, None])
+        formula = rectify.rectified_noisy_density(biased_1d, schedule, t, rect, grid[:, None])
         worst = max(worst, float(np.max(np.abs(diffused - formula)) / np.max(formula)))
     _verdict("2: diffusing the reweighted density matches the closed-form noisy reweighting",
              worst < 1e-3, f"max rel err {worst:.2e}")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mixture
+from conftest import eps_pretrain, random_mixture, source_posterior
 from recdistill import distill as D
 from recdistill import rectify, worldmodel
 from recdistill.estimator import IntervalEma, ema_lookup
@@ -49,7 +49,7 @@ class TestBatchedMixture:
     @given(**instances)
     def test_rows_match_scalar_calls(self, schedule, seed, dim, k, n, with_zero):
         rng, m, t, x = _instance(seed, dim, k, n, with_zero)
-        for fn in (worldmodel.score, worldmodel.eps_pretrain, worldmodel.category_posterior):
+        for fn in (worldmodel.score, eps_pretrain, worldmodel.category_posterior):
             assert _close(fn(m, schedule, t, x), _rows(lambda ti, xi: fn(m, schedule, int(ti), xi), t, x))
         log_w = np.log(rng.dirichlet(np.ones(k), size=n))
         assert _close(worldmodel.grad_log_reweight(m, schedule, t, x, log_w),
@@ -83,8 +83,9 @@ class TestBatchedRendering:
         t = rng.integers(1, 1001, size=draws)
         c = rng.integers(k, size=draws)
         xt = rng.uniform(-3.0, 3.0, size=(draws, dim))
-        assert _close(D.variational_eps(particles, renderer, schedule, t, c, xt),
-                      _rows(lambda ti, ci, xi: D.variational_eps(particles, renderer, schedule, int(ti), int(ci), xi),
+        rendered = worldmodel.render_poses(renderer, particles)
+        assert _close(D.variational_eps(renderer, schedule, t, c, xt, rendered),
+                      _rows(lambda ti, ci, xi: D.variational_eps(renderer, schedule, int(ti), int(ci), xi, rendered),
                             t, c, xt))
 
 
@@ -98,8 +99,8 @@ class TestBatchedCorrection:
         assert _close(rectify.grad_log_r(rect, m, schedule, t, x, marginal),
                       _rows(lambda ti, xi, mi: rectify.grad_log_r(rect, m, schedule, int(ti), xi, mi),
                             t, x, marginal))
-        assert _close(rectify.posterior(rect, m, schedule, t, x),
-                      _rows(lambda ti, xi: rectify.posterior(rect, m, schedule, int(ti), xi), t, x))
+        assert _close(source_posterior(rect, m, schedule, t, x),
+                      _rows(lambda ti, xi: source_posterior(rect, m, schedule, int(ti), xi), t, x))
 
 
 def _reference_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed):
@@ -109,8 +110,9 @@ def _reference_gradient(particles, renderer, m, schedule, cfg, draws, state, fix
     for i in range(len(particles)):
         t, c, x = int(draws.t[i]), int(draws.pose[i]), draws.xt[i]
         jac = worldmodel.render_jacobian(renderer, particles[i], c)
-        eps_ref = draws.eps[i] if cfg.method == "sds" else D.variational_eps(particles, renderer, schedule, t, c, x)
-        out[i] = omega[t] * (jac.T @ (worldmodel.eps_pretrain(m, schedule, t, x) - eps_ref))
+        eps_ref = draws.eps[i] if cfg.method == "sds" else D.variational_eps(
+            renderer, schedule, t, c, x, worldmodel.render_poses(renderer, particles))
+        out[i] = omega[t] * (jac.T @ (eps_pretrain(m, schedule, t, x) - eps_ref))
         if cfg.method in ("sds", "vsd"):
             continue
         if cfg.method == "ctrl":
@@ -132,9 +134,10 @@ def _three_pass_gradient(particles, renderer, m, schedule, cfg, draws, state, fi
     prediction and another for the correction, through the public calls."""
     t, pose, xt = draws.t, draws.pose, draws.xt
     omega = loss_weight(schedule, cfg.omega_kind)[t][:, None]
-    eps_ref = draws.eps if cfg.method == "sds" else D.variational_eps(particles, renderer, schedule, t, pose, xt)
+    eps_ref = draws.eps if cfg.method == "sds" else D.variational_eps(
+        renderer, schedule, t, pose, xt, worldmodel.render_poses(renderer, particles))
     jac = worldmodel.render_jacobian(renderer, particles, pose)
-    out = omega * np.einsum("nji,nj->ni", jac, worldmodel.eps_pretrain(m, schedule, t, xt) - eps_ref)
+    out = omega * np.einsum("nji,nj->ni", jac, eps_pretrain(m, schedule, t, xt) - eps_ref)
     if cfg.method == "ctrl":
         g = D._control_grad_log_posterior(m, schedule, t, xt, cfg.control_category)
     elif cfg.method == "usd":
@@ -183,7 +186,7 @@ class TestBatchedGradient:
         assert np.array_equal(got, _three_pass_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed))
         if method == "usd":
             for j in range(n):
-                assert np.array_equal(rows[j], rectify.posterior(cfg.rectifier, m, schedule, draws.t[j], draws.xt[j]))
+                assert np.array_equal(rows[j], source_posterior(cfg.rectifier, m, schedule, draws.t[j], draws.xt[j]))
         else:
             assert rows is None
 
@@ -259,7 +262,7 @@ class TestSaturatedFiniteDifferences:
         particles = np.array([[1.5, -0.5], [-1.8, 0.2]])
         eps = (x - schedule.alpha[t] * particles[0]) / schedule.sigma[t]
         draws = D._Draws(t=np.array([t, t]), pose=np.array([0, 0]), eps=np.array([eps, [0.3, -0.1]]),
-                         xt=np.array([x, [0.05, 0.0]]))
+                         xt=np.array([x, [0.05, 0.0]]), rendered=worldmodel.render_poses(Renderer(), particles))
         usd = D.DistillConfig(method="usd", iters=10, rectifier=rect)
         vsd = D.DistillConfig(method="vsd", iters=10)
         u, _ = D.gradient(D.RunTables.build(m, schedule, usd), particles, Renderer(), draws, marginal)

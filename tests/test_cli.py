@@ -355,7 +355,7 @@ class TestNumericErrorLine:
         if source == "exact-mixture":
             monkeypatch.setattr(worldmodel, "_grad_log_reweight", nan_row_5(worldmodel._grad_log_reweight))
         else:
-            monkeypatch.setattr(rectify, "posterior", nan_row_5(rectify.posterior))
+            monkeypatch.setattr(worldmodel, "category_posterior", nan_row_5(worldmodel.category_posterior))
         text = SMALL_USD.replace("particles = 4", "particles = 16").replace(
             "target = uniform", f"target = uniform\nposterior_source = {source}")
         rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
@@ -373,6 +373,20 @@ class TestRectifyDemo:
         report = (tmp_path / "out" / "marginal_report.csv").read_text().splitlines()
         values = [float(line.split(",")[1]) for line in report[1:]]
         assert values == pytest.approx([0.5, 0.5], abs=1e-3)
+
+    def test_epsilon_floor_sets_the_weights(self, tmp_path, capsys):
+        # p(c = 1) = 5e-5 lies below the default floor 1e-4 but above the
+        # configured 1e-6: with the configured floor the weights are exactly
+        # f(c) / p(c), so the marginal hits the target and the clean
+        # rectified density has unit mass (0.667 / 0.333 and 0.75 at 1e-4)
+        text = SMALL_USD.replace("0.8 |  2.0", "0.99995 |  2.0").replace("0.2 | -2.0", "0.00005 | -2.0").replace(
+            "target = uniform", "target = uniform\nepsilon_floor = 1e-6")
+        rc = cli.main(["rectify-demo", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        report = (tmp_path / "out" / "marginal_report.csv").read_text().splitlines()
+        assert [float(line.split(",")[1]) for line in report[1:]] == pytest.approx([0.5, 0.5], abs=1e-3)
+        x, _, rectified = np.loadtxt(tmp_path / "out" / "density_clean.csv", delimiter=",", skiprows=1).T
+        assert float(np.sum((rectified[1:] + rectified[:-1]) * np.diff(x)) / 2.0) == pytest.approx(1.0, abs=1e-3)
 
     def test_balanced_prior_unchanged(self, tmp_path):
         cfg = _cfg(tmp_path, BALANCED_DEMO)

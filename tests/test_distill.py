@@ -61,14 +61,14 @@ class TestVariationalEps:
         ps = _particles([[1.5]])
         t, eps = 300, np.array([0.7])
         xt = schedule.alpha[t] * 1.5 + schedule.sigma[t] * eps
-        got = D.variational_eps(ps.particles, ps.renderer, schedule, t, 0, xt)
+        got = D.variational_eps(ps.renderer, schedule, t, 0, xt, worldmodel.render_poses(ps.renderer, ps.particles))
         assert got == pytest.approx(eps, rel=1e-12)
 
     def test_symmetric_pair_points_along_input(self, schedule):
         ps = _particles([[1.0, 0.0], [-1.0, 0.0]])
         t = 400
         xt = np.array([0.0, 0.8])
-        got = D.variational_eps(ps.particles, ps.renderer, schedule, t, 0, xt)
+        got = D.variational_eps(ps.renderer, schedule, t, 0, xt, worldmodel.render_poses(ps.renderer, ps.particles))
         # symmetry cancels the component along the particle axis
         assert abs(got[0]) < 1e-12 and got[1] != 0.0
 
@@ -83,7 +83,7 @@ class TestVariationalEps:
             return float(scipy.special.logsumexp(comps) - np.log(len(comps)))
 
         fd = finite_difference_grad(log_q, xt, 1e-5)
-        got = D.variational_eps(ps.particles, ps.renderer, schedule, t, 0, xt)
+        got = D.variational_eps(ps.renderer, schedule, t, 0, xt, worldmodel.render_poses(ps.renderer, ps.particles))
         assert np.max(np.abs(got - (-s * fd))) / np.max(np.abs(got)) < 1e-5
 
 
@@ -281,7 +281,8 @@ class TestCtrlStep:
         ps = _particles([[2.0]])
         t = np.array([30])
         draws = D._Draws(t=t, pose=np.array([0]), eps=np.array([[0.05]]),
-                         xt=np.array([[schedule.alpha[30] * 2.0 + schedule.sigma[30] * 0.05]]))
+                         xt=np.array([[schedule.alpha[30] * 2.0 + schedule.sigma[30] * 0.05]]),
+                         rendered=worldmodel.render_poses(ps.renderer, ps.particles))
         ctrl, vsd = _tables(narrow_balanced, schedule, cfg, cfg_v)
         c = _gradient(ps, ctrl, draws)
         v = _gradient(ps, vsd, draws)
@@ -457,7 +458,7 @@ class TestRunTables:
     def test_built_once_per_run(self, schedule, narrow_biased, monkeypatch, method, source):
         # the mixture formed its clean components when it was built; a run
         # forms the noisy ones once, for its table, and builds the identity
-        # `rectify.points` steps along once, not per iteration
+        # `rectify.correction` steps along once, not per iteration
         formed, weights, eyes = [], [], []
         form, weight, eye = worldmodel._form, D.loss_weight, np.eye
         monkeypatch.setattr(worldmodel, "_form", lambda *a: (formed.append(a), form(*a))[1])

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recdistill import worldmodel
 from recdistill.errors import NumericError
 from recdistill.estimator import (
     IntervalEma,
@@ -16,7 +15,7 @@ from recdistill.oracle import mc_posterior_mean
 from recdistill.schedule import build_schedule
 from recdistill.worldmodel import PoseLabeledMixture
 
-from conftest import mean_noisy_posterior
+from conftest import eps_pretrain, mean_noisy_posterior
 
 
 class TestTweedie:
@@ -27,7 +26,7 @@ class TestTweedie:
         )
         for xt in (-1.0, 0.3, 4.0):
             t = 400
-            eps = worldmodel.eps_pretrain(m, schedule, t, np.array([xt]))
+            eps = eps_pretrain(m, schedule, t, np.array([xt]))
             assert tweedie_x0(schedule, t, np.array([xt]), eps) == pytest.approx(2.0, rel=1e-6)
 
     def test_zero_eps(self, schedule):
@@ -36,7 +35,7 @@ class TestTweedie:
 
     def test_matches_mc_posterior_mean(self, biased_1d, schedule):
         t, xt = 600, np.array([0.5])
-        eps = worldmodel.eps_pretrain(biased_1d, schedule, t, xt)
+        eps = eps_pretrain(biased_1d, schedule, t, xt)
         got = tweedie_x0(schedule, t, xt, eps)
         est = mc_posterior_mean(biased_1d, schedule, t, xt, 100_000, seed=17)
         assert abs(got[0] - est.mean[0]) / abs(est.mean[0]) < 1e-2

@@ -11,7 +11,7 @@ from recdistill.oracle import finite_difference_grad, grid_integrate
 from recdistill.rectify import Rectifier, TargetMarginal, grad_log_r, weight_function
 from recdistill.worldmodel import PoseLabeledMixture
 
-from conftest import random_mixture
+from conftest import random_mixture, source_posterior
 
 
 class TestTargetMarginal:
@@ -28,29 +28,29 @@ class TestTargetMarginal:
 
 class TestWeightFunction:
     def test_balanced(self):
-        w = weight_function(TargetMarginal.uniform(2), np.array([0.5, 0.5]))
+        w = weight_function(TargetMarginal.uniform(2), np.array([0.5, 0.5]), 1e-4)
         assert np.array_equal(w, [1.0, 1.0])
 
     def test_biased(self):
-        w = weight_function(TargetMarginal.uniform(2), np.array([0.8, 0.2]))
+        w = weight_function(TargetMarginal.uniform(2), np.array([0.8, 0.2]), 1e-4)
         assert w == pytest.approx([0.625, 2.5], rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5))
     def test_reweighted_mass_is_one(self, raw):
         p = np.array(raw) / np.sum(raw)
-        w = weight_function(TargetMarginal.uniform(p.size), p)
+        w = weight_function(TargetMarginal.uniform(p.size), p, 1e-4)
         assert abs(np.sum(w * p) - 1.0) < 1e-10
 
     def test_flooring_keeps_weights_finite(self):
-        w = weight_function(TargetMarginal.uniform(2), np.array([1.0, 0.0]))
+        w = weight_function(TargetMarginal.uniform(2), np.array([1.0, 0.0]), 1e-4)
         assert np.all(np.isfinite(w))
 
 
 class TestRectifiedDensity:
     def test_balanced_is_identity(self, balanced_1d):
         xs = np.linspace(-6, 6, 41)[:, None]
-        got = rectify.rectified_density(balanced_1d, TargetMarginal.uniform(2), xs)
+        got = rectify.rectified_density(balanced_1d, Rectifier(TargetMarginal.uniform(2)), xs)
         assert np.allclose(got, worldmodel.density(balanced_1d, xs), rtol=1e-14)
 
     def test_matches_closed_form_reweighted_mixture(self, biased_1d):
@@ -61,13 +61,13 @@ class TestRectifiedDensity:
             category_of=biased_1d.category_of, num_categories=2,
         )
         xs = np.linspace(-8, 8, 101)[:, None]
-        got = rectify.rectified_density(biased_1d, TargetMarginal.uniform(2), xs)
+        got = rectify.rectified_density(biased_1d, Rectifier(TargetMarginal.uniform(2)), xs)
         want = worldmodel.density(balanced, xs)
         assert np.max(np.abs(got / want - 1.0)) < 1e-10
 
     def test_integrates_to_one(self, biased_1d):
         val = grid_integrate(
-            lambda pts: rectify.rectified_density(biased_1d, TargetMarginal.uniform(2), pts),
+            lambda pts: rectify.rectified_density(biased_1d, Rectifier(TargetMarginal.uniform(2)), pts),
             [(-12, 12)], 800,
         )
         assert val == pytest.approx(1.0, abs=1e-3)
@@ -76,7 +76,7 @@ class TestRectifiedDensity:
         # the category marginal of the reweighted joint
         # w(c) * p(c|x) * p(x) integrates to the target per category
         target = TargetMarginal.uniform(2)
-        w = weight_function(target, mixed_2d.category_weights())
+        w = weight_function(target, mixed_2d.category_weights(), 1e-4)
         for c in range(2):
             def mass(pts, c=c):
                 post = worldmodel.category_posterior(mixed_2d, None, 0, pts)
@@ -90,26 +90,26 @@ class TestRectifiedNoisyDensity:
     def test_t0_equals_clean(self, biased_1d, schedule):
         xs = np.linspace(-6, 6, 21)[:, None]
         assert np.array_equal(
-            rectify.rectified_noisy_density(biased_1d, schedule, 0, TargetMarginal.uniform(2), xs),
-            rectify.rectified_density(biased_1d, TargetMarginal.uniform(2), xs),
+            rectify.rectified_noisy_density(biased_1d, schedule, 0, Rectifier(TargetMarginal.uniform(2)), xs),
+            rectify.rectified_density(biased_1d, Rectifier(TargetMarginal.uniform(2)), xs),
         )
 
     def test_identity_weighting(self, biased_1d, schedule):
         # target equal to the true marginal leaves the density unchanged
-        target = TargetMarginal(np.array([0.8, 0.2]))
+        rect = Rectifier(TargetMarginal(np.array([0.8, 0.2])))
         xs = np.linspace(-6, 6, 21)[:, None]
-        got = rectify.rectified_noisy_density(biased_1d, schedule, 300, target, xs)
+        got = rectify.rectified_noisy_density(biased_1d, schedule, 300, rect, xs)
         assert np.allclose(got, worldmodel.noisy_density(biased_1d, schedule, 300, xs), rtol=1e-12)
 
     def test_matches_convolved_clean_rectified(self, biased_1d, schedule):
         from recdistill.oracle import convolve_density
 
         grid = np.linspace(-14, 14, 2801)
-        target = TargetMarginal.uniform(2)
-        clean = rectify.rectified_density(biased_1d, target, grid[:, None])
+        rect = Rectifier(TargetMarginal.uniform(2))
+        clean = rectify.rectified_density(biased_1d, rect, grid[:, None])
         for t in (50, 300, 700):
             via_convolution = convolve_density(grid, clean, schedule, t)
-            direct = rectify.rectified_noisy_density(biased_1d, schedule, t, target, grid[:, None])
+            direct = rectify.rectified_noisy_density(biased_1d, schedule, t, rect, grid[:, None])
             rel = np.max(np.abs(via_convolution - direct)) / np.max(direct)
             assert rel < 1e-3
 
@@ -190,7 +190,7 @@ class TestGradLogR:
         marginal = rng.dirichlet(np.ones(2), size=shape or None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, _ = rectify.correction(rect, mixed_2d, schedule, t, xt, marginal)
+            got = grad_log_r(rect, mixed_2d, schedule, t, xt, marginal)
         w = weight_function(rect.target, marginal, rect.epsilon_floor)
         log_w = np.full(w.shape, -np.inf)
         log_w[..., 0] = np.log(w[..., 0])
@@ -204,7 +204,7 @@ def _per_axis_grad_log_r(rect, m, schedule, t, xt, marginal):
     w = weight_function(rect.target, marginal, rect.epsilon_floor)
 
     def log_r(x):
-        return np.log(np.sum(w * rectify.posterior(rect, m, schedule, t, x), axis=-1))
+        return np.log(np.sum(w * source_posterior(rect, m, schedule, t, x), axis=-1))
 
     h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
     out = np.empty_like(xt)
@@ -243,27 +243,42 @@ class TestStackedFiniteDifferences:
 
     @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_stack_blocks(self, lead, dim):
-        # block 0 is xt, block 1 + j is xt + h e_j and block 1 + d + j is
-        # xt - h e_j, with h = fd_step (1 + |xt|), bit for bit
+    def test_stack_blocks(self, schedule, monkeypatch, lead, dim):
+        # the points the clean posterior sees: block 0 is xt, block 1 + j is
+        # xt + h e_j and block 1 + d + j is xt - h e_j, with
+        # h = fd_step (1 + |xt|), bit for bit
         rng = np.random.default_rng(dim)
+        m = random_mixture(rng, dim, 2)
         rect = Rectifier(target=TargetMarginal.uniform(2), posterior_source="classifier-direct")
         xt = rng.uniform(-4.0, 4.0, size=lead + (dim,))
-        at = rectify.points(rect, xt)
+        t = rng.integers(1, 1001, size=lead) if lead else 500
+        seen = []
+        posterior = worldmodel.category_posterior
+
+        def recording(m, schedule, t, x):
+            seen.append(x)
+            return posterior(m, schedule, t, x)
+
+        monkeypatch.setattr(worldmodel, "category_posterior", recording)
+        rectify.correction(rect, m, schedule, t, xt, rng.dirichlet(np.ones(2), size=lead or None),
+                           worldmodel._steps(m, schedule, t), np.eye(dim))
+        [stack] = seen
         h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
-        assert at.stack.shape == (2 * dim + 1,) + xt.shape and np.array_equal(at.h, h)
-        assert np.array_equal(at.stack[0], xt)
+        assert stack.shape == (2 * dim + 1,) + xt.shape
+        assert np.array_equal(stack[0], xt)
         for j in range(dim):
             step = np.zeros(xt.shape)
             step[..., j] = h
-            assert np.array_equal(at.stack[1 + j], xt + step) and np.array_equal(at.stack[1 + dim + j], xt - step)
+            assert np.array_equal(stack[1 + j], xt + step) and np.array_equal(stack[1 + dim + j], xt - step)
 
-    @pytest.mark.parametrize("source, passes", [("classifier-on-tweedie", 2), ("classifier-direct", 1)])
+    @pytest.mark.parametrize("source", CLASSIFIER_SOURCES)
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_mixture_passes_per_call(self, schedule, monkeypatch, source, passes, dim):
+    def test_mixture_passes_per_call(self, schedule, monkeypatch, source, dim):
         # one stack of 2d + 1 blocks (xt, then the shifted points); Tweedie
-        # denoising costs one pass (the noise prediction) before the clean
-        # posterior's pass; neither count grows with the dimension
+        # denoising costs one noisy pass over the stack (the noise
+        # prediction) before the clean posterior's pass, and the direct
+        # source makes the prior's noisy pass at the points first, for the
+        # caller; neither count grows with the dimension
         rng = np.random.default_rng(dim)
         m = random_mixture(rng, dim, 3)
         rect = Rectifier(target=TargetMarginal.uniform(3), posterior_source=source)
@@ -277,7 +292,8 @@ class TestStackedFiniteDifferences:
         monkeypatch.setattr(worldmodel, "_components", counting)
         grad_log_r(rect, m, schedule, rng.integers(1, 1001, size=5), rng.standard_normal((5, dim)),
                    rng.dirichlet(np.ones(3), size=5))
-        assert calls == [(2 * dim + 1, 5, dim)] * passes
+        stack = (2 * dim + 1, 5, dim)
+        assert calls == {"classifier-on-tweedie": [stack, stack], "classifier-direct": [(5, dim), stack]}[source]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_in_run_tweedie_pass_takes_the_shifted_blocks(self, schedule, monkeypatch, dim):
@@ -305,15 +321,38 @@ class TestStackedFiniteDifferences:
     def test_non_finite_names_the_axis(self, mixed_2d, schedule, monkeypatch):
         # log r is non-finite only where the second coordinate exceeds 1,
         # which only the point shifted up along axis 1 reaches
-        posterior = rectify.posterior
+        posterior = worldmodel.category_posterior
 
-        def broken(rect, m, schedule, t, x, eps=None):
-            return np.where(x[..., 1:] > 1.0, np.nan, posterior(rect, m, schedule, t, x, eps))
+        def broken(m, schedule, t, x):
+            return np.where(x[..., 1:] > 1.0, np.nan, posterior(m, schedule, t, x))
 
-        monkeypatch.setattr(rectify, "posterior", broken)
+        monkeypatch.setattr(worldmodel, "category_posterior", broken)
         rect = Rectifier(target=TargetMarginal.uniform(2), posterior_source="classifier-direct")
         with pytest.raises(NumericError, match="along axis 1 "):
             grad_log_r(rect, mixed_2d, schedule, 300, np.array([0.3, 1.0]), np.array([0.5, 0.5]))
+
+
+class TestCorrectionPass:
+    """`correction` returns the prior's pass at the points themselves, which
+    a run's eps_pre reads, whatever points its posterior source evaluates."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), k=st.integers(2, 4), n=st.integers(0, 6),
+           source=st.sampled_from(rectify.POSTERIOR_SOURCES), diagonal=st.booleans())
+    def test_pass_equals_fresh_components(self, schedule, seed, dim, k, n, source, diagonal):
+        # n = 0 is the scalar form: one step, a (d,) point and a (K,) marginal
+        rng = np.random.default_rng(seed)
+        m = random_mixture(rng, dim, k, diagonal=diagonal)
+        rect = Rectifier(target=TargetMarginal(rng.dirichlet(np.ones(k))), posterior_source=source)
+        shape = () if n == 0 else (n,)
+        t = int(rng.integers(1, 1001)) if n == 0 else rng.integers(1, 1001, size=n)
+        xt = rng.uniform(-4.0, 4.0, size=shape + (dim,))
+        marginal = rng.dirichlet(np.ones(k), size=shape or None)
+        steps = worldmodel._steps(m, schedule, t)
+        *_, got = rectify.correction(rect, m, schedule, t, xt, marginal, steps, np.eye(dim))
+        want = worldmodel._components(m, steps, xt)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 class TestOnePassCorrection:
@@ -357,7 +396,7 @@ class TestRandomizedMarginalConstraint:
         for dim in (1, 2):
             m = random_mixture(rng, dim=dim, num_categories=int(rng.integers(2, 5)))
             target = TargetMarginal.uniform(m.num_categories)
-            w = weight_function(target, m.category_weights())
+            w = weight_function(target, m.category_weights(), 1e-4)
             box = [(-12, 12)] * dim
             pts = 800 if dim == 1 else 300
             marg = np.empty(m.num_categories)

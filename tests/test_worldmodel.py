@@ -10,7 +10,7 @@ from recdistill.errors import ConfigurationError
 from recdistill.oracle import finite_difference_grad, grid_integrate, mc_posterior_mean
 from recdistill.worldmodel import PoseLabeledMixture, Renderer, render, render_jacobian
 
-from conftest import mean_noisy_posterior, random_mixture
+from conftest import eps_pretrain, mean_noisy_posterior, random_mixture
 
 
 def _single(mean, cov, d=1):
@@ -173,10 +173,12 @@ class TestScore:
 
 class TestEpsPretrain:
     def test_is_minus_sigma_score(self, mixed_2d, schedule):
+        # the noise prediction the distillation gradient reads from its pass
         xt = np.array([0.5, -1.0])
         t = 600
+        p = worldmodel._components(mixed_2d, worldmodel._steps(mixed_2d, schedule, t), xt)
         assert np.array_equal(
-            worldmodel.eps_pretrain(mixed_2d, schedule, t, xt),
+            worldmodel._eps_pretrain(schedule, t, p),
             -schedule.sigma[t] * worldmodel.score(mixed_2d, schedule, t, xt),
         )
 
@@ -184,13 +186,13 @@ class TestEpsPretrain:
         m = _single([2.0], [[1e-10]])
         t, xt = 500, np.array([0.8])
         a, s = schedule.alpha[t], schedule.sigma[t]
-        got = worldmodel.eps_pretrain(m, schedule, t, xt)
+        got = eps_pretrain(m, schedule, t, xt)
         assert got == pytest.approx((xt - a * 2.0) / s, rel=1e-6)
 
     def test_tweedie_matches_mc_posterior_mean(self, biased_1d, schedule):
         t, xt = 500, np.array([-0.8])
         a, s = schedule.alpha[t], schedule.sigma[t]
-        eps = worldmodel.eps_pretrain(biased_1d, schedule, t, xt)
+        eps = eps_pretrain(biased_1d, schedule, t, xt)
         tweedie = (xt - s * eps) / a
         est = mc_posterior_mean(biased_1d, schedule, t, xt, 100_000, seed=9)
         assert abs(tweedie[0] - est.mean[0]) / abs(est.mean[0]) < 1e-2
@@ -377,12 +379,12 @@ class TestRunTablesAt:
 
         def per_point(fn, *args):
             # the clean mixture is schedule None; eps_pretrain needs sigma_0 = 0 from the schedule
-            return np.array([fn(m, None if ti == 0 and fn is not worldmodel.eps_pretrain else schedule, int(ti), *row)
+            return np.array([fn(m, None if ti == 0 and fn is not eps_pretrain else schedule, int(ti), *row)
                              for ti, *row in zip(t, x, *args)])
 
         gathered = worldmodel._components(m, tables.at(t), x)
         assert np.array_equal(worldmodel._score(gathered), per_point(worldmodel.score))
-        assert np.array_equal(worldmodel._eps_pretrain(schedule, t, gathered), per_point(worldmodel.eps_pretrain))
+        assert np.array_equal(worldmodel._eps_pretrain(schedule, t, gathered), per_point(eps_pretrain))
         assert np.array_equal(worldmodel._category_posterior(m, gathered), per_point(worldmodel.category_posterior))
         assert np.array_equal(np.exp(worldmodel._logsumexp(gathered.logits, axis=-1)),
                               per_point(worldmodel.noisy_density))
