@@ -40,6 +40,10 @@ DEFAULT_FOREGROUND_HINT = np.array([0.0, 1.0, 1.0, 1.0]) / np.sqrt(3.0)
 # 256 x 157 x 8 B = 320 KiB and stays in L2 cache
 ORIENTATION_TILE = 256
 
+TAU_PAT = 0.01          # softmax temperature of the orientation match over a template's patches
+TAU_POSE = 0.05         # softmax temperature of `classify` over the fused pose scores
+KERNEL_WIDTH = 0.25     # width of the Gaussian kernel CorpusDenoiser centres on each stack image
+
 
 @dataclass(frozen=True)
 class GlyphImage:
@@ -64,20 +68,16 @@ class Template:
 @dataclass(frozen=True)
 class PoseClassifier:
     templates: tuple[Template, ...]
-    tau_pat: float = 0.01
-    tau_pose: float = 0.05
 
     def __post_init__(self):
-        if self.tau_pat <= 0 or self.tau_pose <= 0:
-            raise ValueError("temperatures must be positive")
         cats = [t.category for t in self.templates]
         if len(set(cats)) != len(cats):
             raise ValueError("one template per category required")
 
     @classmethod
-    def from_images(cls, images: dict[str, GlyphImage], tau_pat: float = 0.01, tau_pose: float = 0.05) -> "PoseClassifier":
+    def from_images(cls, images: dict[str, GlyphImage]) -> "PoseClassifier":
         templates = build_template(np.stack([img.pixels for img in images.values()]), tuple(images))
-        return cls(templates=templates, tau_pat=tau_pat, tau_pose=tau_pose)
+        return cls(templates=templates)
 
     @property
     def categories(self) -> tuple[str, ...]:
@@ -252,7 +252,7 @@ def texture_similarity(input_cls: np.ndarray, template_cls: np.ndarray) -> np.nd
     return _dot(a[:, None, :], b[None, :, :]) / np.outer(na, nb)
 
 
-def orientation_similarity(input_parts, templates, tau_pat: float = 0.01) -> np.ndarray:
+def orientation_similarity(input_parts, templates) -> np.ndarray:
     """Patch-matching orientation score of each image against each template, (N, K).
 
     Each foreground input patch is soft-matched (softmax over a template's
@@ -298,7 +298,7 @@ def orientation_similarity(input_parts, templates, tau_pat: float = 0.01) -> np.
             diff *= diff
             dist += diff
         logits = np.sqrt(dist, out=dist)
-        logits /= -tau_pat
+        logits /= -TAU_PAT
         top = np.maximum.reduceat(logits, cols, axis=1)
         for j, cols_j in enumerate(templ):
             logits[:, cols_j] -= top[:, j, None]
@@ -336,8 +336,8 @@ def classify(pc: PoseClassifier, pixels: np.ndarray, mode: str = "full") -> np.n
         fused = fused * _minmax(texture_similarity(fm.cls, template_cls))
     if mode != "texture-only":
         parts = (fm.patches, mask, coordinate_map(mask))
-        fused = fused * _minmax(orientation_similarity(parts, pc.templates, pc.tau_pat))
-    return worldmodel._softmax(fused / pc.tau_pose)
+        fused = fused * _minmax(orientation_similarity(parts, pc.templates))
+    return worldmodel._softmax(fused / TAU_POSE)
 
 
 def build_template(pixels: np.ndarray, categories) -> tuple[Template, ...]:
@@ -377,13 +377,12 @@ class CorpusDenoiser:
     stack image, so classifications on pure noise spread across poses.
     """
 
-    def __init__(self, images, kernel_width: float = 0.25):
+    def __init__(self, images):
         self.data = np.stack([im.pixels.ravel() for im in images])
-        self.kernel_width = float(kernel_width)
 
     def __call__(self, xt: np.ndarray, t: int, schedule) -> np.ndarray:
         a, s = schedule.alpha[t], schedule.sigma[t]
-        tau2 = self.kernel_width**2
+        tau2 = KERNEL_WIDTH**2
         var = a * a * tau2 + s * s
         log_w = -0.5 * np.sum((xt[None, :] - a * self.data) ** 2, axis=1) / var
         mode = self.data[int(np.argmax(log_w))]

@@ -106,8 +106,8 @@ def cmd_distill(args, out) -> int:
         cfg = D.DistillConfig(rectifier=spec.rectifier, **kwargs)
         ps = D.ParticleSet.initialise(n, dim, renderer, seed=args.seed, scale=init_scale)
         report = D.run(ps, spec.mixture, spec.schedule, cfg)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"[distill] {exc}") from exc
+    except ConfigurationError as exc:       # a message that names its section keeps it
+        raise ConfigurationError(str(exc) if str(exc).startswith("[") else f"[distill] {exc}") from exc
     D.write_report(report, out)
     it, split, entropy = report.metrics[-1]
     print(f"{cfg.method} finished: split {np.round(split, 4).tolist()}, entropy {entropy:.4f}")

@@ -162,11 +162,12 @@ class _Draws:
 
 @dataclass(frozen=True)
 class RunTables:
-    """One run's prior, schedule and config, and their per-step tables, built once."""
+    """One run's prior, schedule, config and renderer, and their per-step tables, built once."""
 
     mixture: PoseLabeledMixture
     schedule: DiffusionSchedule
     cfg: DistillConfig
+    renderer: Renderer
     steps: worldmodel._Steps                 # the prior's noisy components at t = 0..T
     omega: np.ndarray                        # (T+1,) the loss weight of each step
     pose_cdf: np.ndarray                     # (K,) cumulative pose probabilities, normalised
@@ -174,8 +175,15 @@ class RunTables:
     eye: np.ndarray                          # (d, d) identity: `rectify.correction`'s finite-difference directions
 
     @classmethod
-    def build(cls, m: PoseLabeledMixture, schedule: DiffusionSchedule, cfg: DistillConfig) -> "RunTables":
-        k = m.num_categories
+    def build(cls, m: PoseLabeledMixture, schedule: DiffusionSchedule, cfg: DistillConfig,
+              renderer: Renderer) -> "RunTables":
+        k, r = m.num_categories, renderer
+        if r.kind == "rotation" and len(r.angles) != k:
+            raise ConfigurationError(f"rotation renderer has {len(r.angles)} angles, need {k} renderer_angles")
+        if r.kind == "rotation" and m.dim != 2:
+            raise ConfigurationError(f"renderer = rotation needs a 2D mixture, got dimension {m.dim}")
+        if r.kind == "identity" and r.angles:
+            raise ConfigurationError(f"renderer_angles {[float(a) for a in r.angles]} need renderer = rotation")
         probs = np.full(k, 1.0 / k) if cfg.pose_probs is None else np.asarray(cfg.pose_probs, dtype=float)
         # the checks rng.choice(k, p=probs) makes, with its tolerance
         tol = np.sqrt(np.finfo(float).eps)
@@ -195,7 +203,7 @@ class RunTables:
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         return cls(
-            mixture=m, schedule=schedule, cfg=cfg,
+            mixture=m, schedule=schedule, cfg=cfg, renderer=renderer,
             steps=worldmodel._steps(m, schedule, np.arange(schedule.num_steps + 1)),
             omega=loss_weight(schedule, cfg.omega_kind),
             pose_cdf=cdf,
@@ -208,10 +216,9 @@ class RunTables:
         return worldmodel._Steps(self.steps.means[t], self.steps.covs[t], self.steps.logdet[t])
 
 
-def _draw(tables: RunTables, particles: np.ndarray, renderer: Renderer, iteration: int,
-          rng: np.random.Generator) -> _Draws:
+def _draw(tables: RunTables, particles: np.ndarray, iteration: int, rng: np.random.Generator) -> _Draws:
     """The iteration's (t, pose, noise) draws and noisy points."""
-    (n, d), schedule, cfg = particles.shape, tables.schedule, tables.cfg
+    (n, d), schedule, cfg, renderer = particles.shape, tables.schedule, tables.cfg, tables.renderer
     lo, hi = bnf_interval(iteration, cfg.iters, cfg.bnf_n_i, schedule.num_steps)
     t = rng.integers(lo, hi + 1, size=n)
     # how rng.choice(K, size=n, p=probs) draws: the same poses and generator state
@@ -233,8 +240,7 @@ def _control_grad_log_posterior(m: PoseLabeledMixture, schedule: DiffusionSchedu
     return worldmodel.grad_log_reweight(m, schedule, t, xt, _control_log_weights(m, category))
 
 
-def gradient(tables: RunTables, particles: np.ndarray, renderer: Renderer, draws: _Draws,
-             marginal=None) -> tuple[np.ndarray, np.ndarray | None]:
+def gradient(tables: RunTables, draws: _Draws, marginal=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Distillation gradient of every particle, the one rule behind every method:
 
         omega(t) J^T (eps_pre - eps_ref) - align(omega(t) sigma_t J^T grad log r)
@@ -255,9 +261,9 @@ def gradient(tables: RunTables, particles: np.ndarray, renderer: Renderer, draws
     returns it with the correction.  For USD the second return value
     holds the rectifier's posterior row at every draw, for the EMA to
     observe; other methods return None there.  The tables are only read,
-    so the result is a function of them, the particles, draws and marginal.
+    so the result is a function of them, the draws and the marginal.
     """
-    m, schedule, cfg = tables.mixture, tables.schedule, tables.cfg
+    m, schedule, cfg, renderer = tables.mixture, tables.schedule, tables.cfg, tables.renderer
     t, pose, xt = draws.t, draws.pose, draws.xt
     omega = tables.omega[t][:, None]
     eps_ref = draws.eps if cfg.method == "sds" else variational_eps(renderer, schedule, t, pose, xt, draws.rendered)
@@ -286,8 +292,6 @@ def gradient(tables: RunTables, particles: np.ndarray, renderer: Renderer, draws
 class RunReport:
     """Everything a distillation run produced, for inspection and export."""
 
-    method: str
-    seed: int
     final_particles: np.ndarray                   # (n, d)
     snapshots: tuple                              # ((iter, (n, d) array), ...)
     ema_trace: tuple                              # ((iter, (n_t, K) array), ...)
@@ -299,9 +303,9 @@ def particle_split(rows: np.ndarray) -> np.ndarray:
     return np.bincount(np.argmax(rows, axis=1), minlength=rows.shape[1]) / rows.shape[0]
 
 
-def _metrics_row(iteration: int, particles: np.ndarray, renderer: Renderer, m: PoseLabeledMixture):
-    rows = worldmodel.category_posterior(m, None, 0, render(renderer, particles, 0))
-    return (iteration, particle_split(rows), categorical_entropy(rows).entropy)
+def _clean_rows(tables: RunTables, particles: np.ndarray) -> np.ndarray:
+    """The (n, K) clean posterior of the particles rendered at pose 0."""
+    return worldmodel.category_posterior(tables.mixture, None, 0, render(tables.renderer, particles, 0))
 
 
 def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
@@ -312,33 +316,24 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
     EMA marginal tracker observes one posterior row per iteration, the one
     `gradient` returns at a rotating particle's draw, so no extra randomness
     is consumed (methods stay trajectory-comparable under a shared seed).
-    The draws' poses lie in [0, K) by construction, so the renderer is
-    checked against the mixture here, once, and not per iteration.
+    The draws' poses lie in [0, K) by construction, so `RunTables.build`
+    checks the renderer against the mixture once, and not per iteration.
     """
-    r = ps.renderer
-    if r.kind == "rotation" and len(r.angles) != m.num_categories:
-        raise ConfigurationError(f"rotation renderer has {len(r.angles)} angles, need {m.num_categories} renderer_angles")
-    if r.kind == "rotation" and m.dim != 2:
-        raise ConfigurationError(f"renderer = rotation needs a 2D mixture, got dimension {m.dim}")
-    if r.kind == "identity" and r.angles:
-        raise ConfigurationError(f"renderer_angles {[float(a) for a in r.angles]} need renderer = rotation")
+    tables = RunTables.build(m, schedule, cfg, ps.renderer)
     rng = np.random.default_rng(ps.seed)
     particles = ps.particles.copy()
     state = IntervalEma.create(schedule.num_steps, cfg.n_t, m.num_categories, cfg.n_ema)
-    tables = RunTables.build(m, schedule, cfg)
     # USD's marginal: the EMA's row at each draw's step, or a constant
     source = cfg.rectifier.marginal_source if cfg.method == "usd" else None
     marginal = m.category_weights() if source == "exact-mc" else None
     if source == "fixed-presampled":
         # one-shot estimate from the initial particles, never updated; at
         # t = 0 every posterior source is the clean posterior
-        rows = worldmodel.category_posterior(m, None, 0, render(ps.renderer, particles, 0))
-        marginal = np.mean(rows, axis=0)
+        marginal = np.mean(_clean_rows(tables, particles), axis=0)
     snapshots, ema_trace, metrics = [], [], []
     for it in range(cfg.iters):
-        draws = _draw(tables, particles, ps.renderer, it, rng)
-        grads, rows = gradient(tables, particles, ps.renderer, draws,
-                               ema_lookup(state, draws.t) if source == "ema" else marginal)
+        draws = _draw(tables, particles, it, rng)
+        grads, rows = gradient(tables, draws, ema_lookup(state, draws.t) if source == "ema" else marginal)
         particles = particles - cfg.eta1 * grads
         if not np.abs(particles).max() <= BOX:                                # NaN fails too
             raise DivergenceError(
@@ -350,10 +345,9 @@ def run(ps: ParticleSet, m: PoseLabeledMixture, schedule: DiffusionSchedule,
         if it % cfg.snapshot_every == 0 or it == cfg.iters - 1:
             snapshots.append((it, particles.copy()))
             ema_trace.append((it, state.snapshot()))
-            metrics.append(_metrics_row(it, particles, ps.renderer, m))
+            clean = _clean_rows(tables, particles)
+            metrics.append((it, particle_split(clean), categorical_entropy(clean).entropy))
     return RunReport(
-        method=cfg.method,
-        seed=ps.seed,
         final_particles=particles,
         snapshots=tuple(snapshots),
         ema_trace=tuple(ema_trace),

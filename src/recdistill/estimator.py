@@ -80,7 +80,7 @@ class IntervalEma:
         return self.values.copy()
 
 
-def ema_update(state: IntervalEma, t: int, observed) -> IntervalEma:
+def ema_update(state: IntervalEma, t: int, observed) -> None:
     """Blend an observed probability vector into the interval containing t."""
     if not 1 <= t <= state.num_steps:
         raise ValueError(f"t={t} outside [1, {state.num_steps}]")
@@ -89,7 +89,6 @@ def ema_update(state: IntervalEma, t: int, observed) -> IntervalEma:
         raise ValueError("observed vector must be on the probability simplex")
     i = state.interval_of(t)
     state.values[i] = state.alpha_ema * observed + (1.0 - state.alpha_ema) * state.values[i]
-    return state
 
 
 def ema_lookup(state: IntervalEma, t) -> np.ndarray:

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+FRECHET_REGULARISER = 1e-6      # added to the diagonal of each covariance `gaussian_frechet` fits
+
 
 @dataclass(frozen=True)
 class EntropyReport:
@@ -34,7 +36,7 @@ def categorical_entropy(prob_rows) -> EntropyReport:
     return EntropyReport(mean_probs=mean, entropy=float(-np.sum(nz * np.log(nz))))
 
 
-def gaussian_frechet(sample_a, sample_b, regulariser: float = 1e-6) -> float:
+def gaussian_frechet(sample_a, sample_b) -> float:
     """Frechet distance between Gaussians fitted to two sample sets."""
     a = np.atleast_2d(np.asarray(sample_a, dtype=float))
     b = np.atleast_2d(np.asarray(sample_b, dtype=float))
@@ -44,8 +46,8 @@ def gaussian_frechet(sample_a, sample_b, regulariser: float = 1e-6) -> float:
     if a.shape[0] < d + 1 or b.shape[0] < d + 1:
         raise ValueError(f"need at least {d + 1} points per set")
     mu_a, mu_b = np.mean(a, axis=0), np.mean(b, axis=0)
-    cov_a = np.cov(a, rowvar=False).reshape(d, d) + regulariser * np.eye(d)
-    cov_b = np.cov(b, rowvar=False).reshape(d, d) + regulariser * np.eye(d)
+    cov_a = np.cov(a, rowvar=False).reshape(d, d) + FRECHET_REGULARISER * np.eye(d)
+    cov_b = np.cov(b, rowvar=False).reshape(d, d) + FRECHET_REGULARISER * np.eye(d)
     # tr((A B)^{1/2}) = sum of sqrt(eigenvalues of A^{1/2} B A^{1/2}), with the
     # symmetric middle matrix written in A's eigenbasis, D^{1/2} V^T B V D^{1/2};
     # in 1D it is sqrt(a b) and two identical sets are exactly 0 apart

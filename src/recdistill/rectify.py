@@ -43,9 +43,11 @@ class TargetMarginal:
 class Rectifier:
     """Configuration of the reweighting correction.
 
-    The non-default posterior/marginal sources implement the degraded
-    variants studied in the ablations: classifying noisy points directly,
-    and freezing a pre-run estimate of the category marginal.
+    classifier-on-tweedie (classify the Tweedie-denoised point) is the
+    paper's posterior source and exact-mc the prior's true category
+    marginal; classifier-direct (classify the noisy point) and
+    fixed-presampled (freeze a pre-run marginal estimate) are the degraded
+    ablations.  The defaults are the exact mixture posterior and the EMA.
     """
 
     target: TargetMarginal

@@ -96,11 +96,11 @@ def test_acceptance_3_gradient_decomposition_and_fd_check(schedule):
     ps = D.ParticleSet(particles=np.array([[1.5], [-0.7], [0.2]]), renderer=Renderer(), seed=0)
     rng = np.random.default_rng(13)
     worst_decomp = 0.0
-    usd, vsd = D.RunTables.build(m, schedule, cfg_u), D.RunTables.build(m, schedule, cfg_v)
+    usd, vsd = D.RunTables.build(m, schedule, cfg_u, ps.renderer), D.RunTables.build(m, schedule, cfg_v, ps.renderer)
     for it in range(25):
-        draws = D._draw(usd, ps.particles, ps.renderer, it, rng)
-        u, _ = D.gradient(usd, ps.particles, ps.renderer, draws, m.category_weights())
-        v, _ = D.gradient(vsd, ps.particles, ps.renderer, draws)
+        draws = D._draw(usd, ps.particles, it, rng)
+        u, _ = D.gradient(usd, draws, m.category_weights())
+        v, _ = D.gradient(vsd, draws)
         for i in range(ps.num_particles):
             t = int(draws.t[i])
             g_r = grad_log_r(rect, m, schedule, t, draws.xt[i], m.category_weights())

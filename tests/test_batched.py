@@ -174,13 +174,13 @@ class TestBatchedGradient:
         state = IntervalEma.create(1000, 10, k)
         state.values[:] = rng.dirichlet(np.ones(k), size=10)
         fixed = rng.dirichlet(np.ones(k))
-        tables = D.RunTables.build(m, schedule, cfg)
-        draws = D._draw(tables, particles, renderer, int(rng.integers(10)), rng)
+        tables = D.RunTables.build(m, schedule, cfg, renderer)
+        draws = D._draw(tables, particles, int(rng.integers(10)), rng)
         marginal = None
         if method == "usd":
             marginal = {"ema": ema_lookup(state, draws.t), "exact-mc": m.category_weights(),
                         "fixed-presampled": fixed}[marginal_source]
-        got, rows = D.gradient(tables, particles, renderer, draws, marginal)
+        got, rows = D.gradient(tables, draws, marginal)
         assert _close(got, _reference_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed))
         # the shared pass changes no bit of the result
         assert np.array_equal(got, _three_pass_gradient(particles, renderer, m, schedule, cfg, draws, state, fixed))
@@ -265,7 +265,7 @@ class TestSaturatedFiniteDifferences:
                          xt=np.array([x, [0.05, 0.0]]), rendered=worldmodel.render_poses(Renderer(), particles))
         usd = D.DistillConfig(method="usd", iters=10, rectifier=rect)
         vsd = D.DistillConfig(method="vsd", iters=10)
-        u, _ = D.gradient(D.RunTables.build(m, schedule, usd), particles, Renderer(), draws, marginal)
-        v, _ = D.gradient(D.RunTables.build(m, schedule, vsd), particles, Renderer(), draws)
+        u, _ = D.gradient(D.RunTables.build(m, schedule, usd, Renderer()), draws, marginal)
+        v, _ = D.gradient(D.RunTables.build(m, schedule, vsd, Renderer()), draws)
         assert np.array_equal(u[0], v[0])
         assert not np.array_equal(u[1], v[1])     # the unsaturated particle is corrected

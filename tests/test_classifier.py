@@ -405,7 +405,7 @@ class TestOrientationSimilarity:
     def test_template_self_match_is_argmax(self, pc, templates):
         for cat, img in templates.items():
             fm, mask, coord = _parts(img)
-            scores = C.orientation_similarity((fm.patches, mask, coord), pc.templates, pc.tau_pat)[0]
+            scores = C.orientation_similarity((fm.patches, mask, coord), pc.templates)[0]
             assert pc.templates[int(np.argmax(scores))].category == cat
 
     def test_left_right_discrimination(self, pc, corpus):
@@ -415,7 +415,7 @@ class TestOrientationSimilarity:
                 continue
             fm, mask, coord = _parts(img)
             s = dict(zip(pc.categories,
-                         C.orientation_similarity((fm.patches, mask, coord), pc.templates, pc.tau_pat)[0]))
+                         C.orientation_similarity((fm.patches, mask, coord), pc.templates)[0]))
             total += 1
             own, other = (("left", "right") if img.true_category == "left" else ("right", "left"))
             good += s[own] > s[other]
@@ -427,7 +427,7 @@ class TestOrientationSimilarity:
                 continue
             fm, mask, coord = _parts(img)
             s = dict(zip(pc.categories,
-                         C.orientation_similarity((fm.patches, mask, coord), pc.templates, pc.tau_pat)[0]))
+                         C.orientation_similarity((fm.patches, mask, coord), pc.templates)[0]))
             assert abs(s["front"] - s["back"]) < 0.05
 
 
@@ -502,8 +502,8 @@ class TestOrientationTiles:
 
     def test_scores_bitwise_the_whole_block_formula(self, pc, stack):
         parts = _stack_parts(stack)
-        got = C.orientation_similarity(parts, pc.templates, pc.tau_pat)
-        assert got.tobytes() == _whole_block_orientation(parts, pc.templates, pc.tau_pat).tobytes()
+        got = C.orientation_similarity(parts, pc.templates)
+        assert got.tobytes() == _whole_block_orientation(parts, pc.templates, C.TAU_PAT).tobytes()
 
     def test_peak_allocation_flat_in_stack_size(self, pc):
         """The tiles bound the pass's working set: its peak allocation grows
@@ -513,7 +513,7 @@ class TestOrientationTiles:
             parts = _stack_parts(np.stack([im.pixels for im in C.generate_corpus(per_category, seed=5)]))
             tracemalloc.start()
             try:
-                C.orientation_similarity(parts, pc.templates, pc.tau_pat)
+                C.orientation_similarity(parts, pc.templates)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -558,22 +558,13 @@ class TestClassify:
         i, j = order.index("left"), order.index("right")
         swapped_templates = list(pc.templates)
         swapped_templates[i], swapped_templates[j] = swapped_templates[j], swapped_templates[i]
-        swapped = C.PoseClassifier(templates=tuple(swapped_templates),
-                                   tau_pat=pc.tau_pat, tau_pose=pc.tau_pose)
+        swapped = C.PoseClassifier(templates=tuple(swapped_templates))
         for img in corpus[:8]:
             a = C.classify(pc, _one(img))[0]
             b = C.classify(swapped, _one(img))[0]
             assert a[i] == pytest.approx(b[j], abs=1e-12)
             assert a[j] == pytest.approx(b[i], abs=1e-12)
 
-    def test_lower_tau_pose_sharpens(self, pc, corpus):
-        sharp = C.PoseClassifier(templates=pc.templates, tau_pat=pc.tau_pat,
-                                 tau_pose=pc.tau_pose / 4)
-        for img in corpus[:8]:
-            a = C.classify(pc, _one(img))[0]
-            b = C.classify(sharp, _one(img))[0]
-            assert int(np.argmax(a)) == int(np.argmax(b))
-            assert b.max() >= a.max() - 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -159,7 +159,7 @@ class TestConfigErrors:
         rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert _single_error_line(err)
+        assert _single_error_line(err) and err.startswith("error: [schedule] ")
         assert "[schedule] num_steps/beta_min/beta_max" in err and "t = 980" in err
         assert "posterior_source = classifier-on-tweedie" in err
         assert not (tmp_path / "out").exists()

@@ -44,16 +44,16 @@ def _particles(values, seed=0):
 
 
 def _draw(ps, tables, iteration, rng):
-    return D._draw(tables, ps.particles, ps.renderer, iteration, rng)
+    return D._draw(tables, ps.particles, iteration, rng)
 
 
-def _gradient(ps, tables, draws, marginal=None):
+def _gradient(tables, draws, marginal=None):
     """The one gradient rule with the inputs the run's config selects."""
-    return D.gradient(tables, ps.particles, ps.renderer, draws, marginal)[0]
+    return D.gradient(tables, draws, marginal)[0]
 
 
 def _tables(m, schedule, *cfgs):
-    return [D.RunTables.build(m, schedule, cfg) for cfg in cfgs]
+    return [D.RunTables.build(m, schedule, cfg, Renderer()) for cfg in cfgs]
 
 
 class TestVariationalEps:
@@ -135,11 +135,11 @@ def _mean_gradient(method, m, schedule, theta, n_draws, seed, **cfg_kwargs):
     cfg = D.DistillConfig(method=method, iters=n_draws, bnf_n_i=1, **cfg_kwargs)
     ps = _particles([theta], seed=seed)
     rng = np.random.default_rng(seed)
-    tables = D.RunTables.build(m, schedule, cfg)
+    tables = D.RunTables.build(m, schedule, cfg, ps.renderer)
     grads = []
     for it in range(n_draws):
         draws = _draw(ps, tables, it, rng)
-        grads.append(_gradient(ps, tables, draws)[0])
+        grads.append(_gradient(tables, draws)[0])
     return np.array(grads)
 
 
@@ -183,8 +183,8 @@ class TestVsdStep:
         rng = np.random.default_rng(5)
         for it in range(20):
             draws = _draw(ps, sds, it, rng)
-            a = _gradient(ps, sds, draws)
-            b = _gradient(ps, vsd, draws)
+            a = _gradient(sds, draws)
+            b = _gradient(vsd, draws)
             assert np.allclose(a, b, atol=1e-10)
 
     def test_no_drift_when_particles_match_prior(self, schedule):
@@ -199,11 +199,11 @@ class TestVsdStep:
         # gradients within one round share a particle set, so aggregate to
         # one independent mean per round before testing
         round_means = []
-        tables = D.RunTables.build(m, schedule, cfg)
+        tables = D.RunTables.build(m, schedule, cfg, Renderer())
         for it in range(50):
             ps = _particles(m.sample(16, rng))
             draws = _draw(ps, tables, it, rng)
-            round_means.append(_gradient(ps, tables, draws).mean())
+            round_means.append(_gradient(tables, draws).mean())
         round_means = np.array(round_means)
         se = round_means.std(ddof=1) / np.sqrt(len(round_means))
         assert abs(round_means.mean()) < 3 * se
@@ -221,8 +221,8 @@ class TestUsdStep:
         rng = np.random.default_rng(9)
         for it in range(20):
             draws = _draw(ps, usd, it, rng)
-            u = _gradient(ps, usd, draws, narrow_balanced.category_weights())
-            v = _gradient(ps, vsd, draws)
+            u = _gradient(usd, draws, narrow_balanced.category_weights())
+            v = _gradient(vsd, draws)
             assert np.array_equal(u, v)
 
     def test_decomposition_identity(self, schedule, narrow_biased):
@@ -238,8 +238,8 @@ class TestUsdStep:
         usd, vsd = _tables(narrow_biased, schedule, cfg, cfg_v)
         for it in range(20):
             draws = _draw(ps, usd, it, rng)
-            u = _gradient(ps, usd, draws, narrow_biased.category_weights())
-            v = _gradient(ps, vsd, draws)
+            u = _gradient(usd, draws, narrow_biased.category_weights())
+            v = _gradient(vsd, draws)
             for i in range(2):
                 t = int(draws.t[i])
                 g_r = grad_log_r(rect, narrow_biased, schedule, t, draws.xt[i],
@@ -284,8 +284,8 @@ class TestCtrlStep:
                          xt=np.array([[schedule.alpha[30] * 2.0 + schedule.sigma[30] * 0.05]]),
                          rendered=worldmodel.render_poses(ps.renderer, ps.particles))
         ctrl, vsd = _tables(narrow_balanced, schedule, cfg, cfg_v)
-        c = _gradient(ps, ctrl, draws)
-        v = _gradient(ps, vsd, draws)
+        c = _gradient(ctrl, draws)
+        v = _gradient(vsd, draws)
         assert np.max(np.abs(c - v)) < 1e-6
 
     def test_commanded_basin_wins(self, schedule, narrow_balanced):
@@ -357,8 +357,8 @@ class TestRun:
         and leaves every particle where it is otherwise."""
         iteration = iter(range(6))
 
-        def gradient(tables, particles, renderer, draws, marginal=None):
-            g = np.zeros_like(particles)
+        def gradient(tables, draws, marginal=None):
+            g = np.zeros_like(draws.xt)
             if next(iteration) == 2:
                 g[1] = -value
             return g, None
@@ -432,11 +432,11 @@ class TestPoseDraw:
                                covs=np.ones((k, 1, 1)), category_of=np.arange(k), num_categories=k)
         cfg = D.DistillConfig(method="sds", iters=5, pose_probs=None if probs is None else np.array(probs))
         p = np.full(k, 1.0 / k) if probs is None else np.array(probs)
-        tables = D.RunTables.build(m, schedule, cfg)
+        tables = D.RunTables.build(m, schedule, cfg, Renderer())
         for seed in range(200):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for it, n in enumerate((1, 3, 16, 64, 7)):
-                draws = D._draw(tables, np.zeros((n, 1)), Renderer(), it, rng)
+                draws = D._draw(tables, np.zeros((n, 1)), it, rng)
                 lo, hi = D.bnf_interval(it, cfg.iters, cfg.bnf_n_i, schedule.num_steps)
                 assert np.array_equal(draws.t, ref.integers(lo, hi + 1, size=n))
                 assert np.array_equal(draws.pose, ref.choice(k, size=n, p=p))
@@ -448,7 +448,7 @@ class TestPoseDraw:
     def test_invalid_pose_probs(self, schedule, narrow_biased, probs):
         cfg = D.DistillConfig(method="sds", iters=5, pose_probs=np.array(probs))
         with pytest.raises(ConfigurationError, match="pose_probs must be 2 finite, non-negative"):
-            D.RunTables.build(narrow_biased, schedule, cfg)
+            D.RunTables.build(narrow_biased, schedule, cfg, Renderer())
 
 
 class TestRunTables:
@@ -474,7 +474,7 @@ class TestRunTables:
 
     def test_rows_are_the_per_step_values(self, schedule, narrow_biased):
         cfg = D.DistillConfig(method="ctrl", control_category=0, iters=5, omega_kind="constant-one", n_t=4)
-        tables = D.RunTables.build(narrow_biased, schedule, cfg)
+        tables = D.RunTables.build(narrow_biased, schedule, cfg, Renderer())
         assert np.array_equal(tables.omega, loss_weight(schedule, "constant-one"))
         assert np.array_equal(tables.pose_cdf, [0.5, 1.0])
         assert np.array_equal(tables.control_log_w, [0.0, -np.inf])
@@ -496,16 +496,16 @@ class TestRunTables:
         if method == "usd":
             kwargs["rectifier"] = Rectifier(target=TargetMarginal.uniform(3), posterior_source=source)
         cfg = D.DistillConfig(**kwargs)
-        shared = D.RunTables.build(m, schedule, cfg)
+        shared = D.RunTables.build(m, schedule, cfg, renderer)
         arrays = (*shared.steps, shared.omega, shared.pose_cdf, shared.control_log_w, shared.eye)
         before = [None if a is None else a.copy() for a in arrays]
         for seed, n in ((1, 5), (2, 9)):
             particles = 2.0 * np.random.default_rng(seed).standard_normal((n, 2))
             marginal = rng.dirichlet(np.ones(3), size=n) if method == "usd" else None
             results = []
-            for tables in (shared, D.RunTables.build(m, schedule, cfg)):
-                draws = D._draw(tables, particles, renderer, 4, np.random.default_rng(seed))
-                grads, rows = D.gradient(tables, particles, renderer, draws, marginal)
+            for tables in (shared, D.RunTables.build(m, schedule, cfg, renderer)):
+                draws = D._draw(tables, particles, 4, np.random.default_rng(seed))
+                grads, rows = D.gradient(tables, draws, marginal)
                 results.append([draws.t, draws.pose, draws.eps, draws.xt, draws.rendered, grads, rows])
             assert all(np.array_equal(a, b) for a, b in zip(*results))
         for a, b in zip(arrays, before):

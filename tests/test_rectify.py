@@ -305,8 +305,8 @@ class TestStackedFiniteDifferences:
         rect = Rectifier(target=TargetMarginal.uniform(3), posterior_source="classifier-on-tweedie")
         cfg = distill.DistillConfig(method="usd", iters=10, rectifier=rect)
         particles = rng.standard_normal((5, dim))
-        tables = distill.RunTables.build(m, schedule, cfg)
-        draws = distill._draw(tables, particles, worldmodel.Renderer(), 3, rng)
+        tables = distill.RunTables.build(m, schedule, cfg, worldmodel.Renderer())
+        draws = distill._draw(tables, particles, 3, rng)
         calls = []
         components = worldmodel._components
 
@@ -315,7 +315,7 @@ class TestStackedFiniteDifferences:
             return components(*args)
 
         monkeypatch.setattr(worldmodel, "_components", counting)
-        distill.gradient(tables, particles, worldmodel.Renderer(), draws, rng.dirichlet(np.ones(3)))
+        distill.gradient(tables, draws, rng.dirichlet(np.ones(3)))
         assert calls == [(2 * dim + 1, 5, dim), (2 * dim + 1, 5, dim)]
 
     def test_non_finite_names_the_axis(self, mixed_2d, schedule, monkeypatch):

@@ -1,11 +1,11 @@
 """Every public name of the library is reached by the library itself, is
-exported, or is kept on purpose with its reason.
+exported, or is kept on purpose with its reason; every parameter is read.
 
 A public module-level function or class, or a public method of a public
 class, in src/recdistill must be referenced (as a name or an attribute) in
 src/ other than at its own definition, be listed in `recdistill.__all__`,
 or be a KEEP entry.  A name that only tests call does no work for any
-command and goes.
+command and goes.  So does a parameter that its function never reads.
 """
 
 import ast
@@ -89,3 +89,30 @@ def test_keep_entries_exist_and_are_unreached():
 def test_guard_flags_a_name_only_tests_call():
     tree = ast.parse("def used():\n    return 1\n\n\ndef unused():\n    return used()\n")
     assert _unreached({"m": tree}) == ["m.unused"]
+
+
+def _unread_parameters(modules) -> list[str]:
+    """`module.function(parameter)` for each parameter, other than self or
+    cls, of a function in src/ whose body never loads it."""
+    out = []
+    for module, tree in modules.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p is not None]
+            loaded = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            out += [f"{module}.{fn.name}({p})" for p in params if p not in ("self", "cls") and p not in loaded]
+    return out
+
+
+def test_every_parameter_is_read():
+    assert _unread_parameters(_modules()) == []
+
+
+def test_guard_flags_a_parameter_nothing_reads():
+    tree = ast.parse("class C:\n    def f(self, a, b=1, *rest, c, **kw):\n"
+                     "        b = a\n        return [c for _ in rest], lambda: kw\n\n\n"
+                     "def g(x, y):\n    def inner():\n        return y\n    return inner\n")
+    assert sorted(_unread_parameters({"m": tree})) == ["m.f(b)", "m.g(x)"]

@@ -371,7 +371,7 @@ class TestRunTablesAt:
     def test_gathered_pass_equals_per_point_evaluators(self, schedule, seed, dim, k, n, diagonal):
         rng = np.random.default_rng(seed)
         m = random_mixture(rng, dim, k, diagonal=diagonal)
-        tables = distill.RunTables.build(m, schedule, distill.DistillConfig(method="sds", iters=1))
+        tables = distill.RunTables.build(m, schedule, distill.DistillConfig(method="sds", iters=1), Renderer())
         t = rng.integers(0, schedule.num_steps + 1, size=n)
         t[rng.integers(n)] = 0
         x = rng.uniform(-4.0, 4.0, size=(n, dim))
@@ -395,7 +395,7 @@ class TestRunTablesAt:
             assert all(np.array_equal(a[i], b) for a, b in zip(gathered, alone))
 
     def test_table_holds_every_step(self, schedule, biased_1d):
-        tables = distill.RunTables.build(biased_1d, schedule, distill.DistillConfig(method="sds", iters=1))
+        tables = distill.RunTables.build(biased_1d, schedule, distill.DistillConfig(method="sds", iters=1), Renderer())
         assert tables.steps.covs.shape == (schedule.num_steps + 1, 2, 1, 1)
         assert tables.mixture is biased_1d and tables.schedule is schedule
 
@@ -450,7 +450,7 @@ class TestDiagonalSolve:
         # the gathered rows of a run and the clean components, against the solve
         rng = np.random.default_rng(12)
         m = random_mixture(rng, dim, 3, diagonal=True)
-        tables = distill.RunTables.build(m, schedule, distill.DistillConfig(method="sds", iters=1))
+        tables = distill.RunTables.build(m, schedule, distill.DistillConfig(method="sds", iters=1), Renderer())
         solve, solves = np.linalg.solve, []
         monkeypatch.setattr(np.linalg, "solve", lambda *a: (solves.append(1), solve(*a))[1])
         for _ in range(50):
