@@ -58,30 +58,27 @@ class FeatureMap:
 
 
 @dataclass(frozen=True)
-class Template:
-    category: str
-    cls: np.ndarray                    # (NUM_FEATURES,) global descriptor
-    distinct: np.ndarray               # (U, NUM_FEATURES + 1) distinct foreground (descriptor, coordinate) rows
-    counts: np.ndarray                 # (U,) foreground patches equal to each distinct row
-
-
-@dataclass(frozen=True)
 class PoseClassifier:
-    templates: tuple[Template, ...]
+    """The template table `classify` reads: each category's global descriptor,
+    and every template's distinct foreground (descriptor, coordinate) rows with
+    their counts, template after template from row starts[k]."""
+
+    categories: tuple[str, ...]
+    cls: np.ndarray                    # (K, NUM_FEATURES) global descriptors
+    distinct: np.ndarray               # (U, NUM_FEATURES + 1) distinct foreground rows
+    counts: np.ndarray                 # (U,) foreground patches equal to each distinct row, as floats
+    starts: np.ndarray                 # (K,) first row of each template
 
     def __post_init__(self):
-        cats = [t.category for t in self.templates]
-        if len(set(cats)) != len(cats):
+        if len(set(self.categories)) != len(self.categories):
             raise ValueError("one template per category required")
+        # np.add.reduceat reads an empty segment as the next one's first row
+        if np.any(np.diff(self.starts, append=len(self.counts)) < 1):
+            raise ValueError("every template needs at least one foreground row")
 
     @classmethod
     def from_images(cls, images: dict[str, GlyphImage]) -> "PoseClassifier":
-        templates = build_template(np.stack([img.pixels for img in images.values()]), tuple(images))
-        return cls(templates=templates)
-
-    @property
-    def categories(self) -> tuple[str, ...]:
-        return tuple(t.category for t in self.templates)
+        return build_template(np.stack([img.pixels for img in images.values()]), tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +249,8 @@ def texture_similarity(input_cls: np.ndarray, template_cls: np.ndarray) -> np.nd
     return _dot(a[:, None, :], b[None, :, :]) / np.outer(na, nb)
 
 
-def orientation_similarity(input_parts, templates) -> np.ndarray:
-    """Patch-matching orientation score of each image against each template, (N, K).
+def orientation_similarity(input_parts, pc: PoseClassifier) -> np.ndarray:
+    """Patch-matching orientation score of each image against each of pc's templates, (N, K).
 
     Each foreground input patch is soft-matched (softmax over a template's
     patches, concentrated on the nearest descriptor) and charged the
@@ -268,23 +265,18 @@ def orientation_similarity(input_parts, templates) -> np.ndarray:
     patches, mask, coord = input_parts
     mask = np.asarray(mask, dtype=bool)
     n_in = mask.sum(axis=(1, 2))
-    n_tm = np.array([t.counts.sum() for t in templates])
-    if np.any(n_in == 0) or np.any(n_tm == 0):
+    if np.any(n_in == 0):
         raise ValueError("orientation similarity needs nonempty foregrounds")
     f_in, m_in = patches[mask], coord[mask]
-    distinct = np.concatenate([t.distinct for t in templates])
-    f_tm, m_tm = distinct[:, :NUM_FEATURES], distinct[:, NUM_FEATURES]
-    counts = np.concatenate([t.counts for t in templates]).astype(float)
-    n_cols = [len(t.counts) for t in templates]
-    cols = np.concatenate([[0], np.cumsum(n_cols)[:-1]])
-    templ = [slice(c, c + n) for c, n in zip(cols, n_cols)]
+    f_tm, m_tm = pc.distinct[:, :NUM_FEATURES], pc.distinct[:, NUM_FEATURES]
+    cols, bounds = pc.starts, np.append(pc.starts, len(pc.counts))
     # every step up to the per-(patch, template) charge is row-local, so the
     # block runs ORIENTATION_TILE rows at a time through two (tile, P)
     # buffers reused for every tile; a row's bits do not depend on the tile
     n_rows = f_in.shape[0]
     dist_buf = np.empty((min(ORIENTATION_TILE, n_rows), f_tm.shape[0]))
     diff_buf = np.empty_like(dist_buf)
-    charge = np.empty((n_rows, len(templates)))
+    charge = np.empty((n_rows, len(cols)))
     for lo in range(0, n_rows, ORIENTATION_TILE):
         hi = min(lo + ORIENTATION_TILE, n_rows)
         dist, diff = dist_buf[: hi - lo], diff_buf[: hi - lo]
@@ -300,17 +292,17 @@ def orientation_similarity(input_parts, templates) -> np.ndarray:
         logits = np.sqrt(dist, out=dist)
         logits /= -TAU_PAT
         top = np.maximum.reduceat(logits, cols, axis=1)
-        for j, cols_j in enumerate(templ):
-            logits[:, cols_j] -= top[:, j, None]
+        for j in range(len(cols)):
+            logits[:, bounds[j] : bounds[j + 1]] -= top[:, j, None]
         w = np.exp(logits, out=logits)
-        w *= counts
+        w *= pc.counts
         norm = np.add.reduceat(w, cols, axis=1)
         np.subtract.outer(m_in[lo:hi], m_tm, out=diff)
         w *= np.abs(diff, out=diff)
         # per (patch, template) charge, summed over each image's patches below
         np.divide(np.add.reduceat(w, cols, axis=1), norm, out=charge[lo:hi])
     rows = np.concatenate([[0], np.cumsum(n_in)[:-1]])
-    penalty = np.add.reduceat(charge, rows, axis=0) / np.outer(n_in, n_tm)
+    penalty = np.add.reduceat(charge, rows, axis=0) / np.outer(n_in, np.add.reduceat(pc.counts, cols))
     return np.clip(1.0 - penalty, 0.0, 1.0)
 
 
@@ -332,19 +324,18 @@ def classify(pc: PoseClassifier, pixels: np.ndarray, mode: str = "full") -> np.n
     mask = segment_foreground(fm)
     fused = 1.0
     if mode != "orientation-only":
-        template_cls = np.stack([t.cls for t in pc.templates])
-        fused = fused * _minmax(texture_similarity(fm.cls, template_cls))
+        fused = fused * _minmax(texture_similarity(fm.cls, pc.cls))
     if mode != "texture-only":
-        parts = (fm.patches, mask, coordinate_map(mask))
-        fused = fused * _minmax(orientation_similarity(parts, pc.templates))
+        fused = fused * _minmax(orientation_similarity((fm.patches, mask, coordinate_map(mask)), pc))
     return worldmodel._softmax(fused / TAU_POSE)
 
 
-def build_template(pixels: np.ndarray, categories) -> tuple[Template, ...]:
-    """One template per row of an (N, 64, 64) stack, for the category at
-    its index: the row's global descriptor, and its foreground patches
-    merged into distinct (descriptor, coordinate) rows with their counts.
-    Raises SegmentationError naming the first row that cannot be split.
+def build_template(pixels: np.ndarray, categories) -> PoseClassifier:
+    """The classifier with one template per row of an (N, 64, 64) stack, for
+    the category at its index: the row's global descriptor, and its
+    foreground patches merged into distinct (descriptor, coordinate) rows
+    with their counts.  Raises SegmentationError naming the first row that
+    cannot be split.
 
     Flat and periodic glyph interiors repeat patches exactly, so the
     canonical templates keep 27-44 distinct rows of their 79-97.
@@ -352,11 +343,10 @@ def build_template(pixels: np.ndarray, categories) -> tuple[Template, ...]:
     fm = extract_features(pixels)
     mask = segment_foreground(fm)
     coord = coordinate_map(mask)
-    templates = []
-    for cat, cls, patches, fg, xs in zip(categories, fm.cls, fm.patches, mask, coord, strict=True):
-        distinct, counts = np.unique(np.column_stack([patches[fg], xs[fg]]), axis=0, return_counts=True)
-        templates.append(Template(category=cat, cls=cls, distinct=distinct, counts=counts))
-    return tuple(templates)
+    distinct, counts = zip(*(np.unique(np.column_stack([patches[fg], xs[fg]]), axis=0, return_counts=True)
+                             for _, patches, fg, xs in zip(categories, fm.patches, mask, coord, strict=True)))
+    return PoseClassifier(categories=tuple(categories), cls=fm.cls, distinct=np.concatenate(distinct),
+                          counts=np.concatenate(counts).astype(float), starts=np.cumsum([0, *map(len, counts[:-1])]))
 
 
 # ---------------------------------------------------------------------------

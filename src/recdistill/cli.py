@@ -10,9 +10,10 @@ Subcommands:
 Every subcommand is a pure function of (config, seed): outputs are
 byte-identical across repeated runs.
 
-Exit codes: 0 success; 2 invalid configuration or input, or a file that
-cannot be read or written (an OSError); 3 a run that diverged or produced
-a non-finite value.  README.md lists the cases.  Failures print one
+Exit codes: 0 success; 2 invalid configuration or input, a file that
+cannot be read or written (an OSError), or an array larger than the host
+can allocate (a MemoryError); 3 a run that diverged or produced a
+non-finite value.  README.md lists the cases.  Failures print one
 `error:` line on stderr and leave --out-dir as it was: a command writes
 into a hidden directory inside it and moves the files in only when it
 succeeds (see `_staged`).  Every CSV file is written by
@@ -161,7 +162,7 @@ def _load_classifier(template_dir) -> C.PoseClassifier:
     for cat, path in zip(C.CATEGORIES, paths):
         if not path.exists():
             raise ConfigurationError(f"missing template image for category {cat!r}: {path}")
-    return C.PoseClassifier(templates=_on_stack(lambda stack: C.build_template(stack, C.CATEGORIES), paths))
+    return _on_stack(lambda stack: C.build_template(stack, C.CATEGORIES), paths)
 
 
 def cmd_classify(args, out) -> int:
@@ -444,6 +445,8 @@ def main(argv=None) -> int:
         return _error(exc, 2)
     except (DivergenceError, NumericError) as exc:
         return _error(exc, 3)
+    except MemoryError as exc:          # an array larger than the host can give
+        return _error(f"out of memory: {exc}", 2)
 
 
 if __name__ == "__main__":

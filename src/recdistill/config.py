@@ -40,7 +40,7 @@ _KEYS = {
     "schedule": {"num_steps": int, "beta_min": float, "beta_max": float},
     "rectifier": {
         "target": _absent_if("uniform", _floats), "posterior_source": str.strip,
-        "marginal_source": str.strip, "epsilon_floor": float, "fd_step": float,
+        "marginal_source": str.strip, "epsilon_floor": float,
     },
     "distill": {
         "method": str.strip, "eta1": float, "iters": int, "particles": int, "dim": int, "init_scale": float,

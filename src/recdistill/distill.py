@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rectify, worldmodel
 from .errors import ConfigurationError, DivergenceError
-from .estimator import IntervalEma, ema_lookup, ema_update
+from .estimator import IntervalEma, alpha_from_n_ema, ema_lookup, ema_update
 from .metrics import categorical_entropy
 from .rectify import Rectifier
 from .schedule import DiffusionSchedule, loss_weight
@@ -77,6 +77,9 @@ class DistillConfig:
                if getattr(self, k) < 1]
         if low:
             raise ConfigurationError(f"{', '.join(low)}: must be at least 1")
+        # 1 / n_ema has no float above 2**1023, and the rate rounds to 0 long before
+        if not (self.n_ema < 2**1023 and alpha_from_n_ema(self.n_ema) > 0.0):
+            raise ConfigurationError(f"n_ema = {self.n_ema} is too large: the EMA rate 1 - 0.1 ** (1 / n_ema) rounds to 0")
         if (self.control_category is not None) != (self.method == "ctrl"):
             raise ConfigurationError("control_category must be set exactly when method='ctrl'")
         if self.method == "usd" and self.rectifier is None:
@@ -127,6 +130,9 @@ def bnf_interval(iteration: int, total_iters: int, n_i: int, num_steps: int) -> 
     if lo >= hi:
         raise ValueError(f"degenerate timestep range ({lo}, {hi}) at block {block}")
     return lo, hi
+
+
+_bnf_window = bnf_interval     # for set-up checks: a run looks up `bnf_interval` once per iteration
 
 
 def grad_norm_align(primary_grad, secondary_grad) -> np.ndarray:
@@ -191,15 +197,19 @@ class RunTables:
             raise ConfigurationError(f"pose_probs must be {k} finite, non-negative probabilities summing to 1 within {tol:.3g}")
         if cfg.control_category is not None and not 0 <= cfg.control_category < k:
             raise ConfigurationError(f"control_category {cfg.control_category} outside [0, {k})")
-        if cfg.method == "usd" and cfg.rectifier.posterior_source == "classifier-on-tweedie":
-            # the Tweedie estimate divides by alpha_t, which never rises with t:
-            # the largest step the run draws, in its first block, has the least
-            hi = bnf_interval(0, cfg.iters, cfg.bnf_n_i, schedule.num_steps)[1]
-            if schedule.alpha[hi] < 1e-300:
-                raise ConfigurationError(
-                    f"[schedule] num_steps/beta_min/beta_max give alpha_t = {schedule.alpha[hi]:.3g} < 1e-300 at "
-                    f"t = {hi}, the largest step the run draws, where [rectifier] posterior_source = "
-                    "classifier-on-tweedie cannot denoise")
+        # block 0 has the highest lower bound, the last block reached the lowest upper one
+        try:
+            hi = _bnf_window(0, cfg.iters, cfg.bnf_n_i, schedule.num_steps)[1]
+            _bnf_window(cfg.iters - 1, cfg.iters, cfg.bnf_n_i, schedule.num_steps)
+        except ValueError as exc:
+            raise ConfigurationError(f"[distill] bnf_n_i = {cfg.bnf_n_i}, [schedule] num_steps = {schedule.num_steps}: {exc}") from None
+        # the Tweedie estimate divides by alpha_t, which never rises with t:
+        # the largest step the run draws, in its first block, has the least
+        if cfg.method == "usd" and cfg.rectifier.posterior_source == "classifier-on-tweedie" and schedule.alpha[hi] < 1e-300:
+            raise ConfigurationError(
+                f"[schedule] num_steps/beta_min/beta_max give alpha_t = {schedule.alpha[hi]:.3g} < 1e-300 at "
+                f"t = {hi}, the largest step the run draws, where [rectifier] posterior_source = "
+                "classifier-on-tweedie cannot denoise")
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         return cls(

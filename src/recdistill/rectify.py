@@ -20,6 +20,7 @@ from .worldmodel import PoseLabeledMixture
 
 POSTERIOR_SOURCES = ("exact-mixture", "classifier-on-tweedie", "classifier-direct")
 MARGINAL_SOURCES = ("ema", "exact-mc", "fixed-presampled")
+FD_STEP = 1e-3          # the classifier sources' finite-difference step, relative to 1 + |xt|
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class Rectifier:
     posterior_source: str = "exact-mixture"
     marginal_source: str = "ema"
     epsilon_floor: float = 1e-4
-    fd_step: float = 1e-3
 
     def __post_init__(self):
         if self.posterior_source not in POSTERIOR_SOURCES:
@@ -64,10 +64,6 @@ class Rectifier:
         k = self.target.probs.size
         if not 0.0 < self.epsilon_floor < 1.0 / k:
             raise ValueError(f"epsilon_floor must lie in (0, 1/{k})")
-        # the step is fd_step * (1 + |x|): one as large as the point's own
-        # scale is no derivative
-        if not 0.0 < self.fd_step < 1.0:
-            raise ValueError(f"fd_step = {self.fd_step} must lie in (0, 1)")
 
 
 def weight_function(target: TargetMarginal, marginal, epsilon_floor: float) -> np.ndarray:
@@ -110,7 +106,7 @@ def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
     category-reweighted mixture's score minus this mixture's, both from
     the pass at xt.  The classifier sources mimic classifying images: they
     take central differences of log r over one stack of 2d + 1 blocks, xt,
-    then xt + h e_j, then xt - h e_j with h = fd_step (1 + |xt|), and apply
+    then xt + h e_j, then xt - h e_j with h = FD_STEP (1 + |xt|), and apply
     the clean posterior to every point of it.  'classifier-direct' applies
     it to the noisy points as they are, and makes the pass at xt
     separately; 'classifier-on-tweedie' applies it to the Tweedie-denoised
@@ -130,7 +126,7 @@ def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
         rows = worldmodel._category_posterior(m, first)
     else:
         d = xt.shape[-1]
-        h = rect.fd_step * (1.0 + np.sqrt(np.add.reduce(xt * xt, axis=-1)))     # np.linalg.norm's reduce
+        h = FD_STEP * (1.0 + np.sqrt(np.add.reduce(xt * xt, axis=-1)))     # np.linalg.norm's reduce
         step = h[..., None] * eye[(slice(None),) + (None,) * h.ndim]           # (d, ..., d): h e_j
         stack = np.concatenate([xt[None], xt + step, xt - step])
         if rect.posterior_source == "classifier-direct":

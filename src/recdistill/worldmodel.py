@@ -86,13 +86,14 @@ class PoseLabeledMixture:
         # a weight above 1 fails before the sum, which it could overflow
         if np.any(w <= 0) or np.any(w > 1) or abs(np.sum(w) - 1.0) > 1e-12:
             raise ConfigurationError("component weights must be positive and sum to 1")
-        covered = set(cat.tolist())
-        missing = sorted(set(range(self.num_categories)) - covered)
-        if missing or covered - set(range(self.num_categories)):
-            raise ConfigurationError(
-                f"every pose category needs probability mass (p(c) > 0); "
-                f"missing or out-of-range categories: {missing or sorted(covered)}"
-            )
+        # K distinct categories from 0 to K - 1 are all of them, and the first three missing lie
+        # below the distinct count + 3: no range of K is built (nor numpy.ma imported, as np.unique does)
+        k, covered = self.num_categories, set(cat.tolist())
+        if len(covered) != k or min(covered) != 0 or max(covered) != k - 1:
+            missing = [c for c in range(min(k, len(covered) + 3)) if c not in covered][:3]
+            outside = sorted(c for c in covered if not 0 <= c < k)[:3]
+            raise ConfigurationError(f"every pose category in [0, {k}) needs probability mass (p(c) > 0); "
+                                     f"missing {missing}, out of range {outside} (at most three of each shown)")
         # a symmetric matrix whose eigenvalues are at least the floor is positive-definite
         floor = covariance_floor(d)
         if np.linalg.eigvalsh(cov).min() < floor:

@@ -250,7 +250,7 @@ class TestSaturatedFiniteDifferences:
     def test_rounding_noise_is_zero(self, schedule):
         m, rect, x, marginal = self._setup(schedule)
         w = rectify.weight_function(rect.target, marginal, rect.epsilon_floor)
-        h = rect.fd_step * (1.0 + np.linalg.norm(x))
+        h = rectify.FD_STEP * (1.0 + np.linalg.norm(x))
         step = np.array([0.0, h])
         log_r = [np.log(np.sum(w * worldmodel.category_posterior(m, None, 0, v))) for v in (x + step, x - step)]
         assert log_r[0] != log_r[1] and abs(log_r[0] - log_r[1]) < 1e-15   # the noise is there

@@ -1,6 +1,6 @@
 import dataclasses
 import tracemalloc
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -28,6 +28,16 @@ def corpus():
 def _one(img):
     """A glyph as a one-row stack."""
     return img.pixels[None]
+
+
+_Template = namedtuple("_Template", "category cls distinct counts")
+
+
+def _templates(pc):
+    """Each template of the classifier's table, its rows sliced out."""
+    bounds = np.append(pc.starts, len(pc.counts))
+    return [_Template(cat, pc.cls[k], pc.distinct[bounds[k] : bounds[k + 1]], pc.counts[bounds[k] : bounds[k + 1]])
+            for k, cat in enumerate(pc.categories)]
 
 
 def _parts(img):
@@ -165,7 +175,7 @@ class TestStackMatchesPerImageReference:
             self._assert_features_bitwise_reference(stack)
 
     def test_template_features_match(self, pc, templates):
-        for t, img in zip(pc.templates, templates.values()):
+        for t, img in zip(_templates(pc), templates.values()):
             cls, patches = _ref_features(img.pixels)
             mask = _ref_segment(patches)
             rows = np.column_stack([patches[mask], _ref_coord(mask)[mask]])
@@ -201,7 +211,7 @@ class TestMergedTemplatePatches:
         return Counter(dict(zip(map(tuple, t.distinct), t.counts.tolist())))
 
     def test_distinct_rows_and_counts(self, pc, templates):
-        for t, img in zip(pc.templates, templates.values()):
+        for t, img in zip(_templates(pc), templates.values()):
             rows = self._foreground_rows(img.pixels)
             assert t.counts.sum() == len(rows)
             assert self._merged(t) == Counter(map(tuple, rows))
@@ -213,7 +223,7 @@ class TestMergedTemplatePatches:
         for cat, img in templates.items():
             C.write_pgm(tmp_path / f"{cat}.pgm", img.pixels)
         stack = np.stack([C.read_pgm(tmp_path / f"{cat}.pgm") for cat in templates])
-        for t, back, pixels in zip(pc.templates, C.build_template(stack, tuple(templates)), stack):
+        for t, back, pixels in zip(_templates(pc), _templates(C.build_template(stack, tuple(templates))), stack):
             rows = self._foreground_rows(pixels)
             assert back.category == t.category
             assert back.counts.sum() == len(rows)
@@ -225,7 +235,7 @@ class TestMergedTemplatePatches:
         """Jittered templates repeat no patch, so every count is 1."""
         jittered = {cat: C._glyph(C._patterns(), cat, 99) for cat in C.CATEGORIES}
         pc = C.PoseClassifier.from_images(jittered)
-        assert all(np.all(t.counts == 1) for t in pc.templates)
+        assert np.all(pc.counts == 1)
         stack = np.stack([im.pixels for im in C.generate_corpus(16, seed=3)])
         got = np.concatenate([C.classify(pc, stack[i : i + 16], mode=mode) for i in range(0, len(stack), 16)])
         want = np.array([_ref_classify(jittered, px, mode) for px in stack])
@@ -244,14 +254,31 @@ class TestTemplateBuild:
         assert calls == [len(C.CATEGORIES)]
 
     def test_stack_build_equals_one_row_builds(self, pc, templates):
-        for t, (cat, img) in zip(pc.templates, templates.items()):
-            [alone] = C.build_template(_one(img), [cat])
+        for t, (cat, img) in zip(_templates(pc), templates.items()):
+            [alone] = _templates(C.build_template(_one(img), [cat]))
             assert alone.category == t.category == cat
             for name in ("cls", "distinct", "counts"):
                 assert getattr(alone, name).tobytes() == getattr(t, name).tobytes(), name
 
-    def test_template_fields(self):
-        assert [f.name for f in dataclasses.fields(C.Template)] == ["category", "cls", "distinct", "counts"]
+    def test_table_fields(self, pc):
+        assert [f.name for f in dataclasses.fields(C.PoseClassifier)] == ["categories", "cls", "distinct", "counts",
+                                                                          "starts"]
+        assert not hasattr(C, "Template")
+        assert pc.cls.shape == (len(C.CATEGORIES), C.NUM_FEATURES)
+        assert pc.distinct.shape == (len(pc.counts), C.NUM_FEATURES + 1)
+
+    def test_repeated_category_rejected(self, pc):
+        with pytest.raises(ValueError, match="one template per category"):
+            dataclasses.replace(pc, categories=("front", "back", "left", "front"))
+
+    @pytest.mark.parametrize("empty", [0, 1, 3])
+    def test_empty_template_rejected(self, pc, empty):
+        """A template whose rows start where the next one's do (or at the
+        table's end) holds none, and the table is refused."""
+        starts = pc.starts.copy()
+        starts[empty] = np.append(pc.starts, len(pc.counts))[empty + 1]
+        with pytest.raises(ValueError, match="at least one foreground row"):
+            dataclasses.replace(pc, starts=starts)
 
     def test_unsegmentable_row_named(self, templates):
         stack = np.stack([img.pixels for img in templates.values()])
@@ -396,7 +423,7 @@ class TestTextureSimilarity:
 
     def test_regenerated_variants_score_high(self, pc, corpus):
         for img in corpus:
-            tmpl = next(t for t in pc.templates if t.category == img.true_category)
+            tmpl = next(t for t in _templates(pc) if t.category == img.true_category)
             sim = C.texture_similarity(C.extract_features(_one(img)).cls, tmpl.cls[None])[0, 0]
             assert sim >= 0.9
 
@@ -405,8 +432,8 @@ class TestOrientationSimilarity:
     def test_template_self_match_is_argmax(self, pc, templates):
         for cat, img in templates.items():
             fm, mask, coord = _parts(img)
-            scores = C.orientation_similarity((fm.patches, mask, coord), pc.templates)[0]
-            assert pc.templates[int(np.argmax(scores))].category == cat
+            scores = C.orientation_similarity((fm.patches, mask, coord), pc)[0]
+            assert pc.categories[int(np.argmax(scores))] == cat
 
     def test_left_right_discrimination(self, pc, corpus):
         good = total = 0
@@ -415,7 +442,7 @@ class TestOrientationSimilarity:
                 continue
             fm, mask, coord = _parts(img)
             s = dict(zip(pc.categories,
-                         C.orientation_similarity((fm.patches, mask, coord), pc.templates)[0]))
+                         C.orientation_similarity((fm.patches, mask, coord), pc)[0]))
             total += 1
             own, other = (("left", "right") if img.true_category == "left" else ("right", "left"))
             good += s[own] > s[other]
@@ -427,11 +454,11 @@ class TestOrientationSimilarity:
                 continue
             fm, mask, coord = _parts(img)
             s = dict(zip(pc.categories,
-                         C.orientation_similarity((fm.patches, mask, coord), pc.templates)[0]))
+                         C.orientation_similarity((fm.patches, mask, coord), pc)[0]))
             assert abs(s["front"] - s["back"]) < 0.05
 
 
-def _whole_block_orientation(input_parts, templates, tau_pat=0.01):
+def _whole_block_orientation(input_parts, pc, tau_pat=0.01):
     """The orientation pass over the whole (R, P) block at once, with the
     counts as integers and a zero-filled distance: the untiled formula
     whose bits the tiled pass must keep."""
@@ -439,12 +466,11 @@ def _whole_block_orientation(input_parts, templates, tau_pat=0.01):
     n_in = mask.sum(axis=(1, 2))
     # each template's foreground patch count, from its canonical image
     n_fg = {cat: _parts(img)[1].sum() for cat, img in C.template_images().items()}
-    n_tm = np.array([n_fg[t.category] for t in templates])
+    n_tm = np.array([n_fg[cat] for cat in pc.categories])
     f_in, m_in = patches[mask], coord[mask]
-    distinct = np.concatenate([t.distinct for t in templates])
-    f_tm, m_tm = distinct[:, :C.NUM_FEATURES], distinct[:, C.NUM_FEATURES]
-    counts = np.concatenate([t.counts for t in templates])
-    n_cols = [len(t.counts) for t in templates]
+    f_tm, m_tm = pc.distinct[:, :C.NUM_FEATURES], pc.distinct[:, C.NUM_FEATURES]
+    counts = pc.counts.astype(int)
+    n_cols = [len(t.counts) for t in _templates(pc)]
     cols = np.concatenate([[0], np.cumsum(n_cols)[:-1]])
     dist = np.zeros((f_in.shape[0], f_tm.shape[0]))
     diff = np.empty_like(dist)
@@ -502,8 +528,8 @@ class TestOrientationTiles:
 
     def test_scores_bitwise_the_whole_block_formula(self, pc, stack):
         parts = _stack_parts(stack)
-        got = C.orientation_similarity(parts, pc.templates)
-        assert got.tobytes() == _whole_block_orientation(parts, pc.templates, C.TAU_PAT).tobytes()
+        got = C.orientation_similarity(parts, pc)
+        assert got.tobytes() == _whole_block_orientation(parts, pc, C.TAU_PAT).tobytes()
 
     def test_peak_allocation_flat_in_stack_size(self, pc):
         """The tiles bound the pass's working set: its peak allocation grows
@@ -513,7 +539,7 @@ class TestOrientationTiles:
             parts = _stack_parts(np.stack([im.pixels for im in C.generate_corpus(per_category, seed=5)]))
             tracemalloc.start()
             try:
-                C.orientation_similarity(parts, pc.templates)
+                C.orientation_similarity(parts, pc)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -553,12 +579,11 @@ class TestClassify:
         assert 1.0 - pair_accuracy("texture-only", ("left", "right")) >= 0.3
         assert 1.0 - pair_accuracy("orientation-only", ("front", "back")) >= 0.3
 
-    def test_swapping_templates_swaps_probabilities(self, pc, corpus):
-        order = [t.category for t in pc.templates]
+    def test_swapping_templates_swaps_probabilities(self, pc, templates, corpus):
+        order = list(pc.categories)
         i, j = order.index("left"), order.index("right")
-        swapped_templates = list(pc.templates)
-        swapped_templates[i], swapped_templates[j] = swapped_templates[j], swapped_templates[i]
-        swapped = C.PoseClassifier(templates=tuple(swapped_templates))
+        order[i], order[j] = order[j], order[i]
+        swapped = C.PoseClassifier.from_images({cat: templates[cat] for cat in order})
         for img in corpus[:8]:
             a = C.classify(pc, _one(img))[0]
             b = C.classify(swapped, _one(img))[0]

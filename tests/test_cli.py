@@ -164,6 +164,37 @@ class TestConfigErrors:
         assert "posterior_source = classifier-on-tweedie" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edits, window", [
+        # the window closes at the last block: the run used to fail there, 7/8 of the way through
+        ([("[rectifier]", "[schedule]\nnum_steps = 4\nbeta_max = 0.99\n\n[rectifier]"),
+          ("dim = 1", "n_t = 1\nbnf_n_i = 4\ndim = 1")], "(1, 1) at block 7"),
+        ([("dim = 1", "bnf_n_i = 60\ndim = 1")], "(983, 980) at block 0"),
+    ], ids=["last-block", "first-block"])
+    def test_empty_timestep_window_rejected_at_setup(self, tmp_path, capsys, monkeypatch, edits, window):
+        """A window that closes at some block of the run stops it before its
+        first gradient, naming both keys that set the window."""
+        monkeypatch.setattr(distill, "gradient", lambda *args: pytest.fail("the run started"))
+        text = SMALL_USD.replace("iters = 60", "iters = 8")
+        for old, new in edits:
+            text = text.replace(old, new)
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and err.startswith("error: [distill] bnf_n_i = ")
+        assert "[schedule] num_steps = " in err and window in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_ema", [10**17, 10**400], ids=["1e17", "1e400"])
+    def test_n_ema_whose_rate_rounds_to_zero_rejected(self, tmp_path, capsys, n_ema):
+        """At 10**17 the EMA rate 1 - 0.1 ** (1 / n_ema) rounds to 0; at
+        10**400, 1 / n_ema has no float at all."""
+        text = SMALL_USD.replace("dim = 1", f"n_ema = {n_ema}\ndim = 1")
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and err.startswith(f"error: [distill] n_ema = {n_ema} is too large")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("old, new, named", [
         ("dim = 1", "grad_norm_align = maybe\ndim = 1", "[distill] grad_norm_align = maybe"),
         ("iters = 60", "iters = x", "[distill] iters = x"),
@@ -175,11 +206,8 @@ class TestConfigErrors:
          "[schedule] num_steps = 999 is not divisible by [distill] n_t = 10"),
         ("[rectifier]", "[schedule]\nnum_steps = 1e3\n\n[rectifier]", "[schedule] num_steps = 1e3"),
         ("[rectifier]", "[schedule]\nbeta_max = high\n\n[rectifier]", "[schedule] beta_max = high"),
-        ("target = uniform", "target = uniform\nfd_step = tiny", "[rectifier] fd_step = tiny"),
-        ("target = uniform", "target = uniform\nfd_step = 0", "[rectifier] fd_step = 0.0 must lie in (0, 1)"),
-        ("target = uniform", "target = uniform\nfd_step = 1e300", "[rectifier] fd_step = 1e+300 must lie"),
-        ("target = uniform", "target = uniform\nfd_step = -0.01", "[rectifier] fd_step = -0.01 must lie"),
-        ("target = uniform", "target = uniform\nfd_step = nan", "[rectifier] fd_step = nan must lie"),
+        # the finite-difference step is the constant rectify.FD_STEP
+        ("target = uniform", "target = uniform\nfd_step = 1e-3", "unknown key(s) in [rectifier]: ['fd_step']"),
         ("target = uniform", "target = 0.5 x", "[rectifier] target = 0.5 x"),
         ("num_categories = 2", "num_categories = two", "[mixture] num_categories = two"),
         ("0.2 | -2.0 | 0.01 | 1", "0.2 | -2.0 | 0.01 | one", "[mixture] components line"),
@@ -1197,6 +1225,18 @@ class TestPresetMutations:
                 assert rc in (2, 3) and _single_error_line(err)
                 # a failed run leaves nothing behind
                 assert sorted(p.name for p in pathlib.Path(tmp).iterdir()) == ["run.cfg"]
+
+
+class TestOutOfMemory:
+    def test_allocation_beyond_any_address_space_exits_2(self, tmp_path, capsys):
+        """10**15 particles need 7.11 PiB for their first draw, more than any
+        address space holds, so the allocation fails at once on any host."""
+        text = (PRESET_DIR / "twomode_usd.cfg").read_text().replace("particles = 16", "particles = 1000000000000000")
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and err.startswith("error: out of memory: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestBenchmarkHooks:

@@ -9,7 +9,7 @@ from recdistill import distill as D
 from recdistill import worldmodel
 from recdistill.errors import ConfigurationError, DivergenceError
 from recdistill.oracle import finite_difference_grad
-from recdistill.rectify import Rectifier, TargetMarginal
+from recdistill.rectify import Rectifier, TargetMarginal, weight_function
 from recdistill.schedule import build_schedule, loss_weight
 from recdistill.worldmodel import PoseLabeledMixture, Renderer
 
@@ -269,6 +269,76 @@ class TestUsdStep:
             assert np.max(np.abs(fd - exact)) < 1e-5 * (1.0 + np.max(np.abs(exact)))
             checked += 1
         assert checked == 100
+
+
+def _k4_prior(covs=None):
+    """ROADMAP's K = 4 prior: a 0.55 / 0.15 / 0.15 / 0.15 front bias over four 2-D poses."""
+    return PoseLabeledMixture(
+        weights=np.array([0.55, 0.15, 0.15, 0.15]),
+        means=np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]]),
+        covs=np.stack([0.05 * np.eye(2)] * 4), category_of=np.arange(4), num_categories=4,
+    )
+
+
+def _rot2d_prior(first_cov):
+    """The usd-tweedie-rot2d prior, with its first component's covariance given."""
+    return PoseLabeledMixture(
+        weights=np.array([0.4, 0.4, 0.2]), means=np.array([[2.0, 0.6], [2.0, -0.6], [-2.0, 0.0]]),
+        covs=np.array([first_cov, 0.05 * np.eye(2), 0.05 * np.eye(2)]),
+        category_of=np.array([0, 0, 1]), num_categories=2,
+    )
+
+
+_ROTATION = Renderer("rotation", (0.0, np.pi))
+
+
+class TestUsdIsVsdOnTheRectifiedMixture:
+    """Exact-mixture USD without alignment is VSD on the mixture whose
+    component weights are pi_k w(c_k) / Z: r p_t is that mixture, so the
+    correction turns the prior's noise prediction into the reweighted one."""
+
+    @staticmethod
+    def _rectified(m, w):
+        weights = m.weights * w[m.category_of]
+        return PoseLabeledMixture(weights=weights / weights.sum(), means=m.means, covs=m.covs,
+                                  category_of=m.category_of, num_categories=m.num_categories)
+
+    @pytest.mark.parametrize("prior", ["a4", "k4", "rot2d", "rot2d-full-cov"])
+    @pytest.mark.parametrize("marginal_kind", ["per-row", "constant"])
+    def test_gradients_agree(self, schedule, narrow_biased, prior, marginal_kind):
+        m, renderer = {
+            "a4": (narrow_biased, Renderer()),
+            "k4": (_k4_prior(), Renderer()),
+            "rot2d": (_rot2d_prior(0.05 * np.eye(2)), _ROTATION),
+            "rot2d-full-cov": (_rot2d_prior(np.array([[0.05, 0.02], [0.02, 0.05]])), _ROTATION),
+        }[prior]
+        k = m.num_categories
+        rect = Rectifier(target=TargetMarginal.uniform(k),
+                         marginal_source="ema" if marginal_kind == "per-row" else "exact-mc")
+        cfg = D.DistillConfig(method="usd", iters=30, rectifier=rect, grad_norm_align=False)
+        vsd = D.DistillConfig(method="vsd", iters=30)
+        usd = D.RunTables.build(m, schedule, cfg, renderer)
+        plain = D.RunTables.build(m, schedule, vsd, renderer)
+        rng = np.random.default_rng(26)
+        particles = 2.0 * rng.standard_normal((6, m.dim))
+        moved = 0.0
+        for it in (0, 14, 29):
+            draws = D._draw(usd, particles, it, rng)
+            if marginal_kind == "per-row":
+                marginal = rng.dirichlet(np.ones(k), size=len(particles))
+            else:
+                marginal = m.category_weights()
+            got = D.gradient(usd, draws, marginal)[0]
+            w = weight_function(rect.target, marginal, rect.epsilon_floor)
+
+            def vsd_on(w_c):
+                return D.gradient(D.RunTables.build(self._rectified(m, w_c), schedule, vsd, renderer), draws)[0]
+
+            # one rectified mixture per row, or one for every row
+            want = np.array([vsd_on(w_i)[i] for i, w_i in enumerate(w)]) if marginal_kind == "per-row" else vsd_on(w)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), np.abs(got - want).max()
+            moved = max(moved, np.abs(got - D.gradient(plain, draws)[0]).max())
+        assert moved > 1e-3, moved          # the correction is there to be matched
 
 
 class TestCtrlStep:

@@ -170,8 +170,7 @@ class TestGradLogR:
         # the classifier-direct source (the clean posterior applied to the
         # noisy point) takes finite differences, which agree with the
         # analytic reweighting gradient of the clean mixture
-        rect = Rectifier(target=TargetMarginal.uniform(2), posterior_source="classifier-direct",
-                         fd_step=1e-5)
+        rect = Rectifier(target=TargetMarginal.uniform(2), posterior_source="classifier-direct")
         marginal = np.array([0.6, 0.4])
         xt = np.array([0.8, -0.4])
         got = grad_log_r(rect, mixed_2d, schedule, 500, xt, marginal)
@@ -206,7 +205,7 @@ def _per_axis_grad_log_r(rect, m, schedule, t, xt, marginal):
     def log_r(x):
         return np.log(np.sum(w * source_posterior(rect, m, schedule, t, x), axis=-1))
 
-    h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
+    h = rectify.FD_STEP * (1.0 + np.linalg.norm(xt, axis=-1))
     out = np.empty_like(xt)
     for j in range(xt.shape[-1]):
         step = np.zeros_like(xt)
@@ -231,8 +230,7 @@ class TestStackedFiniteDifferences:
         # otherwise (n,) steps, (n, d) points and one marginal per row
         rng = np.random.default_rng(seed)
         m = random_mixture(rng, dim, k)
-        rect = Rectifier(target=TargetMarginal(rng.dirichlet(np.ones(k))), posterior_source=source,
-                         fd_step=float(rng.choice([1e-3, 1e-5])))
+        rect = Rectifier(target=TargetMarginal(rng.dirichlet(np.ones(k))), posterior_source=source)
         shape = () if n == 0 else (n,)
         t = int(rng.integers(1, 1001)) if n == 0 else rng.integers(1, 1001, size=n)
         xt = rng.uniform(-4.0, 4.0, size=shape + (dim,))
@@ -246,7 +244,7 @@ class TestStackedFiniteDifferences:
     def test_stack_blocks(self, schedule, monkeypatch, lead, dim):
         # the points the clean posterior sees: block 0 is xt, block 1 + j is
         # xt + h e_j and block 1 + d + j is xt - h e_j, with
-        # h = fd_step (1 + |xt|), bit for bit
+        # h = FD_STEP (1 + |xt|), bit for bit
         rng = np.random.default_rng(dim)
         m = random_mixture(rng, dim, 2)
         rect = Rectifier(target=TargetMarginal.uniform(2), posterior_source="classifier-direct")
@@ -263,7 +261,7 @@ class TestStackedFiniteDifferences:
         rectify.correction(rect, m, schedule, t, xt, rng.dirichlet(np.ones(2), size=lead or None),
                            worldmodel._steps(m, schedule, t), np.eye(dim))
         [stack] = seen
-        h = rect.fd_step * (1.0 + np.linalg.norm(xt, axis=-1))
+        h = rectify.FD_STEP * (1.0 + np.linalg.norm(xt, axis=-1))
         assert stack.shape == (2 * dim + 1,) + xt.shape
         assert np.array_equal(stack[0], xt)
         for j in range(dim):

@@ -1,3 +1,9 @@
+import os
+import pathlib
+import re
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -45,6 +51,52 @@ class TestConstruction:
                 weights=np.array([1.0]), means=np.zeros((1, 1)),
                 covs=np.ones((1, 1, 1)), category_of=np.array([0]), num_categories=2,
             )
+
+    @staticmethod
+    def _two_modes(num_categories, category_of=(0, 1)):
+        return PoseLabeledMixture(weights=np.array([0.5, 0.5]), means=np.array([[1.0], [-1.0]]),
+                                  covs=np.full((2, 1, 1), 0.1), category_of=np.array(category_of),
+                                  num_categories=num_categories)
+
+    def test_category_error_is_short_at_a_thousand_categories(self):
+        """The error names K and at most three categories, not all 998 missing."""
+        with pytest.raises(ConfigurationError) as info:
+            self._two_modes(1000)
+        msg = str(info.value)
+        assert len(msg) < 200, len(msg)
+        assert "[0, 1000)" in msg and "missing [2, 3, 4], out of range []" in msg
+
+    @pytest.mark.parametrize("category_of, k, named", [
+        ((0, 5), 2, "missing [1], out of range [5]"),
+        ((-1, 0), 3, "missing [1, 2], out of range [-1]"),
+        ((0, 1), 0, "missing [], out of range [0, 1]"),
+    ])
+    def test_out_of_range_categories_named(self, category_of, k, named):
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            self._two_modes(k, category_of)
+
+    def test_huge_category_count_rejected_in_bounded_memory(self):
+        """K = 10**12 in a child process whose address space is capped at
+        2 GiB: a check that enumerated the K categories would run out of it."""
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            import numpy as np
+            from recdistill.errors import ConfigurationError
+            from recdistill.worldmodel import PoseLabeledMixture
+            try:
+                PoseLabeledMixture(weights=np.array([0.5, 0.5]), means=np.array([[1.0], [-1.0]]),
+                                   covs=np.full((2, 1, 1), 0.1), category_of=np.array([0, 1]),
+                                   num_categories=10**12)
+            except ConfigurationError as exc:
+                print(exc)
+        """)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "[0, 1000000000000)" in proc.stdout and "missing [2, 3, 4]" in proc.stdout
 
     def test_covariances_must_be_positive_definite(self):
         with pytest.raises(ConfigurationError):
