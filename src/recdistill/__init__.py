@@ -17,7 +17,7 @@ from .errors import (
     NumericError,
     SegmentationError,
 )
-from .schedule import DiffusionSchedule, build_schedule, loss_weight, perturb
+from .schedule import DiffusionSchedule, build_schedule, loss_weight
 from .worldmodel import PoseLabeledMixture, Renderer
 from .rectify import Rectifier, TargetMarginal
 
@@ -31,7 +31,6 @@ __all__ = [
     "DiffusionSchedule",
     "build_schedule",
     "loss_weight",
-    "perturb",
     "PoseLabeledMixture",
     "Renderer",
     "Rectifier",

@@ -312,6 +312,9 @@ def cmd_metrics(args, out) -> int:
         rows.append(["frechet", gaussian_frechet(a, b)])
     if args.marginal is not None:
         p, q = _probability_option("marginal", args.marginal), _probability_option("target", args.target)
+        if p.size != q.size:
+            raise ConfigurationError(f"--marginal {args.marginal} has {p.size} probabilities, "
+                                     f"where --target {args.target} has {q.size}")
         rows.append(["marginal_tv", marginal_tv(p, q)])
     if not rows:
         raise ConfigurationError("metrics: no inputs given (see --probs/--particles-a/--marginal)")

@@ -3,7 +3,8 @@
 `_KEYS` gives every section's keys and each key's cast.  Unknown sections
 or keys fail fast with a diagnostic naming them, so a typo never silently
 falls back to a default.  Besides the casts, this module checks only the
-keys that no library call sees and the rules that tie two sections together."""
+keys that no library call sees and how a section fits the mixture or the
+schedule; a run's own rules, `[distill]` against `[schedule]`, are the library's."""
 
 from __future__ import annotations
 
@@ -12,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distill import DistillConfig
 from .errors import ConfigurationError
 from .rectify import Rectifier, TargetMarginal
-from .schedule import DiffusionSchedule, build_schedule, loss_weight
+from .schedule import DiffusionSchedule, build_schedule
 from .worldmodel import BOX, PoseLabeledMixture
 
 
@@ -187,22 +187,8 @@ def parse_config(path) -> RunSpec:
     try:
         schedule = build_schedule(sched["num_steps"], sched["beta_min"], sched["beta_max"])
     except ConfigurationError as exc:
-        # all three keys decide whether sigma[T] reaches the noise endpoint
+        # all three keys decide whether sigma[T] reaches the noise endpoint and sigma[1] leaves 0
         raise ConfigurationError(f"[schedule] {', '.join(f'{k} = {v}' for k, v in sched.items())}: {exc}") from exc
-    # the rules that tie [schedule] to [distill] hold only for a config with a [distill] section
-    if "distill" in parser:
-        # the EMA tracker splits the steps into n_t equal intervals (n_t < 1 fails in DistillConfig)
-        n_t = distill.get("n_t", DistillConfig.n_t)
-        if n_t >= 1 and sched["num_steps"] % n_t:
-            raise ConfigurationError(
-                f"[schedule] num_steps = {sched['num_steps']} is not divisible by [distill] n_t = {n_t}")
-        # sigma-squared fails only where 1 - beta_min rounds to 1, so sigma[1] = 0
-        if distill.get("omega_kind", DistillConfig.omega_kind) == "sigma-squared":
-            try:
-                loss_weight(schedule, "sigma-squared")
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"[schedule] beta_min = {sched['beta_min']} gives sigma[1] = 0, "
-                                         f"and [distill] omega_kind = sigma-squared: {exc}") from exc
     # without a [demo] section, rectify-demo checks the defaults against this schedule itself
     demo = parse_demo(parser, sched["num_steps"]) if "demo" in parser else None
     return RunSpec(mixture=mixture, schedule=schedule, rectifier=rectifier, distill=distill, demo=demo, **sched)

@@ -142,8 +142,6 @@ def grad_norm_align(primary_grad, secondary_grad) -> np.ndarray:
     """
     primary = np.asarray(primary_grad, dtype=float)
     secondary = np.asarray(secondary_grad, dtype=float)
-    if not np.isfinite(primary).all():
-        raise ValueError("primary gradient must be finite")
     # np.linalg.norm's own reduce for real vectors, without its dispatch
     norm_s = np.sqrt(np.add.reduce(secondary * secondary, axis=-1, keepdims=True))
     norm_p = np.sqrt(np.add.reduce(primary * primary, axis=-1, keepdims=True))
@@ -195,6 +193,10 @@ class RunTables:
         tol = np.sqrt(np.finfo(float).eps)
         if probs.shape != (k,) or not np.all(probs >= 0) or abs(np.sum(probs) - 1.0) > tol:
             raise ConfigurationError(f"pose_probs must be {k} finite, non-negative probabilities summing to 1 within {tol:.3g}")
+        # the EMA tracker splits the steps into n_t equal intervals
+        if schedule.num_steps % cfg.n_t:
+            raise ConfigurationError(
+                f"[schedule] num_steps = {schedule.num_steps} is not divisible by [distill] n_t = {cfg.n_t}")
         if cfg.control_category is not None and not 0 <= cfg.control_category < k:
             raise ConfigurationError(f"control_category {cfg.control_category} outside [0, {k})")
         # block 0 has the highest lower bound, the last block reached the lowest upper one

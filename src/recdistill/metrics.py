@@ -33,7 +33,8 @@ def categorical_entropy(prob_rows) -> EntropyReport:
         raise ValueError("rows must be finite and lie on the probability simplex")
     mean = np.mean(rows, axis=0)
     nz = mean[mean > 0]
-    return EntropyReport(mean_probs=mean, entropy=float(-np.sum(nz * np.log(nz))))
+    # 0.0 - x, not -x: a one-hot mean has entropy +0.0, not -0.0
+    return EntropyReport(mean_probs=mean, entropy=float(0.0 - np.sum(nz * np.log(nz))))
 
 
 def gaussian_frechet(sample_a, sample_b) -> float:

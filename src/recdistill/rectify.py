@@ -136,7 +136,9 @@ def correction(rect: Rectifier, m: PoseLabeledMixture, schedule, t, xt, marginal
             first = worldmodel._Pass(*(a[0] for a in noisy))
             stack = tweedie_x0(schedule, t, stack, worldmodel._eps_pretrain(schedule, t, noisy))
         post = worldmodel.category_posterior(m, None, 0, stack)
-        log_r = np.log((w * post[1:]).sum(axis=-1))
+        r = (w * post[1:]).sum(axis=-1)
+        # r >= min(w) > 0 unless a target weight is 0; then log 0 = -inf, without numpy's divide warning
+        log_r = np.log(r) if np.count_nonzero(w) == w.size else np.log(r, out=np.full(r.shape, -np.inf), where=r != 0)
         fp, fm = log_r[:d], log_r[d:]                                         # (d, ...)
         finite = np.isfinite(fp) & np.isfinite(fm)
         if not finite.all():

@@ -20,7 +20,7 @@ class DiffusionSchedule:
     """Coefficients of the variance-preserving forward process.
 
     ``alpha`` and ``sigma`` have length ``num_steps + 1``; index 0 is the
-    clean-data endpoint (alpha=1, sigma=0).
+    clean-data endpoint (alpha=1, sigma=0), and every later step adds noise.
     """
 
     num_steps: int
@@ -40,6 +40,9 @@ class DiffusionSchedule:
             raise ConfigurationError(
                 "schedule endpoints out of range: need alpha[0] >= 0.999 and sigma[T] >= 0.99"
             )
+        # noise predictions divide by sigma_t**2; sigma never falls, so sigma[1] decides every t >= 1
+        if not self.sigma[1] ** 2 > 0.0:
+            raise ConfigurationError(f"sigma[1] = {self.sigma[1]}: the first noisy step adds no noise")
 
 
 def build_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> DiffusionSchedule:
@@ -60,25 +63,11 @@ def build_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> Di
 def loss_weight(schedule: DiffusionSchedule, kind: str = "sigma-squared") -> np.ndarray:
     """Weighting omega(t) over steps, indexed by t: constant one or sigma_t**2.
 
-    Entries for t in [1, T] are positive; index 0 (clean data) is unused.
+    Entries for t in [1, T] are positive, as the schedule has sigma_t**2 > 0
+    there; index 0 (clean data) is unused.
     """
     if kind == "constant-one":
-        values = np.ones(schedule.num_steps + 1)
-    elif kind == "sigma-squared":
-        values = schedule.sigma**2
-    else:
-        raise ConfigurationError(f"unknown omega_kind {kind!r}; choose constant-one or sigma-squared")
-    if np.any(values[1:] <= 0):
-        raise ConfigurationError("omega(t) must be positive for t in [1, T]")
-    return values
-
-
-def perturb(x0, t: int, eps, schedule: DiffusionSchedule):
-    """Forward-diffuse a clean point: alpha_t * x0 + sigma_t * eps."""
-    x0 = np.asarray(x0, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    if not 1 <= t <= schedule.num_steps:
-        raise ValueError(f"t={t} outside [1, {schedule.num_steps}]")
-    if x0.shape != eps.shape:
-        raise ValueError(f"shape mismatch: x0 {x0.shape} vs eps {eps.shape}")
-    return schedule.alpha[t] * x0 + schedule.sigma[t] * eps
+        return np.ones(schedule.num_steps + 1)
+    if kind == "sigma-squared":
+        return schedule.sigma**2
+    raise ConfigurationError(f"unknown omega_kind {kind!r}; choose constant-one or sigma-squared")

@@ -286,7 +286,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("schedule, named", [
         ("num_steps = 10", "[schedule] num_steps = 10, beta_min = 0.0001, beta_max = 0.02: schedule endpoints"),
         ("beta_min = 0.5", "[schedule] num_steps = 1000, beta_min = 0.5, beta_max = 0.02: betas must satisfy"),
-        ("beta_min = 1e-300", "[schedule] beta_min = 1e-300 gives sigma[1] = 0"),
+        ("beta_min = 1e-300",
+         "[schedule] num_steps = 1000, beta_min = 1e-300, beta_max = 0.02: sigma[1] = 0.0: the first noisy step adds no noise"),
     ])
     def test_schedule_error_names_its_key(self, tmp_path, capsys, schedule, named):
         text = SMALL_USD.replace("[rectifier]", f"[schedule]\n{schedule}\n\n[rectifier]")
@@ -367,9 +368,38 @@ class TestConfigErrors:
         assert "p(c) > 0" in capsys.readouterr().err
 
 
+class TestNoiselessFirstStep:
+    """1 - beta_min rounds to 1 below beta_min = 2**-54, so sigma[1] = 0.
+    Such a schedule used to reach the run under omega_kind = constant-one,
+    which warned and then stopped at a gradient or a divergence, or ran on
+    (sds); rectify-demo ran on too."""
+
+    TEXT = SMALL_USD.replace("[rectifier]", "[schedule]\nnum_steps = 10\nbeta_min = 1e-17\nbeta_max = 0.9\n\n[rectifier]")
+    ERROR = ("error: [schedule] num_steps = 10, beta_min = 1e-17, beta_max = 0.9: "
+             "sigma[1] = 0.0: the first noisy step adds no noise\n")
+
+    def _rejected(self, tmp_path, capsys, command, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main([command, "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2 and not caught
+        assert capsys.readouterr().err == self.ERROR
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("omega_kind", ["constant-one", "sigma-squared"])
+    @pytest.mark.parametrize("method", distill.METHODS)
+    def test_distill_rejects_it_at_parse_time(self, tmp_path, capsys, method, omega_kind):
+        text = self.TEXT.replace("method = usd", f"method = {method}" + "\ncontrol_category = 0" * (method == "ctrl"))
+        text = text.replace("particles = 4", f"particles = 8\nomega_kind = {omega_kind}\nn_t = 5")
+        self._rejected(tmp_path, capsys, "distill", text)
+
+    def test_rectify_demo_rejects_it_at_parse_time(self, tmp_path, capsys):
+        self._rejected(tmp_path, capsys, "rectify-demo", self.TEXT)
+
+
 class TestNumericErrorLine:
-    """A non-finite correction at one of 16 particles names that particle's
-    row, step and point, not the whole batch."""
+    """A non-finite correction names its first particle's row, step and
+    point, not the whole batch, on one error line."""
 
     @pytest.mark.parametrize("source", ["exact-mixture", "classifier-direct"])
     def test_names_the_row(self, tmp_path, capsys, monkeypatch, source):
@@ -390,6 +420,18 @@ class TestNumericErrorLine:
         assert rc == 3
         err = capsys.readouterr().err
         assert _single_error_line(err) and " at row 5: t=" in err and len(err.strip()) < 200
+
+    @pytest.mark.parametrize("source", ["classifier-direct", "classifier-on-tweedie"])
+    def test_underflowed_posterior_fails_without_a_warning(self, tmp_path, capsys, source):
+        """With target = 1 0, r = w(0) p(0 | x) is 0 where the clean
+        posterior of category 0 underflows: log r is -inf, named as the
+        run's numeric error, and numpy's divide warning is not raised."""
+        text = SMALL_USD.replace("target = uniform", f"target = 1 0\nposterior_source = {source}").replace(
+            "particles = 4", "particles = 8")
+        rc = cli.main(["distill", "--config", _cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and err.startswith("error: non-finite log r along axis 0 at row ")
 
 
 class TestRectifyDemo:
@@ -902,6 +944,8 @@ class TestMetricsCommand:
         ("0.5,-0.1,0.6", "0.2,0.3,0.5", "--marginal 0.5,-0.1,0.6"),
         ("0.5,0.5", "0.2,0.3,0.5000001", "--target 0.2,0.3,0.5000001"),
         ("0.5,x", "0.5,0.5", "--marginal 0.5,x"),
+        # each on the simplex, of different lengths
+        ("0.5,0.5", "0.2,0.3,0.5", "--marginal 0.5,0.5 has 2 probabilities, where --target 0.2,0.3,0.5 has 3"),
     ])
     def test_off_simplex_marginal_or_target_rejected(self, tmp_path, capsys, marginal, target, named):
         rc = cli.main(["metrics", f"--marginal={marginal}", f"--target={target}", "--out-dir", str(tmp_path / "out")])
@@ -932,6 +976,13 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert _single_error_line(err) and named in err
         assert not (tmp_path / "out").exists()
+
+    def test_one_hot_entropy_is_positive_zero(self, tmp_path, capsys):
+        probs = tmp_path / "p.csv"
+        probs.write_text("p_0,p_1\n1,0\n")
+        assert cli.main(["metrics", "--probs", str(probs), "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("entropy = 0.0\n")
+        assert (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1] == "entropy,0.0"
 
     def test_no_inputs_is_an_error(self, tmp_path, capsys):
         rc = cli.main(["metrics", "--out-dir", str(tmp_path / "out")])

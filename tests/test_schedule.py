@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from recdistill.errors import ConfigurationError
-from recdistill.schedule import build_schedule, loss_weight, perturb
+from recdistill.schedule import DiffusionSchedule, build_schedule, loss_weight
 
 
 class TestBuildSchedule:
@@ -36,37 +36,20 @@ class TestBuildSchedule:
             build_schedule(100, beta_min=0.0, beta_max=0.02)
 
 
-class TestPerturb:
-    def test_zero_noise_scales_data(self, schedule):
-        x0 = np.array([1.0, 0.0])
-        for t in (1, 500, 1000):
-            out = perturb(x0, t, np.zeros(2), schedule)
-            assert np.array_equal(out, schedule.alpha[t] * x0)
+class TestFirstNoisyStep:
+    def test_noiseless_first_step_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"sigma\[1\] = 0.0: the first noisy step adds no noise"):
+            DiffusionSchedule(num_steps=2, alpha=np.array([1.0, 1.0, 0.0]), sigma=np.array([0.0, 0.0, 1.0]))
 
-    def test_zero_data_scales_noise(self, schedule):
-        eps = np.array([0.3, -1.2])
-        out = perturb(np.zeros(2), 700, eps, schedule)
-        assert np.array_equal(out, schedule.sigma[700] * eps)
-
-    def test_monte_carlo_mean_and_variance(self, schedule):
-        rng = np.random.default_rng(11)
-        x0 = np.array([2.0, -1.0])
-        t = 400
-        n = 100_000
-        eps = rng.standard_normal((n, 2))
-        draws = perturb(np.broadcast_to(x0, (n, 2)), t, eps, schedule)
-        se = schedule.sigma[t] / np.sqrt(n)
-        assert np.all(np.abs(draws.mean(axis=0) - schedule.alpha[t] * x0) < 3 * se)
-        var_se = schedule.sigma[t] ** 2 * np.sqrt(2.0 / n)
-        assert np.all(np.abs(draws.var(axis=0) - schedule.sigma[t] ** 2) < 3 * var_se)
-
-    def test_shape_mismatch_rejected(self, schedule):
-        with pytest.raises(ValueError):
-            perturb(np.zeros(2), 10, np.zeros(3), schedule)
-
-    def test_step_out_of_range_rejected(self, schedule):
-        with pytest.raises(ValueError):
-            perturb(np.zeros(2), 0, np.zeros(2), schedule)
+    @pytest.mark.parametrize("beta_min, rejected", [(1e-17, True), (5.5e-17, True), (5.6e-17, False), (1e-16, False)])
+    def test_beta_min_that_rounds_one_minus_beta_to_one_rejected(self, beta_min, rejected):
+        """1 - beta_min rounds to 1 below 2**-54 (about 5.55e-17); above,
+        sigma[1] is at least sqrt(2**-53), about 1.05e-8."""
+        if rejected:
+            with pytest.raises(ConfigurationError, match="the first noisy step adds no noise"):
+                build_schedule(10, beta_min, 0.9)
+        else:
+            assert build_schedule(10, beta_min, 0.9).sigma[1] >= 1.05e-8
 
 
 class TestLossWeight:

@@ -1,11 +1,13 @@
-"""Every public name of the library is reached by the library itself, is
-exported, or is kept on purpose with its reason; every parameter is read.
+"""Every public name of the library is reached by the library itself or
+is kept on purpose with its reason; every parameter is read; `config`
+stays below `distill`.
 
 A public module-level function or class, or a public method of a public
 class, in src/recdistill must be referenced (as a name or an attribute) in
-src/ other than at its own definition, be listed in `recdistill.__all__`,
-or be a KEEP entry.  A name that only tests call does no work for any
-command and goes.  So does a parameter that its function never reads.
+src/ other than at its own definition, or be a KEEP entry.  Listing a name
+in `recdistill.__all__` does not reach it: a name that only tests call
+does no work for any command and goes.  So does a parameter that its
+function never reads.
 """
 
 import ast
@@ -59,18 +61,17 @@ def _references(modules) -> set[str]:
 
 def _unreached(modules) -> list[str]:
     seen = _references(modules)
-    exported = set(recdistill.__all__)
     out = []
     for module, tree in modules.items():
         for name in _public(tree):
             short = name.rsplit(".", 1)[-1]
-            if short in seen or short in exported or f"{module}.{name}" in KEEP:
+            if short in seen or f"{module}.{name}" in KEEP:
                 continue
             out.append(f"{module}.{name}")
     return out
 
 
-def test_every_public_name_is_reached_exported_or_kept():
+def test_every_public_name_is_reached_or_kept():
     assert _unreached(_modules()) == []
 
 
@@ -116,3 +117,30 @@ def test_guard_flags_a_parameter_nothing_reads():
                      "        b = a\n        return [c for _ in rest], lambda: kw\n\n\n"
                      "def g(x, y):\n    def inner():\n        return y\n    return inner\n")
     assert sorted(_unread_parameters({"m": tree})) == ["m.f(b)", "m.g(x)"]
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """The recdistill modules that a module of the package imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = node.module if node.level == 0 else ".".join(filter(None, ["recdistill", node.module]))
+            if package == "recdistill":                     # from . import distill
+                out.update(alias.name for alias in node.names)
+            elif package and package.startswith("recdistill."):
+                out.add(package.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("recdistill."))
+    return out
+
+
+def test_config_imports_nothing_from_distill():
+    """The parser checks how a config file fits the mixture and the
+    schedule; the rules of a run, and their defaults, are `distill`'s."""
+    assert "distill" not in _imported(_modules()["config"])
+
+
+def test_import_guard_reads_every_form():
+    tree = ast.parse("from .distill import DistillConfig\nfrom . import rectify\nimport recdistill.schedule\n"
+                     "from recdistill.worldmodel import BOX\nimport numpy\nfrom .errors import ConfigurationError\n")
+    assert _imported(tree) == {"distill", "rectify", "schedule", "worldmodel", "errors"}
